@@ -114,7 +114,11 @@ def load_bundle(path: str):
         for line in reader:
             if len(line) != 2:
                 raise BundleError(f"{splits_path}: expected 2 columns, got {len(line)}")
-            node, name = int(line[0]), line[1].strip()
+            try:
+                node = int(line[0])
+            except ValueError as err:
+                raise BundleError(f"{splits_path}: node id {line[0]!r} is not an integer") from err
+            name = line[1].strip()
             if not 0 <= node < n:
                 raise BundleError(f"{splits_path}: node index out of range [0, {n})")
             if name not in SPLIT_NAMES:

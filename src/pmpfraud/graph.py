@@ -170,7 +170,9 @@ class BucketSegments:
 
     Member arrays hold neighbor ids (or row positions after remapping);
     segment arrays assign each member to its center's position in the
-    batch. ``all_members`` covers the three buckets back to back.
+    batch. Each bucket lists its members center by center, in ascending
+    segment id, so a center's whole neighborhood is its fraud, then
+    benign, then unlabeled run.
     """
 
     num_segments: int
@@ -180,8 +182,6 @@ class BucketSegments:
     be_segments: np.ndarray
     un_members: np.ndarray
     un_segments: np.ndarray
-    all_members: np.ndarray
-    all_segments: np.ndarray
 
 
 class PartitionIndex:
@@ -258,8 +258,6 @@ class PartitionIndex:
             be_segments=np.repeat(ids, bec),
             un_members=_multi_slice(ordered, base + frc + bec, unc),
             un_segments=np.repeat(ids, unc),
-            all_members=_multi_slice(ordered, base, total),
-            all_segments=np.repeat(ids, total),
         )
 
 

@@ -170,8 +170,12 @@ def aggregate_segments(
     """
     k = segs.num_segments
     if not variant.partition_enabled:
-        S_all = _segment(h_prev, segs.all_members, segs.all_segments, k)
-        return nd.matmul(S_all, params.M_fr)
+        # The scatter adds in array order: each center sums its fraud, benign,
+        # then unlabeled run, and since a node has one bucket for every center,
+        # each row's gradient still accumulates in center order.
+        members = np.concatenate([segs.fr_members, segs.be_members, segs.un_members])
+        seg_ids = np.concatenate([segs.fr_segments, segs.be_segments, segs.un_segments])
+        return nd.matmul(_segment(h_prev, members, seg_ids, k), params.M_fr)
     rs = variant.root_specific_enabled
     S_fr = _segment(h_prev, segs.fr_members, segs.fr_segments, k)
     S_be = _segment(h_prev, segs.be_members, segs.be_segments, k)

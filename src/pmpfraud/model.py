@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,37 +121,6 @@ class PmpModel:
         return model
 
 
-def _positions(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_ids, ids)
-
-
-class _LocalSegments:
-    """A BucketSegments view with member ids remapped to frontier rows."""
-
-    __slots__ = (
-        "num_segments",
-        "fr_members",
-        "fr_segments",
-        "be_members",
-        "be_segments",
-        "un_members",
-        "un_segments",
-        "all_members",
-        "all_segments",
-    )
-
-    def __init__(self, segs, sorted_frontier: np.ndarray):
-        self.num_segments = segs.num_segments
-        self.fr_members = _positions(sorted_frontier, segs.fr_members)
-        self.fr_segments = segs.fr_segments
-        self.be_members = _positions(sorted_frontier, segs.be_members)
-        self.be_segments = segs.be_segments
-        self.un_members = _positions(sorted_frontier, segs.un_members)
-        self.un_segments = segs.un_segments
-        self.all_members = _positions(sorted_frontier, segs.all_members)
-        self.all_segments = segs.all_segments
-
-
 def model_forward(
     model: PmpModel,
     graph: RelationalGraph,
@@ -167,6 +136,9 @@ def model_forward(
 
     Representations are computed on demand for each layer's one-hop
     frontier, so cost scales with the batch neighborhood, not the graph.
+    Frontiers come from marking ids in a node mask and ids map to frontier
+    rows through a dense lookup table, so no step sorts. ``batch`` may be
+    unsorted and repeat ids; score i belongs to batch[i].
     ``features`` may be a gradient-enabled tensor for sensitivity
     analysis. Dropout masks are keyed by (seed, relation, layer, epoch,
     batch_index) and replay exactly.
@@ -183,19 +155,31 @@ def model_forward(
     if feats.shape != (graph.num_nodes, cfg.feature_dim):
         raise ValueError(f"features must be [{graph.num_nodes}, {cfg.feature_dim}]")
 
+    # Row of each frontier node; entries outside the current frontier are stale.
+    row_of = np.empty(graph.num_nodes, dtype=np.int64)
     per_relation = []
     for r in range(cfg.num_relations):
         fronts = [None] * (cfg.num_layers + 1)
         fronts[cfg.num_layers] = batch
         for l in range(cfg.num_layers, 0, -1):
             members, _ = graph.neighbor_segments(r, fronts[l])
-            fronts[l - 1] = np.union1d(fronts[l], members)
+            mark = np.zeros(graph.num_nodes, dtype=bool)
+            mark[fronts[l]] = True
+            mark[members] = True
+            fronts[l - 1] = np.flatnonzero(mark)
         h = nd.gather_rows(feats, fronts[0])
         h_gate_src = h
         for l in range(1, cfg.num_layers + 1):
             centers, prev = fronts[l], fronts[l - 1]
-            segs = _LocalSegments(partition.bucket_segments(r, centers), prev)
-            pos = _positions(prev, centers)
+            row_of[prev] = np.arange(prev.size)
+            segs = partition.bucket_segments(r, centers)
+            segs = replace(
+                segs,
+                fr_members=row_of[segs.fr_members],
+                be_members=row_of[segs.be_members],
+                un_members=row_of[segs.un_members],
+            )
+            pos = row_of[centers]
             h_c = nd.gather_rows(h, pos)
             h_g = nd.gather_rows(h_gate_src, pos)
             act = layer_forward(

@@ -287,6 +287,19 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.where(mask, x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
 
 
+def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum row i of [m, d] ``values`` into row ``ids[i]`` of a [num_rows, d] result.
+
+    A flat bincount over cells ids[i] * d + j adds each cell's rows in input
+    order from 0.0, as an unbuffered scatter-add does, so float64 results
+    are bitwise equal to one. Ids must already lie in [0, num_rows).
+    """
+    d = values.shape[1]
+    cells = (ids[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=num_rows * d)
+    return out.reshape(num_rows, d).astype(values.dtype, copy=False)
+
+
 def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of [m, d] ``values`` into ``num_segments`` buckets.
 
@@ -299,8 +312,7 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
         raise ShapeError(f"segment_sum: ids shape {seg.shape} does not match values {values.data.shape}")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ShapeError("segment_sum: segment id out of range")
-    out = np.zeros((num_segments, values.data.shape[1]), dtype=values.data.dtype)
-    np.add.at(out, seg, values.data)
+    out = _scatter_add_rows(values.data, seg, num_segments)
     return _make(out, "segment_sum", (values,), lambda g: (g[seg],))
 
 
@@ -313,12 +325,9 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     n = x.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError("gather_rows: index out of range")
-    shape = x.data.shape
 
     def vjp(g):
-        dx = np.zeros(shape, dtype=g.dtype)
-        np.add.at(dx, idx, g)
-        return (dx,)
+        return (_scatter_add_rows(g, idx, n),)
 
     return _make(x.data[idx], "gather_rows", (x,), vjp)
 

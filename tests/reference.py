@@ -52,6 +52,15 @@ def counted_metrics(scores, labels, threshold=0.5):
     }
 
 
+def add_at_rows(values, ids, num_rows):
+    """Row scatter-sum by unbuffered ``np.add.at``: each output cell starts
+    at 0.0 and adds its rows in input order."""
+    values = np.asarray(values)
+    out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
+    np.add.at(out, np.asarray(ids), values)
+    return out
+
+
 def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 

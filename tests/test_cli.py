@@ -1,18 +1,27 @@
 """End-to-end command line runs in subprocesses: artifacts and exit codes."""
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pmpfraud
+from pmpfraud.cli import EXIT_VALIDATION
+
+# The child process imports the same package as the tests, installed or not.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pmpfraud.__file__)))
+
 
 def run_cli(*argv, expect=0):
+    path = os.pathsep.join(p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pmpfraud", *argv],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == expect, f"argv={argv}\nstdout={proc.stdout}\nstderr={proc.stderr}"
     return proc
@@ -72,6 +81,19 @@ class TestSynthAndValidate:
         payload = stderr_payload(proc)
         assert payload["code"] == 2
         assert "features.csv" in payload["error"]
+
+    def test_non_integer_split_node_names_splits_csv(self, bundle_dir, tmp_path):
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(bundle_dir, bad)
+        lines = (bad / "splits.csv").read_text().splitlines()
+        lines[1] = "x7," + lines[1].split(",", 1)[1]
+        (bad / "splits.csv").write_text("\n".join(lines) + "\n")
+        proc = run_cli("validate", str(bad), expect=EXIT_VALIDATION)
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "BundleError"
+        assert "splits.csv" in payload["error"] and "'x7'" in payload["error"]
 
     def test_missing_bundle_exits_2(self, tmp_path):
         proc = run_cli("validate", str(tmp_path / "nope"), expect=2)
@@ -254,7 +276,4 @@ class TestTopLevel:
         assert proc.stdout.strip().startswith("pmpfraud ")
 
     def test_no_subcommand_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pmpfraud"], capture_output=True, text=True
-        )
-        assert proc.returncode == 2
+        run_cli(expect=2)

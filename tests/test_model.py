@@ -96,6 +96,16 @@ class TestForward:
         b = model_forward(model, g, idx, x, batch[perm])
         np.testing.assert_array_equal(b.data, a.data[perm])
 
+    def test_unsorted_batch_with_repeats_matches_unique_batch(self):
+        # repeated and unsorted ids all map through the same frontier rows
+        rng = np.random.default_rng(12)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2)
+        batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
+        unique = np.unique(batch)
+        a = model_forward(model, g, idx, x, unique)
+        b = model_forward(model, g, idx, x, batch)
+        np.testing.assert_array_equal(b.data, a.data[np.searchsorted(unique, batch)])
+
     def test_own_label_does_not_enter_own_score(self):
         # flipping a node's label (and train membership) changes its
         # neighbors' buckets elsewhere, but with one layer its own score

@@ -7,6 +7,8 @@ import pytest
 
 from pmpfraud import ndiff as nd
 
+from .reference import add_at_rows
+
 
 def fd_tensor(rng, shape, low=0.2, high=1.5):
     """Random values bounded away from zero, safe around ReLU kinks."""
@@ -171,6 +173,41 @@ class TestOperatorValues:
     def test_mean_value(self):
         x = nd.Tensor(np.array([[1.0, 2.0], [3.0, 6.0]]))
         assert nd.mean(x).data == 3.0
+
+
+class TestScatterMatchesAddAt:
+    """The row scatter behind segment_sum and the gather_rows adjoint is
+    bitwise equal to an np.add.at oracle. Values span 16 decades, so any
+    change in summation order shows up in the low bits."""
+
+    K = 12
+
+    def case(self, seed, m=300, d=5):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, self.K - 1, size=m)  # unsorted, repeated
+        ids[ids == 4] = 7  # segments 4 and K - 1 stay empty
+        values = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 9, size=(m, d))
+        return ids, values
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_segment_sum_forward(self, seed):
+        ids, values = self.case(seed)
+        out = nd.segment_sum(nd.Tensor(values), ids, self.K).data
+        expected = add_at_rows(values, ids, self.K)
+        assert np.array_equal(out, expected)
+        assert not out[4].any() and not out[-1].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gather_rows_backward(self, seed):
+        ids, upstream = self.case(seed)
+        x = nd.Tensor(np.ones((self.K, upstream.shape[1])), requires_grad=True)
+        nd.backward(nd.gather_rows(x, ids), seed=upstream)
+        assert np.array_equal(x.grad, add_at_rows(upstream, ids, self.K))
+
+    def test_result_keeps_input_dtype(self):
+        ids, values = self.case(3, m=20)
+        out = nd.segment_sum(nd.Tensor(values, dtype=np.float32), ids, self.K)
+        assert out.data.dtype == np.float32
 
 
 class TestReversePass:
