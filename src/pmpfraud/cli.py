@@ -100,18 +100,9 @@ def _resolved_train_config(args) -> dict:
             file_config = json.load(fh)
     config = {
         "bundle": os.path.abspath(args.bundle),
-        "learning_rate": 0.01,
-        "weight_decay": 0.0,
-        "dropout_p": 0.0,
-        "batch_size": 512,
-        "max_epochs": 200,
-        "patience": 20,
-        "seed": 0,
-        "selection_metric": "auc",
-        "pos_weight": None,
+        **TrainConfig().to_dict(),
         "hidden_dim": 64,
         "num_layers": 1,
-        "deterministic": bool(args.deterministic),
         "variant": _variant_from_args(args).to_dict(),
     }
     config.update(file_config)
@@ -380,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int)
     p.add_argument("--layers", dest="num_layers", type=int)
     p.add_argument("--pos-weight", type=float)
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-thread numeric paths for bitwise reproducibility")
     _add_ablation_flags(p)
     p.set_defaults(func=cmd_train)
 

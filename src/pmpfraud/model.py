@@ -109,13 +109,19 @@ class PmpModel:
 
     def save(self, directory: str):
         nd.save_checkpoint(directory, self.parameters())
-        with open(os.path.join(directory, _MODEL_SIDECAR), "w") as fh:
-            json.dump(self.config.to_dict(), fh, indent=2)
+        sidecar = json.dumps(self.config.to_dict(), indent=2).encode()
+        nd.write_file_atomic(os.path.join(directory, _MODEL_SIDECAR), sidecar)
 
     @classmethod
     def load(cls, directory: str) -> "PmpModel":
-        with open(os.path.join(directory, _MODEL_SIDECAR)) as fh:
-            config = ModelConfig.from_dict(json.load(fh))
+        path = os.path.join(directory, _MODEL_SIDECAR)
+        try:
+            with open(path) as fh:
+                config = ModelConfig.from_dict(json.load(fh))
+        except FileNotFoundError:
+            raise ValueError(f"{path}: checkpoint file is missing") from None
+        except (json.JSONDecodeError, KeyError, TypeError) as err:
+            raise ValueError(f"{path}: malformed model config ({err!r})") from err
         model = cls(config, seed=0)
         model.load_state(nd.load_checkpoint(directory))
         return model

@@ -8,12 +8,19 @@ rule on the output tensor; ``backward`` replays the recorded graph once in
 reverse topological order, accumulating gradients additively wherever a
 value fans out.
 
+The cross-entropy of a sigmoid output takes its adjoint in logit space:
+it records the sigmoid's input as its parent and sends sigma(z) - t
+straight to it. Scores saturated on the correct side then send back an
+exact zero rather than a subnormal, and the rest of the reverse pass runs
+on normal numbers.
+
 Everything is float64 unless a tensor is constructed with an explicit
 dtype. Operators validate shapes up front and refuse to emit non-finite
 values instead of letting NaN or Inf propagate silently.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -44,6 +51,7 @@ __all__ = [
     "reshape",
     "grad_check",
     "GradCheckReport",
+    "write_file_atomic",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -266,14 +274,19 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _make(scale * x.data + float(shift), "affine", (x,), lambda g: (scale * g,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic, clamped into the open interval (0, 1)."""
-    xd = x.data
+def _logistic(xd: np.ndarray) -> np.ndarray:
+    """Numerically stable, unclamped logistic: exactly 0 or 1 once exp underflows."""
     out = np.empty_like(xd)
     pos = xd >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic, clamped into the open interval (0, 1)."""
+    out = _logistic(x.data)
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
     def vjp(g):
@@ -391,15 +404,21 @@ def mean(x: Tensor) -> Tensor:
 def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Elementwise negated log likelihood of Bernoulli targets.
 
-    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before the
-    logs so the value stays finite at 0 and 1. The gradient is the analytic
-    Bernoulli derivative -t/p + (1-t)/(1-p) taken at the unclamped input:
-    composed with sigmoid the p*(1-p) factors cancel and a saturated score
-    still receives the full p - t signal instead of going silent. A
-    clip-style dead zone here stalls training the moment any logit passes
-    ~|28|. The input only needs a guard against literal 0/1; sigmoid
-    outputs already stay inside [_SIGMOID_LO, _SIGMOID_HI], and 1/tiny is
-    still finite in float64.
+    The value clamps probabilities to [PROB_CLAMP, 1 - PROB_CLAMP] before
+    the logs, so it stays finite at 0 and 1.
+
+    When ``probs`` is a recorded ``sigmoid`` output, the op takes the
+    sigmoid's input z as its parent and the adjoint is g * (sigma(z) - t),
+    with sigma the exact, unclamped logistic; the sigmoid itself drops out
+    of the reverse pass. A correctly saturated score (|z| past ~745, where
+    exp underflows) then contributes an exact 0 instead of the subnormal
+    g * tiny that the clamped sigmoid adjoint would emit, and a wrongly
+    saturated one still gets the full -+1 signal. A clip-style dead zone
+    here would stall training the moment any logit passes ~|28|.
+
+    Any other input gets the probability-space adjoint
+    -t/p + (1-t)/(1-p), taken at the input clipped only away from literal
+    0 and 1.
     """
     t = np.asarray(targets, dtype=probs.data.dtype)
     if t.shape != probs.data.shape:
@@ -407,6 +426,16 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pc = np.clip(probs.data, lo, hi)
     out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
+
+    if probs.op == "sigmoid" and probs._parents:
+        (logits,) = probs._parents
+        zd = logits.data
+
+        def logit_vjp(g):
+            return (g * (_logistic(zd) - t),)
+
+        return _make(out, "binary_cross_entropy", (logits,), logit_vjp)
+
     pg = np.clip(probs.data, _SIGMOID_LO, _SIGMOID_HI)
 
     def vjp(g):
@@ -494,32 +523,67 @@ _MANIFEST_NAME = "manifest.json"
 _BLOB_NAME = "params.bin"
 
 
+def write_file_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``, so
+    ``path`` holds either its old contents or all of ``data``, never part."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def save_checkpoint(directory: str, params: dict) -> None:
-    """Write a JSON manifest (names, shapes) and a little-endian f64 blob.
+    """Write a little-endian f64 blob and a JSON manifest (names, shapes and
+    the blob's sha256).
 
     The blob holds every parameter flattened row-major, concatenated in
-    manifest order.
+    manifest order. Each file is replaced atomically, the manifest last.
     """
     os.makedirs(directory, exist_ok=True)
-    manifest = {"params": [{"name": k, "shape": list(v.data.shape)} for k, v in params.items()]}
-    with open(os.path.join(directory, _MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    blob = np.concatenate([np.asarray(v.data, dtype="<f8").reshape(-1) for v in params.values()])
-    blob.tofile(os.path.join(directory, _BLOB_NAME))
+    blob = np.concatenate([np.asarray(v.data, dtype="<f8").reshape(-1) for v in params.values()]).tobytes()
+    manifest = {
+        "params": [{"name": k, "shape": list(v.data.shape)} for k, v in params.items()],
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    write_file_atomic(os.path.join(directory, _BLOB_NAME), blob)
+    write_file_atomic(os.path.join(directory, _MANIFEST_NAME), json.dumps(manifest, indent=2).encode())
+
+
+def _read_checkpoint_file(path: str, mode: str):
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"{path}: checkpoint file is missing") from None
 
 
 def load_checkpoint(directory: str) -> dict:
-    """Read a checkpoint back as {name: float64 array} in manifest order."""
-    with open(os.path.join(directory, _MANIFEST_NAME)) as fh:
-        manifest = json.load(fh)
-    blob = np.fromfile(os.path.join(directory, _BLOB_NAME), dtype="<f8")
+    """Read a checkpoint back as {name: float64 array} in manifest order.
+
+    A missing, malformed, truncated or corrupted file raises ValueError
+    naming it. Manifests written without a sha256 still load.
+    """
+    manifest_path = os.path.join(directory, _MANIFEST_NAME)
+    blob_path = os.path.join(directory, _BLOB_NAME)
+    try:
+        manifest = json.loads(_read_checkpoint_file(manifest_path, "r"))
+        entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in manifest["params"]]
+        digest = manifest.get("sha256")
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
+        raise ValueError(f"{manifest_path}: malformed checkpoint manifest ({err!r})") from err
+    raw = _read_checkpoint_file(blob_path, "rb")
+    expected = 8 * sum(int(np.prod(shape)) for _, shape in entries)
+    if len(raw) != expected:
+        raise ValueError(f"{blob_path}: has {len(raw)} bytes, manifest expects {expected}")
+    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+        raise ValueError(f"{blob_path}: sha256 does not match the manifest, the file is corrupted")
+    blob = np.frombuffer(raw, dtype="<f8")
     out = {}
     pos = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        out[entry["name"]] = blob[pos : pos + size].reshape(shape).astype(np.float64)
+    for name, shape in entries:
+        size = int(np.prod(shape))
+        out[name] = blob[pos : pos + size].reshape(shape).astype(np.float64)
         pos += size
-    if pos != blob.size:
-        raise ValueError(f"checkpoint blob has {blob.size} values, manifest expects {pos}")
     return out

@@ -1,6 +1,7 @@
 """End-to-end command line runs in subprocesses: artifacts and exit codes."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -130,7 +131,7 @@ class TestTrain:
     def test_deterministic_reruns_are_byte_identical(self, bundle_dir, tmp_path):
         args = (
             "train", str(bundle_dir), "--max-epochs", "2", "--patience", "2",
-            "--batch-size", "32", "--hidden-dim", "8", "--seed", "1", "--deterministic",
+            "--batch-size", "32", "--hidden-dim", "8", "--seed", "1",
         )
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli(*args, "--out", str(a))
@@ -197,6 +198,37 @@ class TestEvalAndInfluence:
     def test_eval_on_missing_run_exits_2(self, tmp_path):
         proc = run_cli("eval", str(tmp_path / "ghost"), expect=2)
         assert stderr_payload(proc)["code"] == 2
+
+    def damaged_run(self, run_dir, tmp_path, name, damage):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        damage(run / "checkpoint" / name)
+        proc = run_cli("eval", str(run), expect=EXIT_VALIDATION)
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "ValueError"
+        assert str(run / "checkpoint" / name) in payload["error"]
+        return payload["error"]
+
+    @pytest.mark.parametrize("name", ["params.bin", "manifest.json", "model.json"])
+    def test_missing_checkpoint_file_exits_2_naming_it(self, run_dir, tmp_path, name):
+        error = self.damaged_run(run_dir, tmp_path, name, lambda path: path.unlink())
+        assert "missing" in error
+
+    def test_truncated_blob_exits_2_naming_it(self, run_dir, tmp_path):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-8])
+
+        error = self.damaged_run(run_dir, tmp_path, "params.bin", truncate)
+        assert "manifest expects" in error
+
+    def test_corrupted_blob_exits_2_naming_it(self, run_dir, tmp_path):
+        def flip_one_bit(path):
+            raw = bytearray(path.read_bytes())
+            raw[len(raw) // 2] ^= 1
+            path.write_bytes(bytes(raw))
+
+        error = self.damaged_run(run_dir, tmp_path, "params.bin", flip_one_bit)
+        assert "sha256" in error
 
 
 class TestSpectral:

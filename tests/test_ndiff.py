@@ -1,5 +1,6 @@
 """Differentiation engine checks: every operator against central finite
 differences, plus the structural guarantees of the reverse pass."""
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ class TestOperatorGradients:
         targets = rng.integers(0, 2, size=10).astype(np.float64)
         run_op_check({"raw": raw}, lambda: nd.mean(nd.binary_cross_entropy(nd.sigmoid(raw), targets)))
 
+    def test_binary_cross_entropy_of_probabilities(self):
+        # A leaf probability input keeps the probability-space adjoint.
+        rng = np.random.default_rng(15)
+        probs = nd.Tensor(rng.uniform(0.05, 0.95, size=10), requires_grad=True)
+        targets = rng.integers(0, 2, size=10).astype(np.float64)
+        run_op_check({"probs": probs}, lambda: nd.mean(nd.binary_cross_entropy(probs, targets)))
+
     def test_composite_expression(self):
         rng = np.random.default_rng(14)
         w1 = fd_tensor(rng, (3, 4))
@@ -154,6 +162,26 @@ class TestOperatorValues:
         out = nd.binary_cross_entropy(probs, np.array([1.0, 0.0]))
         assert np.all(out.data > 0.0)
         assert np.all(out.data < 2e-12)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0])
+    def test_bce_of_sigmoid_takes_adjoint_in_logit_space(self, target):
+        z = nd.Tensor(np.array([-1e4, -800.0, -720.0, -30.0, 0.0, 30.0, 800.0, 1e4]), requires_grad=True)
+        t = np.full(z.size, target)
+        n = z.size
+        trace = []
+        nd.backward(nd.mean(nd.binary_cross_entropy(nd.sigmoid(z), t)), trace=trace)
+        assert "sigmoid" not in trace
+        exact = np.exp(-np.logaddexp(0.0, -z.data))
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(z.grad, (exact - t) / n, rtol=4 * eps, atol=eps / n)
+        # Past |z| ~ 745 exp underflows: a correctly saturated score gives
+        # an exact 0, a wrongly saturated one the full -+1/n, never a subnormal.
+        far = np.abs(z.data) >= 746
+        correct = (z.data > 0) == (target == 1.0)
+        np.testing.assert_array_equal(z.grad[far & correct], 0.0)
+        np.testing.assert_array_equal(z.grad[far & ~correct], (1.0 - 2.0 * target) / n)
+        magnitude = np.abs(z.grad[far])
+        assert not ((magnitude > 0) & (magnitude < np.finfo(np.float64).tiny)).any()
 
     def test_dropout_eval_mode_is_identity(self):
         x = nd.Tensor(np.ones((4, 4)), requires_grad=True)
@@ -335,3 +363,25 @@ class TestCheckpoint:
         nd.save_checkpoint(str(tmp_path), params)
         blob = np.fromfile(tmp_path / "params.bin", dtype="<f8")
         np.testing.assert_array_equal(blob, [1.0, 2.0, 3.0])
+
+    def test_manifest_without_digest_still_loads(self, tmp_path):
+        params = {"a": nd.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)}
+        nd.save_checkpoint(str(tmp_path), params)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["sha256"]
+        manifest_path.write_text(json.dumps(manifest))
+        np.testing.assert_array_equal(nd.load_checkpoint(str(tmp_path))["a"], [[1.0, 2.0]])
+
+    def test_malformed_manifest_names_the_file(self, tmp_path):
+        params = {"a": nd.Tensor(np.array([1.0]), requires_grad=True)}
+        nd.save_checkpoint(str(tmp_path), params)
+        (tmp_path / "manifest.json").write_text('{"params": [{"name": "a"}]}')
+        with pytest.raises(ValueError, match="manifest.json"):
+            nd.load_checkpoint(str(tmp_path))
+
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        params = {"a": nd.Tensor(np.array([1.0]), requires_grad=True)}
+        nd.save_checkpoint(str(tmp_path), params)
+        nd.save_checkpoint(str(tmp_path), params)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]

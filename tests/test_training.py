@@ -185,6 +185,31 @@ class TestTrainLoop:
         self.run(seed=7, max_epochs=5, patience=5)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_saturated_head_sends_no_subnormal_gradients(self, seed, monkeypatch):
+        # 2 layers on separable BA(500, 5): the benign head saturates within
+        # a few epochs. A sigmoid-then-loss adjoint turns each saturated
+        # score into g * tiny, which reaches the parameters as subnormals.
+        g, labels = generate_ba_graph(500, 5, fraud_fraction=0.10, seed=seed)
+        x = generate_features(labels, feature_dim=8, mu_benign=1.0, mu_fraud=5.0,
+                              sigma=1.0, seed=seed + 100)
+        splits = make_splits(500, (0.4, 0.2, 0.4), seed=seed + 200, stratify_labels=labels)
+        table = NodeTable(x, labels, splits)
+        model = PmpModel(ModelConfig(feature_dim=8, hidden_dim=16, num_layers=2), seed=seed + 300)
+        seen = []
+        step = Adam.step
+
+        def recording_step(self, grads):
+            seen.extend(np.abs(grad).ravel() for grad in grads.values())
+            return step(self, grads)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        train(model, g, table, TrainConfig(max_epochs=5, patience=5, seed=seed + 400))
+        entries = np.concatenate(seen)
+        assert entries.size == 5 * sum(p.size for p in model.parameters().values())
+        tiny = np.finfo(np.float64).tiny
+        assert not ((entries > 0) & (entries < tiny)).any()
+
     def test_dropout_config_overrides_model(self):
         g, table = small_dataset(seed=8)
         model = small_model(table, seed=8)
