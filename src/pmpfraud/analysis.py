@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff as nd
-from .graph import NodeTable, PartitionIndex, RelationalGraph
+from .graph import NodeTable, PartitionIndex, RelationalGraph, _resolve_single_relation
 from .model import PmpModel, model_forward
 
 __all__ = [
@@ -58,10 +58,11 @@ def normalized_laplacian(graph: RelationalGraph, relation: int = 0, cap: int = D
     as zero, so they couple to nothing. Eigenvalues lie in [0, 2].
     """
     n = graph.num_nodes
+    offsets, cols = _resolve_single_relation(graph, relation)
     _check_cap(n, cap)
     adj = np.zeros((n, n), dtype=np.float64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees(relation))
-    adj[rows, graph.col_indices[relation]] = 1.0
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    adj[rows, cols] = 1.0
     deg = adj.sum(axis=1)
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nz = deg > 0
@@ -123,12 +124,8 @@ class SpectralReport:
     filter_responses: np.ndarray
 
     def to_csv(self, path: str, meta_line: str = ""):
-        with open(path, "w") as fh:
-            if meta_line:
-                fh.write(f"# {meta_line}\n")
-            fh.write("node_index,lambda,g_fr,g_be\n")
-            for j, lam, g_fr, g_be in self.filter_responses:
-                fh.write(f"{int(j)},{lam:.17g},{g_fr:.17g},{g_be:.17g}\n")
+        rows = [f"{int(j)},{lam:.17g},{g_fr:.17g},{g_be:.17g}" for j, lam, g_fr, g_be in self.filter_responses]
+        nd.write_csv_atomic(path, "node_index,lambda,g_fr,g_be", rows, meta_line)
 
 
 def spatial_spectral_check(
@@ -163,6 +160,7 @@ def spatial_spectral_check(
     W_be = np.asarray(W_be, dtype=np.float64)
     if X.shape[0] != n:
         raise ValueError("X must have one row per node")
+    L = normalized_laplacian(graph, relation, cap)
     F, B = mask_matrices(labels, train_mask)
     K = k_matrix(F, B, alpha)
     eye = np.eye(n)
@@ -170,7 +168,6 @@ def spatial_spectral_check(
     rhs = K @ X @ W_fr + (eye - K) @ X @ W_be
     identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
-    L = normalized_laplacian(graph, relation, cap)
     U, lam = eigendecompose(L)
     reconstruction = float(np.max(np.abs(U @ np.diag(lam) @ U.T - L)))
 
@@ -250,12 +247,8 @@ class InfluenceReport:
         return float(np.mean([r[3] for r in self.rows])) if self.rows else 0.0
 
     def to_csv(self, path: str, meta_line: str = ""):
-        with open(path, "w") as fh:
-            if meta_line:
-                fh.write(f"# {meta_line}\n")
-            fh.write("node,I_f,I_b,diff\n")
-            for node, i_f, i_b, diff in self.rows:
-                fh.write(f"{node},{i_f:.17g},{i_b:.17g},{diff:.17g}\n")
+        rows = [f"{node},{i_f:.17g},{i_b:.17g},{diff:.17g}" for node, i_f, i_b, diff in self.rows]
+        nd.write_csv_atomic(path, "node,I_f,I_b,diff", rows, meta_line)
 
 
 def influence_report(

@@ -17,10 +17,10 @@ import time
 import numpy as np
 
 from . import __version__, analysis, bundle, graph as graph_mod, synth
+from . import ndiff as nd
 from .layer import LayerVariant
 from .model import ModelConfig, PmpModel
-from .ndiff import NonFiniteError
-from .training import TrainConfig, TrainingDiverged, evaluate, train
+from .training import Adam, TrainConfig, TrainingDiverged, evaluate, run_epoch, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,9 +43,7 @@ def _meta_line(config: dict, seed: int) -> str:
 
 
 def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    nd.write_file_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _parse_ratios(text: str):
@@ -125,7 +123,6 @@ def cmd_train(args) -> int:
         num_layers=int(config["num_layers"]),
         num_relations=g.num_relations,
         variant=LayerVariant.from_dict(config["variant"]),
-        dropout_p=float(config["dropout_p"]),
     )
     train_config = TrainConfig(
         learning_rate=float(config["learning_rate"]),
@@ -247,8 +244,7 @@ def cmd_ratio_hist(args) -> int:
         lines.append(f"{lo},{hi},{count}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        nd.write_file_atomic(args.out, text.encode())
     print(text, end="")
     return EXIT_OK
 
@@ -260,6 +256,8 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     Node count grows proportionally with edges (fixed attachment m), so a
     near-linear fit indicates per-epoch cost O(edges) at fixed dims.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     entries = []
     for target in edge_targets:
         n = max(int(round(target / m_attach)) + m_attach, m_attach + 2)
@@ -271,12 +269,8 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
         model = PmpModel(ModelConfig(feature_dim=d, hidden_dim=hidden_dim, num_relations=1), seed=seed)
         config = TrainConfig(batch_size=batch_size, max_epochs=1, patience=1, seed=seed)
         # Warmup epoch, then timed epochs without validation scoring.
-        from . import ndiff as nd
-        from .model import loss as loss_fn, model_forward
-        from .training import Adam
-
         params = model.parameters()
-        opt = Adam(params, config.learning_rate)
+        opt = Adam(params, config.learning_rate, config.weight_decay)
         tape = nd.GradientTape(params)
         train_ids = table.split_ids("train")
         rng = np.random.default_rng(seed)
@@ -284,12 +278,7 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
         for epoch in range(epochs + 1):
             perm = rng.permutation(train_ids)
             start_time = time.perf_counter()
-            for bi, start in enumerate(range(0, perm.size, batch_size)):
-                batch = perm[start : start + batch_size]
-                probs = model_forward(model, g, partition, table.features, batch,
-                                      training=True, seed=seed, epoch=epoch, batch_index=bi)
-                grads = tape.gradients(loss_fn(probs, table.labels, batch))
-                opt.step(grads)
+            run_epoch(model, g, partition, table, config, opt, tape, perm, epoch)
             if epoch > 0:
                 times.append(time.perf_counter() - start_time)
         entries.append({
@@ -437,7 +426,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (bundle.BundleError, ValueError) as err:
         return _fail(EXIT_VALIDATION, type(err).__name__, err)
-    except (TrainingDiverged, NonFiniteError) as err:
+    except (TrainingDiverged, nd.NonFiniteError) as err:
         return _fail(EXIT_NUMERIC, type(err).__name__, err)
     except analysis.DenseCapExceeded as err:
         return _fail(EXIT_RESOURCE, type(err).__name__, err)

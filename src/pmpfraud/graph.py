@@ -268,7 +268,7 @@ def _resolve_single_relation(graph: RelationalGraph, relation) -> tuple:
         return g.row_offsets[0], g.col_indices[0]
     relation = int(relation)
     if not 0 <= relation < graph.num_relations:
-        raise ValueError(f"relation index {relation} out of range")
+        raise ValueError(f"relation index {relation} out of range: the graph has {graph.num_relations} relation(s)")
     return graph.row_offsets[relation], graph.col_indices[relation]
 
 
@@ -342,6 +342,9 @@ def neighborhood_label_ratio(
     Centers are train-split nodes; neighbor labels likewise count only
     train-split nodes, matching the buckets the model actually sees.
     """
+    for name, value in (("bin_width", bin_width), ("max_ratio", max_ratio)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
     labels = np.asarray(labels)
     train_mask = np.asarray(train_mask, dtype=bool)
     offsets, cols = _resolve_single_relation(graph, relation)

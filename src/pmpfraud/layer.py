@@ -20,21 +20,17 @@ plays no role in its forward pass; only its neighbors' buckets do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ndiff as nd
-from .graph import BucketSegments, PartitionIndex
+from .graph import BucketSegments
 
 __all__ = [
     "LayerVariant",
     "PmpLayerParams",
     "alpha_gate",
-    "gen_weights",
-    "unlabeled_weight",
-    "aggregate",
-    "forward",
     "aggregate_segments",
     "layer_forward",
 ]
@@ -64,11 +60,7 @@ class LayerVariant:
         return cls(False, False, False)
 
     def to_dict(self) -> dict:
-        return {
-            "partition_enabled": self.partition_enabled,
-            "adaptive_combination_enabled": self.adaptive_combination_enabled,
-            "root_specific_enabled": self.root_specific_enabled,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerVariant":
@@ -120,27 +112,6 @@ def alpha_gate(params: PmpLayerParams, h: nd.Tensor) -> nd.Tensor:
     """Per-center blend coefficient in (0, 1) from an [k, d_in] batch."""
     z = nd.add_rowvec(nd.matmul(h, params.w_phi), params.b_phi)
     return nd.sigmoid(nd.reshape(z, (h.shape[0],)))
-
-
-def gen_weights(params: PmpLayerParams, h_i: np.ndarray):
-    """Materialized per-center weight matrices diag(h_i) @ M + B.
-
-    Reference path for verification only; the production forward uses the
-    fused identity and never builds these.
-    """
-    h_i = np.asarray(h_i, dtype=np.float64)
-    if h_i.shape != (params.d_in,):
-        raise ValueError(f"expected center representation of shape ({params.d_in},)")
-    w_fr = h_i[:, None] * params.M_fr.data + params.B_fr.data
-    w_be = h_i[:, None] * params.M_be.data + params.B_be.data
-    return w_fr, w_be
-
-
-def unlabeled_weight(w_fr: np.ndarray, w_be: np.ndarray, alpha_i: float) -> np.ndarray:
-    """Convex blend of the two labeled matrices (reference path)."""
-    if not 0.0 <= alpha_i <= 1.0:
-        raise ValueError("alpha_i must lie in [0, 1]")
-    return alpha_i * w_fr + (1.0 - alpha_i) * w_be
 
 
 def _bucket_term(S: nd.Tensor, h_centers: nd.Tensor, M: nd.Tensor, B: nd.Tensor, root_specific: bool) -> nd.Tensor:
@@ -211,52 +182,3 @@ def layer_forward(
     self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
     out = nd.add(self_term, aggregate_segments(params, variant, segs, h_prev, h_centers, h_gate))
     return nd.relu(out) if use_relu else out
-
-
-def _check_batch(batch: np.ndarray, h_prev: nd.Tensor, partition: PartitionIndex) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.int64)
-    if batch.ndim != 1 or batch.size == 0:
-        raise ValueError("batch must be a non-empty 1-d list of node ids")
-    n = partition.graph.num_nodes
-    if h_prev.shape[0] != n:
-        raise ValueError("H_prev must have one row per node for the whole-graph entry point")
-    if batch.min() < 0 or batch.max() >= n:
-        raise ValueError("batch node index out of range")
-    return batch
-
-
-def aggregate(
-    params: PmpLayerParams,
-    variant: LayerVariant,
-    partition: PartitionIndex,
-    relation: int,
-    h_prev: nd.Tensor,
-    batch,
-) -> nd.Tensor:
-    """Whole-graph entry point: ``h_prev`` has one row per node."""
-    batch = _check_batch(batch, h_prev, partition)
-    segs = partition.bucket_segments(relation, batch)
-    h_centers = nd.gather_rows(h_prev, batch)
-    return aggregate_segments(params, variant, segs, h_prev, h_centers, h_centers)
-
-
-def forward(
-    params: PmpLayerParams,
-    variant: LayerVariant,
-    partition: PartitionIndex,
-    relation: int,
-    h_prev: nd.Tensor,
-    batch,
-    use_relu: bool = True,
-    dropout_p: float = 0.0,
-    training: bool = False,
-    dropout_key=0,
-) -> nd.Tensor:
-    """Whole-graph single-layer forward (activation, then dropout)."""
-    batch = _check_batch(batch, h_prev, partition)
-    segs = partition.bucket_segments(relation, batch)
-    h_centers = nd.gather_rows(h_prev, batch)
-    out = layer_forward(params, variant, segs, h_prev, h_centers, h_centers, use_relu=use_relu)
-    if dropout_p > 0.0:
-        out = nd.dropout(out, dropout_p, training, dropout_key)
-    return out

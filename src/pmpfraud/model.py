@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,25 +30,15 @@ class ModelConfig:
     num_layers: int = 1
     num_relations: int = 1
     variant: LayerVariant = field(default_factory=LayerVariant.full)
-    dropout_p: float = 0.0
 
     def __post_init__(self):
         if self.feature_dim <= 0 or self.hidden_dim <= 0:
             raise ValueError("dimensions must be positive")
         if self.num_layers < 1 or self.num_relations < 1:
             raise ValueError("need at least one layer and one relation")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_relations": self.num_relations,
-            "variant": self.variant.to_dict(),
-            "dropout_p": self.dropout_p,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -58,7 +48,6 @@ class ModelConfig:
             num_layers=int(d["num_layers"]),
             num_relations=int(d["num_relations"]),
             variant=LayerVariant.from_dict(d["variant"]),
-            dropout_p=float(d["dropout_p"]),
         )
 
 
@@ -67,7 +56,6 @@ class PmpModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.dropout_p = config.dropout_p
         rng = np.random.default_rng(seed)
         self.layers = []
         for _ in range(config.num_relations):
@@ -137,6 +125,7 @@ def model_forward(
     seed: int = 0,
     epoch: int = 0,
     batch_index: int = 0,
+    dropout_p: float = 0.0,
 ) -> nd.Tensor:
     """Fraud probabilities for ``batch``, strictly inside (0, 1).
 
@@ -146,7 +135,8 @@ def model_forward(
     rows through a dense lookup table, so no step sorts. ``batch`` may be
     unsorted and repeat ids; score i belongs to batch[i].
     ``features`` may be a gradient-enabled tensor for sensitivity
-    analysis. Dropout masks are keyed by (seed, relation, layer, epoch,
+    analysis. With ``training`` on and ``dropout_p`` > 0, dropout follows
+    each layer; its masks are keyed by (seed, relation, layer, epoch,
     batch_index) and replay exactly.
     """
     cfg = model.config
@@ -197,9 +187,9 @@ def model_forward(
                 h_g,
                 use_relu=(l < cfg.num_layers),
             )
-            if model.dropout_p > 0.0:
+            if dropout_p > 0.0:
                 key = np.random.SeedSequence(entropy=seed, spawn_key=(r, l, epoch, batch_index))
-                h = nd.dropout(act, model.dropout_p, training, key)
+                h = nd.dropout(act, dropout_p, training, key)
             else:
                 h = act
             h_gate_src = act

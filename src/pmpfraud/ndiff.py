@@ -52,6 +52,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "write_file_atomic",
+    "write_csv_atomic",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -532,6 +533,13 @@ def write_file_atomic(path: str, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def write_csv_atomic(path: str, header: str, rows, meta_line: str = "") -> None:
+    """Atomically write an optional ``# meta_line`` comment, a header line and
+    one line per preformatted row."""
+    lines = ([f"# {meta_line}"] if meta_line else []) + [header, *rows]
+    write_file_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_checkpoint(directory: str, params: dict) -> None:

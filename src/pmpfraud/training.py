@@ -8,7 +8,7 @@ in the unlabeled bucket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import ndiff as nd
 from .graph import NodeTable, RelationalGraph
 from .model import PmpModel, loss as loss_fn, model_forward
 
-__all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "train", "evaluate", "forward_scores"]
+__all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "run_epoch", "train", "evaluate", "forward_scores"]
 
 EVAL_BATCH_SIZE = 4096
 
@@ -46,17 +46,7 @@ class TrainConfig:
             raise ValueError("selection_metric must be 'auc'")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "dropout_p": self.dropout_p,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "selection_metric": self.selection_metric,
-            "pos_weight": self.pos_weight,
-        }
+        return asdict(self)
 
 
 class TrainingDiverged(ArithmeticError):
@@ -124,12 +114,8 @@ class History:
         self.entries.append((epoch, train_loss, val_auc))
 
     def to_csv(self, path: str, meta_line: str = ""):
-        with open(path, "w") as fh:
-            if meta_line:
-                fh.write(f"# {meta_line}\n")
-            fh.write("epoch,train_loss,val_auc\n")
-            for epoch, train_loss, val_auc in self.entries:
-                fh.write(f"{epoch},{train_loss:.17g},{val_auc:.17g}\n")
+        rows = [f"{epoch},{train_loss:.17g},{val_auc:.17g}" for epoch, train_loss, val_auc in self.entries]
+        nd.write_csv_atomic(path, "epoch,train_loss,val_auc", rows, meta_line)
 
 
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,
@@ -152,6 +138,31 @@ def _val_auc(model, graph, partition, table: NodeTable) -> float:
     return metrics_mod.auc(scores, labels)
 
 
+def run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTable, config: TrainConfig,
+              opt: Adam, tape: nd.GradientTape, perm: np.ndarray, epoch: int) -> float:
+    """One pass over ``perm`` in batches of ``config.batch_size``, one Adam
+    step per batch; returns the example-weighted mean train loss.
+
+    ``model_forward`` and ``loss_fn`` are looked up as globals of this
+    module, so a wrapper set on it (``perfbench/tracing.py``) sees every
+    batch of both ``train`` and ``cli.run_bench``.
+    """
+    total_loss = 0.0
+    for batch_index, start in enumerate(range(0, perm.size, config.batch_size)):
+        batch = perm[start : start + config.batch_size]
+        try:
+            probs = model_forward(
+                model, graph, partition, table.features, batch, training=True,
+                seed=config.seed, epoch=epoch, batch_index=batch_index, dropout_p=config.dropout_p,
+            )
+            batch_loss = loss_fn(probs, table.labels, batch, pos_weight=config.pos_weight)
+            opt.step(tape.gradients(batch_loss))
+        except nd.NonFiniteError as err:
+            raise TrainingDiverged(epoch, batch_index, str(err)) from err
+        total_loss += float(batch_loss.data) * batch.size
+    return total_loss / perm.size
+
+
 def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: TrainConfig):
     """Train in place; returns (model, History) with the best-epoch weights.
 
@@ -160,7 +171,6 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
     (empty or single-class), selection is disabled and the final epoch is
     kept, with NaN recorded in the history.
     """
-    model.dropout_p = config.dropout_p
     partition = graph_mod.PartitionIndex.from_table(graph, table)
     params = model.parameters()
     opt = Adam(params, config.learning_rate, config.weight_decay)
@@ -174,21 +184,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(train_ids)
-        total_loss = 0.0
-        for batch_index, start in enumerate(range(0, perm.size, config.batch_size)):
-            batch = perm[start : start + config.batch_size]
-            try:
-                probs = model_forward(
-                    model, graph, partition, table.features, batch,
-                    training=True, seed=config.seed, epoch=epoch, batch_index=batch_index,
-                )
-                batch_loss = loss_fn(probs, table.labels, batch, pos_weight=config.pos_weight)
-                grads = tape.gradients(batch_loss)
-                opt.step(grads)
-            except nd.NonFiniteError as err:
-                raise TrainingDiverged(epoch, batch_index, str(err)) from err
-            total_loss += float(batch_loss.data) * batch.size
-        train_loss = total_loss / perm.size
+        train_loss = run_epoch(model, graph, partition, table, config, opt, tape, perm, epoch)
         try:
             val_auc = _val_auc(model, graph, partition, table)
         except nd.NonFiniteError as err:

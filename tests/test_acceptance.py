@@ -24,13 +24,14 @@ from pmpfraud.analysis import (
 from pmpfraud.bundle import load_bundle
 from pmpfraud.cli import run_bench
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph, homophily_score
-from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate
+from pmpfraud.layer import LayerVariant, PmpLayerParams
 from pmpfraud.metrics import auc, compute_report
 from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
 from pmpfraud.training import TrainConfig, evaluate, train
 
 from .reference import counted_metrics, naive_model_forward, pairwise_auc
+from .test_layer import aggregate
 
 
 def _sigmoid(x):

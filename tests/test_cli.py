@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pmpfraud
-from pmpfraud.cli import EXIT_VALIDATION
+from pmpfraud.cli import EXIT_VALIDATION, _write_json
 
 # The child process imports the same package as the tests, installed or not.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pmpfraud.__file__)))
@@ -127,6 +127,15 @@ class TestTrain:
         assert metrics["split"] == "test"
         assert 0.0 <= metrics["auc"] <= 1.0
         assert set(metrics["confusion"]) == {"tp", "fp", "fn", "tn"}
+
+    def test_failed_json_write_leaves_existing_artifact_intact(self, run_dir, tmp_path):
+        path = tmp_path / "metrics.json"
+        shutil.copy(run_dir / "metrics.json", path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"auc": 0.5, "unserializable": object()})
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["metrics.json"]
 
     def test_deterministic_reruns_are_byte_identical(self, bundle_dir, tmp_path):
         args = (
@@ -252,6 +261,15 @@ class TestSpectral:
         run_cli("spectral", "--bundle", str(bundle_dir), "--out", str(out))
         assert (out / "spectral.csv").exists()
 
+    def test_relation_out_of_range_exits_2(self, bundle_dir, tmp_path):
+        proc = run_cli(
+            "spectral", "--bundle", str(bundle_dir), "--relation", "3", "--out", str(tmp_path / "spec3"),
+            expect=EXIT_VALIDATION,
+        )
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "ValueError"
+        assert "relation index 3" in payload["error"]
+
     def test_dense_cap_exits_4(self, tmp_path):
         proc = run_cli(
             "spectral", "--synth-n", "50", "--synth-m", "2", "--max-dense-n", "10",
@@ -286,6 +304,13 @@ class TestGraphStats:
         assert lines[-1].startswith("inf,inf,")
         assert out.read_text() == proc.stdout
 
+    @pytest.mark.parametrize("width", ["0", "-0.1"])
+    def test_ratio_hist_non_positive_bin_width_exits_2(self, bundle_dir, width):
+        proc = run_cli("ratio-hist", str(bundle_dir), "--bin-width", width, expect=EXIT_VALIDATION)
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "ValueError"
+        assert f"bin_width must be a positive finite number, got {float(width)}" in payload["error"]
+
 
 class TestBench:
     def test_tiny_bench_fits_line(self, tmp_path):
@@ -300,6 +325,13 @@ class TestBench:
             assert entry["seconds_per_epoch"] > 0
         assert "r_squared" in payload
         assert (out / "bench.json").exists()
+
+    def test_zero_epochs_exits_2(self):
+        proc = run_cli("bench", "--edges", "400", "--epochs", "0", expect=EXIT_VALIDATION)
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "ValueError"
+        assert "epochs must be at least 1, got 0" in payload["error"]
+        assert proc.stdout == ""
 
 
 class TestTopLevel:

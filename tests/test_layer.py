@@ -4,19 +4,24 @@ import pytest
 
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import PartitionIndex, RelationalGraph
-from pmpfraud.layer import (
-    LayerVariant,
-    PmpLayerParams,
-    aggregate,
-    alpha_gate,
-    forward,
-    gen_weights,
-    unlabeled_weight,
-)
+from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, layer_forward
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def aggregate(params, variant, partition, relation, h, batch):
+    """Neighbor aggregation for ``batch`` with ``h`` holding one row per node."""
+    h_c = nd.gather_rows(h, batch)
+    return aggregate_segments(params, variant, partition.bucket_segments(relation, batch), h, h_c, h_c)
+
+
+def forward(params, variant, partition, relation, h, batch, use_relu=True):
+    """Whole layer (self term, aggregation, activation) for ``batch``."""
+    h_c = nd.gather_rows(h, batch)
+    segs = partition.bucket_segments(relation, batch)
+    return layer_forward(params, variant, segs, h, h_c, h_c, use_relu=use_relu)
 
 
 def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):
@@ -43,7 +48,8 @@ def materialized_aggregate(params, variant, idx, h, batch):
     for pos, u in enumerate(batch):
         h_u = h.data[u]
         if variant.root_specific_enabled:
-            w_fr, w_be = gen_weights(params, h_u)
+            w_fr = np.diag(h_u) @ params.M_fr.data + params.B_fr.data
+            w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
         else:
             w_fr, w_be = params.M_fr.data, params.M_be.data
         s_fr = h.data[idx.fraud_neighbors(0, u)].sum(axis=0)
@@ -54,7 +60,7 @@ def materialized_aggregate(params, variant, idx, h, batch):
             continue
         if variant.adaptive_combination_enabled:
             a = float(_sigmoid(h_u @ params.w_phi.data[:, 0] + params.b_phi.data[0]))
-            w_un = unlabeled_weight(w_fr, w_be, a)
+            w_un = a * w_fr + (1.0 - a) * w_be
         else:
             w_un = params.M_un.data
         out[pos] = s_fr @ w_fr + s_be @ w_be + s_un @ w_un
@@ -128,29 +134,47 @@ class TestGate:
 
 
 class TestWeightGeneration:
+    """The fused path read back as per-center matrices.
+
+    Centers 0..d_in-1 all carry h_i, and center c has one neighbor whose
+    row is the unit vector e_c, so row c of the aggregation is row c of the
+    matrix that center applies to that neighbor's bucket.
+    """
+
+    @staticmethod
+    def applied_matrix(params, variant, h_i, neighbor_label, neighbor_in_train):
+        d = params.d_in
+        g = RelationalGraph.from_edge_lists(2 * d, [[(c, d + c) for c in range(d)]])
+        labels = np.full(2 * d, neighbor_label)
+        train = np.arange(2 * d) >= d if neighbor_in_train else np.zeros(2 * d, dtype=bool)
+        idx = PartitionIndex.build(g, labels, train)
+        h = nd.Tensor(np.vstack([np.tile(h_i, (d, 1)), np.eye(d)]))
+        return aggregate(params, variant, idx, 0, h, np.arange(d)).data
+
     def test_matches_diag_oracle(self):
         rng = np.random.default_rng(2)
         p = PmpLayerParams(4, 3, rng=rng)
         p.B_fr.data = rng.normal(size=(4, 3))
         p.B_be.data = rng.normal(size=(4, 3))
         h_i = rng.normal(size=4)
-        w_fr, w_be = gen_weights(p, h_i)
+        variant = LayerVariant(True, False, True)
+        w_fr = self.applied_matrix(p, variant, h_i, 1, True)
+        w_be = self.applied_matrix(p, variant, h_i, 0, True)
         np.testing.assert_array_equal(w_fr, np.diag(h_i) @ p.M_fr.data + p.B_fr.data)
         np.testing.assert_array_equal(w_be, np.diag(h_i) @ p.M_be.data + p.B_be.data)
 
-    def test_rejects_wrong_center_shape(self):
-        p = PmpLayerParams(4, 3)
-        with pytest.raises(ValueError):
-            gen_weights(p, np.zeros(5))
-
     def test_blend_endpoints(self):
+        # a saturated gate sends the unlabeled bucket through one labeled
+        # matrix; the gate's clamp keeps it off exact 0 and 1
         rng = np.random.default_rng(3)
-        w_fr = rng.normal(size=(3, 2))
-        w_be = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(unlabeled_weight(w_fr, w_be, 1.0), w_fr)
-        np.testing.assert_array_equal(unlabeled_weight(w_fr, w_be, 0.0), w_be)
-        with pytest.raises(ValueError):
-            unlabeled_weight(w_fr, w_be, 1.5)
+        p = PmpLayerParams(3, 2, rng=rng)
+        p.B_fr.data = rng.normal(size=(3, 2))
+        p.B_be.data = rng.normal(size=(3, 2))
+        h_i = rng.normal(size=3)
+        for b_phi, M, B in ((800.0, p.M_fr, p.B_fr), (-800.0, p.M_be, p.B_be)):
+            p.b_phi.data = np.array([b_phi])
+            got = self.applied_matrix(p, LayerVariant.full(), h_i, 0, False)
+            np.testing.assert_allclose(got, np.diag(h_i) @ M.data + B.data, rtol=0, atol=1e-15)
 
 
 class TestAggregate:
@@ -247,14 +271,6 @@ class TestAggregate:
         adaptive = aggregate(params, LayerVariant(True, True, False), idx, 0, h, batch)
         fixed = aggregate(params, LayerVariant(True, False, False), idx, 0, h, batch)
         np.testing.assert_allclose(adaptive.data, fixed.data, rtol=0, atol=1e-12)
-
-    def test_batch_validation(self):
-        rng = np.random.default_rng(9)
-        g, idx, params, h = random_setup(rng)
-        with pytest.raises(ValueError):
-            aggregate(params, LayerVariant.full(), idx, 0, h, np.array([g.num_nodes]))
-        with pytest.raises(ValueError):
-            aggregate(params, LayerVariant.full(), idx, 0, h, np.array([], dtype=np.int64))
 
 
 class TestGradients:

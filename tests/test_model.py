@@ -1,4 +1,5 @@
 """Stacked model against a per-node naive reference and exact identities."""
+import json
 import math
 
 import numpy as np
@@ -178,35 +179,38 @@ class TestDropout:
     def setup_instance(self):
         rng = np.random.default_rng(8)
         g, idx, labels, model, x = random_instance(rng, num_layers=2, hidden=8)
-        model.dropout_p = 0.5
         return g, idx, model, x
 
     def test_eval_mode_ignores_dropout(self):
         g, idx, model, x = self.setup_instance()
         batch = np.arange(g.num_nodes)
-        a = model_forward(model, g, idx, x, batch, training=False)
-        model.dropout_p = 0.0
+        a = model_forward(model, g, idx, x, batch, training=False, dropout_p=0.5)
         b = model_forward(model, g, idx, x, batch)
         np.testing.assert_array_equal(a.data, b.data)
+        # the same call in training mode does drop units
+        c = model_forward(model, g, idx, x, batch, training=True, dropout_p=0.5)
+        assert not np.array_equal(c.data, b.data)
 
     def test_training_masks_replay_exactly(self):
         g, idx, model, x = self.setup_instance()
         batch = np.arange(g.num_nodes)
-        kw = dict(training=True, seed=3, epoch=2, batch_index=1)
+        kw = dict(training=True, seed=3, epoch=2, batch_index=1, dropout_p=0.5)
         a = model_forward(model, g, idx, x, batch, **kw)
         b = model_forward(model, g, idx, x, batch, **kw)
         np.testing.assert_array_equal(a.data, b.data)
+        plain = model_forward(model, g, idx, x, batch, training=True)
+        assert not np.array_equal(a.data, plain.data)
 
     def test_key_components_vary_masks(self):
         g, idx, model, x = self.setup_instance()
         batch = np.arange(g.num_nodes)
-        base = model_forward(model, g, idx, x, batch, training=True, seed=3, epoch=2, batch_index=1)
+        base = model_forward(model, g, idx, x, batch, training=True, seed=3, epoch=2, batch_index=1, dropout_p=0.5)
         for kw in (
             dict(seed=4, epoch=2, batch_index=1),
             dict(seed=3, epoch=3, batch_index=1),
             dict(seed=3, epoch=2, batch_index=2),
         ):
-            other = model_forward(model, g, idx, x, batch, training=True, **kw)
+            other = model_forward(model, g, idx, x, batch, training=True, dropout_p=0.5, **kw)
             assert not np.array_equal(other.data, base.data)
 
 
@@ -290,6 +294,24 @@ class TestStateAndCheckpoint:
         with pytest.raises(ValueError, match="head.w"):
             model.load_state(state)
 
+    def test_model_json_with_dropout_p_still_loads(self, tmp_path):
+        # model.json files written before the dropout rate moved to
+        # TrainConfig carry a "dropout_p" key; loading ignores it
+        rng = np.random.default_rng(14)
+        g, idx, labels, model, x = random_instance(rng)
+        model.save(str(tmp_path))
+        sidecar = tmp_path / "model.json"
+        assert "dropout_p" not in json.loads(sidecar.read_text())
+        old = dict(json.loads(sidecar.read_text()), dropout_p=0.3)
+        sidecar.write_text(json.dumps(old, indent=2))
+        loaded = PmpModel.load(str(tmp_path))
+        assert loaded.config == model.config
+        assert not hasattr(loaded, "dropout_p")
+        batch = np.arange(g.num_nodes)
+        a = model_forward(model, g, idx, x, batch)
+        b = model_forward(loaded, g, idx, x, batch)
+        np.testing.assert_array_equal(a.data, b.data)
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
         g, idx, labels, model, x = random_instance(rng, num_layers=2)
@@ -304,7 +326,7 @@ class TestStateAndCheckpoint:
 
 class TestConfig:
     def test_dict_roundtrip(self):
-        cfg = ModelConfig(5, 8, num_layers=2, num_relations=3, variant=LayerVariant(True, False, True), dropout_p=0.25)
+        cfg = ModelConfig(5, 8, num_layers=2, num_relations=3, variant=LayerVariant(True, False, True))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_validation(self):
@@ -312,5 +334,3 @@ class TestConfig:
             ModelConfig(0, 4)
         with pytest.raises(ValueError):
             ModelConfig(4, 4, num_layers=0)
-        with pytest.raises(ValueError):
-            ModelConfig(4, 4, dropout_p=1.0)

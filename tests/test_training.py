@@ -210,12 +210,18 @@ class TestTrainLoop:
         tiny = np.finfo(np.float64).tiny
         assert not ((entries > 0) & (entries < tiny)).any()
 
-    def test_dropout_config_overrides_model(self):
-        g, table = small_dataset(seed=8)
-        model = small_model(table, seed=8)
-        model.dropout_p = 0.9
-        train(model, g, table, TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=8, dropout_p=0.25))
-        assert model.dropout_p == 0.25
+    def test_train_config_dropout_changes_weights_and_replays(self):
+        def trained_state(dropout_p):
+            _, _, model, history = self.run(seed=8, max_epochs=2, patience=2, dropout_p=dropout_p)
+            return model.state(), history.entries
+
+        plain, _ = trained_state(0.0)
+        dropped, entries = trained_state(0.25)
+        again, entries_again = trained_state(0.25)
+        assert any(not np.array_equal(dropped[k], plain[k]) for k in plain)
+        assert entries_again == entries
+        for k in dropped:
+            np.testing.assert_array_equal(again[k], dropped[k])
 
 
 class TestEvaluate:
