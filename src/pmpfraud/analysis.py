@@ -259,6 +259,8 @@ def influence_report(
     num_bins: int = 30,
 ) -> InfluenceReport:
     """Influence of every fraud node in ``split`` (all splits if None)."""
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be at least 1, got {num_bins}")
     if split is None:
         candidates = np.flatnonzero(table.labels == 1)
     else:

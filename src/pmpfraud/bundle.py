@@ -15,11 +15,13 @@ naming the offending file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 
 import numpy as np
 
+from . import ndiff as nd
 from .graph import SPLIT_NAMES, NodeTable, RelationalGraph
 
 __all__ = ["BundleError", "load_bundle", "write_bundle"]
@@ -136,7 +138,7 @@ def load_bundle(path: str):
 
 
 def write_bundle(path: str, graph: RelationalGraph, table: NodeTable, features_format: str = "csv"):
-    """Write a bundle directory readable by load_bundle."""
+    """Write a bundle directory readable by load_bundle, each file atomically."""
     if features_format not in ("csv", "f32"):
         raise ValueError("features_format must be 'csv' or 'f32'")
     os.makedirs(path, exist_ok=True)
@@ -145,25 +147,20 @@ def write_bundle(path: str, graph: RelationalGraph, table: NodeTable, features_f
         "num_relations": graph.num_relations,
         "feature_dim": table.feature_dim,
     }
-    with open(os.path.join(path, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
+    nd.write_file_atomic(os.path.join(path, "meta.json"), json.dumps(meta, indent=2).encode())
     for r in range(graph.num_relations):
         rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees(r))
         cols = graph.col_indices[r]
         upper = rows < cols
-        with open(os.path.join(path, f"edges_r{r}.csv"), "w") as fh:
-            fh.write("src,dst\n")
-            for u, v in zip(rows[upper], cols[upper]):
-                fh.write(f"{u},{v}\n")
+        edges = (f"{u},{v}" for u, v in zip(rows[upper], cols[upper]))
+        nd.write_csv_atomic(os.path.join(path, f"edges_r{r}.csv"), "src,dst", edges)
     if features_format == "csv":
-        np.savetxt(os.path.join(path, "features.csv"), table.features, delimiter=",", fmt="%.17g")
+        text = io.StringIO()
+        np.savetxt(text, table.features, delimiter=",", fmt="%.17g")
+        nd.write_file_atomic(os.path.join(path, "features.csv"), text.getvalue().encode())
     else:
-        table.features.astype("<f4").tofile(os.path.join(path, "features.f32"))
-    with open(os.path.join(path, "labels.csv"), "w") as fh:
-        fh.write("node,label\n")
-        for i, y in enumerate(table.labels):
-            fh.write(f"{i},{int(y)}\n")
-    with open(os.path.join(path, "splits.csv"), "w") as fh:
-        fh.write("node,split\n")
-        for i, s in enumerate(table.splits):
-            fh.write(f"{i},{SPLIT_NAMES[int(s)]}\n")
+        nd.write_file_atomic(os.path.join(path, "features.f32"), table.features.astype("<f4").tobytes())
+    labels = (f"{i},{int(y)}" for i, y in enumerate(table.labels))
+    nd.write_csv_atomic(os.path.join(path, "labels.csv"), "node,label", labels)
+    splits = (f"{i},{SPLIT_NAMES[int(s)]}" for i, s in enumerate(table.splits))
+    nd.write_csv_atomic(os.path.join(path, "splits.csv"), "node,split", splits)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import __version__, analysis, bundle, graph as graph_mod, synth
 from . import ndiff as nd
 from .layer import LayerVariant
 from .model import ModelConfig, PmpModel
-from .training import Adam, TrainConfig, TrainingDiverged, evaluate, run_epoch, train
+from .training import Adam, TrainConfig, TrainingDiverged, check_setting, evaluate, run_epoch, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -40,6 +42,11 @@ def _stamp(config: dict, seed: int) -> dict:
 def _meta_line(config: dict, seed: int) -> str:
     s = _stamp(config, seed)
     return f"config_hash={s['config_hash']} seed={s['seed']} version={s['version']}"
+
+
+def _args_config(args) -> dict:
+    """Every parsed argument of a subcommand: what its stamp hashes."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _write_json(path: str, payload: dict):
@@ -84,56 +91,48 @@ def cmd_synth(args) -> int:
     splits = synth.make_splits(args.n, _parse_ratios(args.ratios), seed=args.seed + 2, stratify_labels=labels)
     table = graph_mod.NodeTable(features, labels, splits)
     bundle.write_bundle(args.out, g, table, features_format=args.features_format)
-    config = vars(args).copy()
-    config.pop("func", None)
+    config = _args_config(args)
     _write_json(os.path.join(args.out, "synth.json"), {**_stamp(config, args.seed), "params": config})
     print(f"wrote bundle with {g.num_nodes} nodes, {g.num_edges(0)} edges to {args.out}")
     return EXIT_OK
 
 
 def _resolved_train_config(args) -> dict:
-    file_config = {}
+    """Defaults, then the ``--config`` file, then every flag given. The file may
+    set ``variant`` and the settings: ``TrainConfig``'s fields and the model sizes."""
+    settings = {**TrainConfig().to_dict(), "hidden_dim": 64, "num_layers": 1}
+    config = {"bundle": os.path.abspath(args.bundle), **settings, "variant": _variant_from_args(args).to_dict()}
     if args.config:
-        with open(args.config) as fh:
-            file_config = json.load(fh)
-    config = {
-        "bundle": os.path.abspath(args.bundle),
-        **TrainConfig().to_dict(),
-        "hidden_dim": 64,
-        "num_layers": 1,
-        "variant": _variant_from_args(args).to_dict(),
-    }
-    config.update(file_config)
-    for key in (
-        "learning_rate", "weight_decay", "dropout_p", "batch_size", "max_epochs",
-        "patience", "seed", "hidden_dim", "num_layers", "pos_weight",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+        try:
+            with open(args.config) as fh:
+                file_config = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ValueError(f"{args.config}: cannot read config file: {err}") from err
+        if not isinstance(file_config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(file_config).__name__}")
+        for key in file_config:
+            if key not in settings and key != "variant":
+                raise ValueError(f"{args.config}: unknown key {key!r}")
+        config.update(file_config)
+    config.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
     return config
 
 
 def cmd_train(args) -> int:
     config = _resolved_train_config(args)
+    train_config = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
+    for key in ("hidden_dim", "num_layers"):
+        check_setting(key, config[key], numbers.Integral, lambda v: v >= 1, "a positive integer")
+    variant, names = config["variant"], sorted(f.name for f in fields(LayerVariant))
+    if not isinstance(variant, dict) or sorted(variant) != names or {type(v) for v in variant.values()} != {bool}:
+        raise ValueError(f"variant must map each of {names} to true or false, got {variant!r}")
     g, table = bundle.load_bundle(config["bundle"])
     model_config = ModelConfig(
         feature_dim=table.feature_dim,
-        hidden_dim=int(config["hidden_dim"]),
-        num_layers=int(config["num_layers"]),
+        hidden_dim=config["hidden_dim"],
+        num_layers=config["num_layers"],
         num_relations=g.num_relations,
-        variant=LayerVariant.from_dict(config["variant"]),
-    )
-    train_config = TrainConfig(
-        learning_rate=float(config["learning_rate"]),
-        weight_decay=float(config["weight_decay"]),
-        dropout_p=float(config["dropout_p"]),
-        batch_size=int(config["batch_size"]),
-        max_epochs=int(config["max_epochs"]),
-        patience=int(config["patience"]),
-        seed=int(config["seed"]),
-        selection_metric=config["selection_metric"],
-        pos_weight=config["pos_weight"],
+        variant=LayerVariant(**variant),
     )
     os.makedirs(args.out, exist_ok=True)
     model = PmpModel(model_config, seed=train_config.seed)
@@ -206,7 +205,7 @@ def cmd_spectral(args) -> int:
     report = analysis.spatial_spectral_check(
         g, labels, train_mask, X, W_fr, W_be, args.alpha, relation=args.relation, cap=args.max_dense_n
     )
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config = _args_config(args)
     os.makedirs(args.out, exist_ok=True)
     report.to_csv(os.path.join(args.out, "spectral.csv"), meta_line=_meta_line(config, args.seed))
     payload = {
@@ -225,7 +224,7 @@ def cmd_homophily(args) -> int:
     g, table = bundle.load_bundle(args.bundle)
     scores = {f"relation_{r}": graph_mod.homophily_score(g, table.labels, r) for r in range(g.num_relations)}
     scores["union"] = graph_mod.homophily_score(g, table.labels, "union")
-    payload = {**_stamp({"bundle": args.bundle}, -1), "homophily": scores}
+    payload = {**_stamp(_args_config(args), -1), "homophily": scores}
     print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(args.out, payload)
@@ -238,8 +237,7 @@ def cmd_ratio_hist(args) -> int:
     hist = graph_mod.neighborhood_label_ratio(
         g, table.labels, table.train_mask(), relation, bin_width=args.bin_width, max_ratio=args.max_ratio
     )
-    config = {"bundle": args.bundle, "relation": args.relation, "bin_width": args.bin_width}
-    lines = [f"# {_meta_line(config, -1)}", "ratio_lo,ratio_hi,node_count"]
+    lines = [f"# {_meta_line(_args_config(args), -1)}", "ratio_lo,ratio_hi,node_count"]
     for lo, hi, count in hist.rows():
         lines.append(f"{lo},{hi},{count}")
     text = "\n".join(lines) + "\n"
@@ -258,9 +256,11 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    nodes = [max(int(round(target / m_attach)) + m_attach, m_attach + 2) for target in edge_targets]
+    if len(set(nodes)) < 2:
+        raise ValueError(f"fitting a line needs edge targets of two or more graph sizes, got {list(edge_targets)}")
     entries = []
-    for target in edge_targets:
-        n = max(int(round(target / m_attach)) + m_attach, m_attach + 2)
+    for target, n in zip(edge_targets, nodes):
         g, labels = synth.generate_ba_graph(n, m_attach, 0.1, seed)
         features = synth.generate_features(labels, d, seed=seed + 1)
         splits = synth.make_splits(n, (0.6, 0.2, 0.2), seed=seed + 2, stratify_labels=labels)
@@ -306,8 +306,7 @@ def cmd_bench(args) -> int:
     targets = [int(float(x)) for x in args.edges.split(",")]
     result = run_bench(targets, d=args.d, hidden_dim=args.hidden_dim, m_attach=args.m_attach,
                        batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    payload = {**_stamp(config, args.seed), **result}
+    payload = {**_stamp(_args_config(args), args.seed), **result}
     print(json.dumps(payload, indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

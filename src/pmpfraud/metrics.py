@@ -7,7 +7,7 @@ zero-denominator rate or F1 term is defined as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,15 +83,7 @@ class MetricsReport:
     seed: int = -1
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "f1_macro": self.f1_macro,
-            "g_mean": self.g_mean,
-            "threshold": self.threshold,
-            "confusion": dict(self.confusion),
-            "split": self.split,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def compute_report(scores, labels, threshold: float = 0.5, split: str = "", seed: int = -1) -> MetricsReport:

@@ -475,13 +475,13 @@ class GradCheckReport:
         return f"grad_check {status}: max relative error {self.max_relative_error:.3e} (tol {self.tolerance:.1e})"
 
 
-def grad_check(function, parameters: dict, tolerance: float = 1e-4, step_scale: float = 1e-6) -> GradCheckReport:
+def grad_check(function, parameters: dict, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of a scalar ``function()`` against
     central finite differences over every entry of every parameter.
 
     ``function`` must be deterministic and must read the parameter tensors
     in ``parameters`` (their ``data`` is perturbed in place between calls).
-    The step per entry is ``step_scale * max(1, |x|)``; errors are relative
+    The step per entry is ``1e-6 * max(1, |x|)``; errors are relative
     with a unit floor, |a - fd| / max(1, |a|, |fd|).
     """
     for p in parameters.values():
@@ -502,7 +502,7 @@ def grad_check(function, parameters: dict, tolerance: float = 1e-4, step_scale: 
         worst = 0.0
         for i in range(flat.size):
             x0 = flat[i]
-            h = step_scale * max(1.0, abs(x0))
+            h = 1e-6 * max(1.0, abs(x0))
             flat[i] = x0 + h
             f_plus = float(function().data)
             flat[i] = x0 - h

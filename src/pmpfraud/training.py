@@ -8,6 +8,7 @@ in the unlabeled bucket.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +24,13 @@ __all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "run_epoch", "t
 EVAL_BATCH_SIZE = 4096
 
 
+def check_setting(name: str, value, kind: type, ok, rule: str):
+    """Raise ValueError naming ``name`` and ``value`` unless ``value`` is an
+    instance of the ``numbers`` class ``kind``, not a bool, and ``ok(value)``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
@@ -32,18 +40,17 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 20
     seed: int = 0
-    selection_metric: str = "auc"
     pos_weight: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be non-negative")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, patience must be positive")
-        if self.selection_metric != "auc":
-            raise ValueError("selection_metric must be 'auc'")
+        for name in ("learning_rate", "weight_decay"):
+            check_setting(name, getattr(self, name), numbers.Real, lambda v: v >= 0, "a non-negative number")
+        check_setting("dropout_p", self.dropout_p, numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        for name in ("batch_size", "max_epochs", "patience"):
+            check_setting(name, getattr(self, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
+        check_setting("seed", self.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+        if self.pos_weight is not None:
+            check_setting("pos_weight", self.pos_weight, numbers.Real, lambda v: v > 0, "a positive number or null")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,17 +73,16 @@ class Adam:
     (1 - lr * weight_decay) per step.
     """
 
-    def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
-        if learning_rate < 0 or weight_decay < 0 or eps <= 0:
-            raise ValueError("invalid optimizer hyperparameter")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0):
+        if learning_rate < 0 or weight_decay < 0:
+            raise ValueError(f"negative learning_rate {learning_rate} or weight_decay {weight_decay}")
         self.params = dict(params)
         self.lr = float(learning_rate)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -86,17 +92,17 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise nd.NonFiniteError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
@@ -214,11 +220,11 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
 
 
 def evaluate(model: PmpModel, graph: RelationalGraph, table: NodeTable, split: str,
-             threshold: float = 0.5, seed: int = -1) -> metrics_mod.MetricsReport:
-    """Metrics for one split, using the train-label partition."""
+             seed: int = -1) -> metrics_mod.MetricsReport:
+    """Metrics for one split at threshold 0.5, using the train-label partition."""
     partition = graph_mod.PartitionIndex.from_table(graph, table)
     ids = table.split_ids(split)
     if ids.size == 0:
         raise ValueError(f"split {split!r} is empty")
     scores = forward_scores(model, graph, partition, table.features, ids)
-    return metrics_mod.compute_report(scores, table.labels[ids], threshold, split=split, seed=seed)
+    return metrics_mod.compute_report(scores, table.labels[ids], split=split, seed=seed)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pmpfraud import analysis
 from pmpfraud.analysis import (
     DenseCapExceeded,
     SpectralReport,
@@ -310,6 +311,13 @@ class TestInfluenceReport:
         assert report.bin_counts.sum() == len(diffs)
         assert len(report.bin_edges) == 8
         assert report.mean_diff() == pytest.approx(np.mean(diffs), abs=1e-15)
+
+    def test_non_positive_bins_raise_before_scoring(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        g, table, model = self.dataset(rng)
+        monkeypatch.setattr(analysis, "influence", lambda *a, **k: pytest.fail("scored a node"))
+        with pytest.raises(ValueError, match="num_bins must be at least 1, got 0"):
+            influence_report(model, g, table, num_bins=0)
 
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import pmpfraud
-from pmpfraud.cli import EXIT_VALIDATION, _write_json
+from pmpfraud import cli
+from pmpfraud.cli import EXIT_VALIDATION, _write_json, main
+from pmpfraud.training import TrainConfig
 
 # The child process imports the same package as the tests, installed or not.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pmpfraud.__file__)))
@@ -31,6 +33,29 @@ def run_cli(*argv, expect=0):
 def stderr_payload(proc):
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     return json.loads(lines[-1])
+
+
+def rejected(capsys, *argv):
+    """Run the CLI in this process on input it must reject with exit 2
+    before any output; returns the error message."""
+    assert main([str(a) for a in argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err.splitlines()[-1])["error"]
+
+
+COUNT_SETTINGS = ("batch_size", "max_epochs", "patience", "seed", "hidden_dim", "num_layers")
+BAD_CONFIG_VALUES = [
+    (key, value)
+    for key in (*TrainConfig().to_dict(), "hidden_dim", "num_layers")
+    for value in ("fast", True, *((16.5,) if key in COUNT_SETTINGS else ()))
+] + [
+    ("variant", "full"),
+    ("variant", {}),
+    ("variant", [True, True, True]),
+    ("variant", {"partition_enabled": "no", "adaptive_combination_enabled": False, "root_specific_enabled": False}),
+    ("variant", {"partition_enabled": 1, "adaptive_combination_enabled": 1, "root_specific_enabled": 1}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +200,39 @@ class TestTrain:
         assert resolved["hidden_dim"] == 6  # flag outranks file
         assert resolved["max_epochs"] == 1
 
+    @pytest.mark.parametrize("name, content", [
+        ("missing.json", None),
+        ("malformed.json", '{"max_epochs": 2,'),
+        ("list.json", '[{"max_epochs": 2}]'),
+    ])
+    def test_unreadable_config_file_exits_2_naming_it(self, bundle_dir, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "run"
+        proc = run_cli("train", str(bundle_dir), "--out", str(out), "--config", str(path), expect=EXIT_VALIDATION)
+        assert stderr_payload(proc)["error"].startswith(f"{path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lr", "dropout", "selection_metric", "bundle"])
+    def test_unknown_config_key_exits_2_naming_file_and_key(self, bundle_dir, tmp_path, capsys, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"max_epochs": 1, key: 0.5}))
+        error = rejected(capsys, "train", bundle_dir, "--out", tmp_path / "run", "--config", path)
+        assert error == f"{path}: unknown key {key!r}"
+
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES, ids=lambda v: json.dumps(v, separators=(",", ":")))
+    def test_bad_config_value_exits_2_naming_key_and_value(self, bundle_dir, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        error = rejected(capsys, "train", bundle_dir, "--out", tmp_path / "run", "--config", path)
+        assert error.startswith(f"{key} must ")
+        assert error.endswith(f"got {value!r}")
+
+    def test_bad_flag_value_names_field_and_value(self, bundle_dir, tmp_path, capsys):
+        error = rejected(capsys, "train", bundle_dir, "--out", tmp_path / "run", "--batch-size", "0")
+        assert error == "batch_size must be a positive integer, got 0"
+
     def test_divergence_exits_3(self, bundle_dir, tmp_path):
         proc = run_cli(
             "train", str(bundle_dir), "--out", str(tmp_path / "div"), "--max-epochs", "2",
@@ -203,6 +261,11 @@ class TestEvalAndInfluence:
         assert payload["reduction"] == "entry-sum"
         assert len(payload["bin_counts"]) == 5
         assert len(payload["bin_edges"]) == 6
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_non_positive_bins_exits_2(self, run_dir, bins):
+        proc = run_cli("influence", str(run_dir), "--bins", bins, expect=EXIT_VALIDATION)
+        assert stderr_payload(proc)["error"] == f"num_bins must be at least 1, got {bins}"
 
     def test_eval_on_missing_run_exits_2(self, tmp_path):
         proc = run_cli("eval", str(tmp_path / "ghost"), expect=2)
@@ -304,6 +367,10 @@ class TestGraphStats:
         assert lines[-1].startswith("inf,inf,")
         assert out.read_text() == proc.stdout
 
+    def test_hash_covers_every_argument(self, bundle_dir):
+        stamps = {run_cli("ratio-hist", str(bundle_dir), "--max-ratio", r).stdout.splitlines()[0] for r in ("2", "5")}
+        assert len(stamps) == 2
+
     @pytest.mark.parametrize("width", ["0", "-0.1"])
     def test_ratio_hist_non_positive_bin_width_exits_2(self, bundle_dir, width):
         proc = run_cli("ratio-hist", str(bundle_dir), "--bin-width", width, expect=EXIT_VALIDATION)
@@ -332,6 +399,12 @@ class TestBench:
         assert payload["kind"] == "ValueError"
         assert "epochs must be at least 1, got 0" in payload["error"]
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("edges", ["400", "400,400", "400,401"])
+    def test_fewer_than_two_graph_sizes_exit_2_before_building(self, capsys, monkeypatch, edges):
+        monkeypatch.setattr(cli.synth, "generate_ba_graph", lambda *a, **k: pytest.fail("built a graph"))
+        error = rejected(capsys, "bench", "--edges", edges)
+        assert error.endswith(f"got {[int(x) for x in edges.split(',')]}")
 
 
 class TestTopLevel:

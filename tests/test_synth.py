@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pmpfraud import ndiff as nd
 from pmpfraud.bundle import BundleError, load_bundle, write_bundle
 from pmpfraud.graph import NodeTable
 from pmpfraud.metrics import auc
@@ -159,6 +160,20 @@ class TestBundleRoundtrip:
         write_bundle(str(tmp_path), g, table, features_format="f32")
         _, t2 = load_bundle(str(tmp_path))
         np.testing.assert_array_equal(t2.features, table.features.astype("<f4").astype(np.float64))
+
+    @pytest.mark.parametrize("features_format", ["csv", "f32"])
+    def test_every_file_is_written_atomically(self, tmp_path, monkeypatch, features_format):
+        written = []
+        atomic = nd.write_file_atomic
+
+        def recording(path, data):
+            written.append(os.path.basename(path))
+            atomic(path, data)
+
+        monkeypatch.setattr(nd, "write_file_atomic", recording)
+        g, table = small_dataset(seed=4)
+        write_bundle(str(tmp_path), g, table, features_format=features_format)
+        assert sorted(written) == sorted(os.listdir(tmp_path))
 
     def test_multi_relation_roundtrip(self, tmp_path):
         g1, table = small_dataset(seed=5)
