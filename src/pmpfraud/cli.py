@@ -60,13 +60,15 @@ def _parse_ratios(text: str):
     return tuple(parts)
 
 
-def _variant_from_args(args) -> LayerVariant:
-    partition = not args.no_partition
-    return LayerVariant(
-        partition_enabled=partition,
-        adaptive_combination_enabled=partition and not args.no_adaptive_combination,
-        root_specific_enabled=partition and not args.no_root_specific,
-    )
+def _ablated_by_args(args) -> dict:
+    """The variant fields the ablation flags switch off: ``--no-partition``
+    all three, each other flag its own."""
+    off = {
+        "partition_enabled": args.no_partition,
+        "adaptive_combination_enabled": args.no_partition or args.no_adaptive_combination,
+        "root_specific_enabled": args.no_partition or args.no_root_specific,
+    }
+    return {name: False for name, flag in off.items() if flag}
 
 
 def cmd_validate(args) -> int:
@@ -101,7 +103,7 @@ def _resolved_train_config(args) -> dict:
     """Defaults, then the ``--config`` file, then every flag given. The file may
     set ``variant`` and the settings: ``TrainConfig``'s fields and the model sizes."""
     settings = {**TrainConfig().to_dict(), "hidden_dim": 64, "num_layers": 1}
-    config = {"bundle": os.path.abspath(args.bundle), **settings, "variant": _variant_from_args(args).to_dict()}
+    config = {"bundle": os.path.abspath(args.bundle), **settings, "variant": LayerVariant().to_dict()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -114,7 +116,11 @@ def _resolved_train_config(args) -> dict:
             if key not in settings and key != "variant":
                 raise ValueError(f"{args.config}: unknown key {key!r}")
         config.update(file_config)
+    variant, names = config["variant"], sorted(f.name for f in fields(LayerVariant))
+    if not isinstance(variant, dict) or sorted(variant) != names or {type(v) for v in variant.values()} != {bool}:
+        raise ValueError(f"variant must map each of {names} to true or false, got {variant!r}")
     config.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
+    config["variant"] = {**variant, **_ablated_by_args(args)}
     return config
 
 
@@ -123,16 +129,13 @@ def cmd_train(args) -> int:
     train_config = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
     for key in ("hidden_dim", "num_layers"):
         check_setting(key, config[key], numbers.Integral, lambda v: v >= 1, "a positive integer")
-    variant, names = config["variant"], sorted(f.name for f in fields(LayerVariant))
-    if not isinstance(variant, dict) or sorted(variant) != names or {type(v) for v in variant.values()} != {bool}:
-        raise ValueError(f"variant must map each of {names} to true or false, got {variant!r}")
     g, table = bundle.load_bundle(config["bundle"])
     model_config = ModelConfig(
         feature_dim=table.feature_dim,
         hidden_dim=config["hidden_dim"],
         num_layers=config["num_layers"],
         num_relations=g.num_relations,
-        variant=LayerVariant(**variant),
+        variant=LayerVariant(**config["variant"]),
     )
     os.makedirs(args.out, exist_ok=True)
     model = PmpModel(model_config, seed=train_config.seed)

@@ -80,7 +80,8 @@ class RelationalGraph:
             if both.size:
                 both = both[both[:, 0] != both[:, 1]]
             if both.size:
-                keys = np.unique(both[:, 0] * num_nodes + both[:, 1])
+                keys = np.sort(both[:, 0] * num_nodes + both[:, 1])
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
                 rows = keys // num_nodes
                 cols = keys % num_nodes
             else:
@@ -204,38 +205,32 @@ class PartitionIndex:
         train_mask = np.asarray(train_mask, dtype=bool)
         if labels.shape != (graph.num_nodes,) or train_mask.shape != (graph.num_nodes,):
             raise ValueError("labels and train_mask must have one entry per node")
+        n = graph.num_nodes
+        node_cat = np.select([train_mask & (labels == 1), train_mask & (labels == 0)], [0, 1], 2)
         ordered, fr_counts, be_counts = [], [], []
         for r in range(graph.num_relations):
             cols = graph.col_indices[r]
-            rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees(r))
-            category = np.where(
-                train_mask[cols] & (labels[cols] == 1),
-                0,
-                np.where(train_mask[cols] & (labels[cols] == 0), 1, 2),
-            )
-            # Stable sort by (row, category) keeps ascending id order inside buckets.
-            perm = np.argsort(rows * 3 + category, kind="stable")
-            ordered.append(cols[perm])
-            fr_counts.append(np.bincount(rows[category == 0], minlength=graph.num_nodes))
-            be_counts.append(np.bincount(rows[category == 1], minlength=graph.num_nodes))
+            rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees(r))
+            cat = node_cat[cols]
+            out = np.empty_like(cols)
+            start = graph.row_offsets[r][:-1].copy()
+            # Buckets fraud, benign, unlabeled; the unlabeled counts are implied.
+            for k, kept_counts in enumerate((fr_counts, be_counts, [])):
+                members = np.flatnonzero(cat == k)
+                member_rows = rows[members]
+                count = np.bincount(member_rows, minlength=n)
+                # Rows ascend, so a member's rank in its row's bucket is its rank
+                # among all bucket-k members minus those in earlier rows.
+                first = start - (np.cumsum(count) - count)
+                out[first[member_rows] + np.arange(members.size)] = cols[members]
+                start += count
+                kept_counts.append(count)
+            ordered.append(out)
         return cls(graph, ordered, fr_counts, be_counts)
 
     @classmethod
     def from_table(cls, graph: RelationalGraph, table: NodeTable) -> "PartitionIndex":
         return cls.build(graph, table.labels, table.train_mask())
-
-    def fraud_neighbors(self, relation: int, node: int) -> np.ndarray:
-        start = self.graph.row_offsets[relation][node]
-        return self.ordered[relation][start : start + self.fr_counts[relation][node]]
-
-    def benign_neighbors(self, relation: int, node: int) -> np.ndarray:
-        start = self.graph.row_offsets[relation][node] + self.fr_counts[relation][node]
-        return self.ordered[relation][start : start + self.be_counts[relation][node]]
-
-    def unlabeled_neighbors(self, relation: int, node: int) -> np.ndarray:
-        off = self.graph.row_offsets[relation]
-        start = off[node] + self.fr_counts[relation][node] + self.be_counts[relation][node]
-        return self.ordered[relation][start : off[node + 1]]
 
     def bucket_segments(self, relation: int, centers: np.ndarray) -> BucketSegments:
         """Flattened per-bucket membership for a batch of center nodes."""

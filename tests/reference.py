@@ -7,6 +7,59 @@ shares code with the production paths it checks.
 import numpy as np
 
 
+def reference_csr(num_nodes, edge_lists):
+    """Per-relation (row_offsets, col_indices) by ``np.unique`` over the
+    symmetrized, loop-free edge keys row * num_nodes + col."""
+    offsets, indices = [], []
+    for edges in edge_lists:
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        both = np.concatenate([e, e[:, ::-1]])
+        both = both[both[:, 0] != both[:, 1]]
+        keys = np.unique(both[:, 0] * num_nodes + both[:, 1])
+        off = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes), out=off[1:])
+        offsets.append(off)
+        indices.append(keys % num_nodes)
+    return offsets, indices
+
+
+def reference_partition(graph, labels, train_mask):
+    """Per-relation (ordered, fr_counts, be_counts) by a per-node loop: each
+    row is its train-fraud neighbors ascending, then train-benign ascending,
+    then every other neighbor ascending."""
+    ordered, fr_counts, be_counts = [], [], []
+    for r in range(graph.num_relations):
+        rows, frc, bec = [], [], []
+        for u in range(graph.num_nodes):
+            nbrs = sorted(int(v) for v in graph.neighbors(r, u))
+            fr = [v for v in nbrs if train_mask[v] and labels[v] == 1]
+            be = [v for v in nbrs if train_mask[v] and labels[v] == 0]
+            un = [v for v in nbrs if v not in fr and v not in be]
+            rows += fr + be + un
+            frc.append(len(fr))
+            bec.append(len(be))
+        ordered.append(np.array(rows, dtype=np.int64))
+        fr_counts.append(np.array(frc, dtype=np.int64))
+        be_counts.append(np.array(bec, dtype=np.int64))
+    return ordered, fr_counts, be_counts
+
+
+def fraud_neighbors(partition, relation, node):
+    start = partition.graph.row_offsets[relation][node]
+    return partition.ordered[relation][start : start + partition.fr_counts[relation][node]]
+
+
+def benign_neighbors(partition, relation, node):
+    start = partition.graph.row_offsets[relation][node] + partition.fr_counts[relation][node]
+    return partition.ordered[relation][start : start + partition.be_counts[relation][node]]
+
+
+def unlabeled_neighbors(partition, relation, node):
+    off = partition.graph.row_offsets[relation]
+    start = off[node] + partition.fr_counts[relation][node] + partition.be_counts[relation][node]
+    return partition.ordered[relation][start : off[node + 1]]
+
+
 def pairwise_auc(scores, labels):
     """O(P*N) pairwise comparison count, ties worth one half."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -95,9 +148,9 @@ def naive_model_forward(model, graph, partition, features, batch, relu_margins=N
             for i in range(n):
                 h_i = h_prev[i]
                 out = h_i @ w_self + b_self
-                s_fr = sum((h_prev[j] for j in partition.fraud_neighbors(r, i)), np.zeros_like(h_i))
-                s_be = sum((h_prev[j] for j in partition.benign_neighbors(r, i)), np.zeros_like(h_i))
-                s_un = sum((h_prev[j] for j in partition.unlabeled_neighbors(r, i)), np.zeros_like(h_i))
+                s_fr = sum((h_prev[j] for j in fraud_neighbors(partition, r, i)), np.zeros_like(h_i))
+                s_be = sum((h_prev[j] for j in benign_neighbors(partition, r, i)), np.zeros_like(h_i))
+                s_un = sum((h_prev[j] for j in unlabeled_neighbors(partition, r, i)), np.zeros_like(h_i))
                 if not variant.partition_enabled:
                     out = out + (s_fr + s_be + s_un) @ m_fr
                 else:

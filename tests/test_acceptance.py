@@ -30,7 +30,14 @@ from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
 from pmpfraud.training import TrainConfig, evaluate, train
 
-from .reference import counted_metrics, naive_model_forward, pairwise_auc
+from .reference import (
+    benign_neighbors,
+    counted_metrics,
+    fraud_neighbors,
+    naive_model_forward,
+    pairwise_auc,
+    unlabeled_neighbors,
+)
 from .test_layer import aggregate
 
 
@@ -167,9 +174,9 @@ def test_c03_fused_generator_path_matches_materialized_weights():
             w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
             alpha = _sigmoid(h_u @ params.w_phi.data[:, 0] + params.b_phi.data[0])
             w_un = alpha * w_fr + (1.0 - alpha) * w_be
-            s_fr = h[partition.fraud_neighbors(0, u)].sum(axis=0)
-            s_be = h[partition.benign_neighbors(0, u)].sum(axis=0)
-            s_un = h[partition.unlabeled_neighbors(0, u)].sum(axis=0)
+            s_fr = h[fraud_neighbors(partition, 0, u)].sum(axis=0)
+            s_be = h[benign_neighbors(partition, 0, u)].sum(axis=0)
+            s_un = h[unlabeled_neighbors(partition, 0, u)].sum(axis=0)
             want[pos] = s_fr @ w_fr + s_be @ w_be + s_un @ w_un
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12, worst

@@ -11,6 +11,8 @@ import pytest
 import pmpfraud
 from pmpfraud import cli
 from pmpfraud.cli import EXIT_VALIDATION, _write_json, main
+from pmpfraud.layer import LayerVariant
+from pmpfraud.model import PmpModel
 from pmpfraud.training import TrainConfig
 
 # The child process imports the same package as the tests, installed or not.
@@ -186,6 +188,24 @@ class TestTrain:
             "adaptive_combination_enabled": False,
             "root_specific_enabled": False,
         }
+
+    @pytest.mark.parametrize("flag, switched_off", [
+        ("--no-partition", {"partition_enabled", "adaptive_combination_enabled", "root_specific_enabled"}),
+        ("--no-adaptive-combination", {"adaptive_combination_enabled"}),
+        ("--no-root-specific", {"root_specific_enabled"}),
+    ], ids=["no-partition", "no-adaptive-combination", "no-root-specific"])
+    def test_ablation_flag_outranks_config_variant(self, bundle_dir, tmp_path, capsys, flag, switched_off):
+        full = LayerVariant.full().to_dict()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"variant": full}))
+        out = tmp_path / "run"
+        argv = ["train", str(bundle_dir), "--out", str(out), "--config", str(path), flag,
+                "--max-epochs", "1", "--patience", "1", "--batch-size", "32", "--hidden-dim", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        want = {name: name not in switched_off for name in full}
+        assert json.loads((out / "config.json").read_text())["resolved"]["variant"] == want
+        assert PmpModel.load(str(out / "checkpoint")).config.variant == LayerVariant(**want)
 
     def test_config_file_with_cli_override(self, bundle_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -13,6 +13,14 @@ from pmpfraud.graph import (
     neighborhood_label_ratio,
 )
 
+from .reference import (
+    benign_neighbors,
+    fraud_neighbors,
+    reference_csr,
+    reference_partition,
+    unlabeled_neighbors,
+)
+
 
 def brute_neighbors(edges, n):
     """Adjacency sets from a raw (possibly messy) edge list."""
@@ -48,6 +56,39 @@ class TestRelationalGraph:
                 got = g.neighbors(0, u)
                 assert sorted(got.tolist()) == sorted(adj[u])
                 assert np.all(np.diff(got) > 0), "neighbor lists must be sorted unique"
+
+    def assert_matches_reference(self, n, edge_lists):
+        g = RelationalGraph.from_edge_lists(n, edge_lists)
+        want_offsets, want_cols = reference_csr(n, edge_lists)
+        assert g.num_relations == len(edge_lists)
+        for r in range(g.num_relations):
+            np.testing.assert_array_equal(g.row_offsets[r], want_offsets[r], strict=True)
+            np.testing.assert_array_equal(g.col_indices[r], want_cols[r], strict=True)
+        return g
+
+    def test_shuffled_duplicated_and_reversed_edges_match_unique_reference(self):
+        rng = np.random.default_rng(11)
+        for n, m in ((2, 3), (30, 200), (500, 4000)):
+            edges = rng.integers(0, n, size=(m, 2))
+            messy = np.concatenate([edges, edges[: m // 2], edges[:, ::-1]])
+            messy = messy[rng.permutation(len(messy))]
+            g = self.assert_matches_reference(n, [messy])
+            clean = RelationalGraph.from_edge_lists(n, [edges])
+            np.testing.assert_array_equal(g.col_indices[0], clean.col_indices[0])
+            np.testing.assert_array_equal(g.row_offsets[0], clean.row_offsets[0])
+
+    def test_self_loop_all_loop_and_empty_relations_match_unique_reference(self):
+        loops = np.array([(0, 0), (3, 3), (3, 3), (5, 5)])
+        with_loops = np.array([(0, 1), (1, 1), (4, 2), (2, 4), (2, 2), (5, 0)])
+        empty = np.empty((0, 2), dtype=np.int64)
+        g = self.assert_matches_reference(6, [with_loops, loops, empty])
+        assert [g.num_edges(r) for r in range(3)] == [3, 0, 0]
+
+    def test_three_relations_match_unique_reference(self):
+        rng = np.random.default_rng(12)
+        n = 60
+        edge_lists = [rng.integers(0, n, size=(m, 2)) for m in (400, 90, 7)]
+        self.assert_matches_reference(n, edge_lists)
 
     def test_duplicate_and_self_loop_edges_collapse(self):
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (1, 0), (0, 1), (2, 2)]])
@@ -149,9 +190,23 @@ class TestPartitionIndex:
             idx = PartitionIndex.build(g, labels, train)
             for u in range(n):
                 fr, be, un = self.brute_partition(g, 0, labels, train, u)
-                assert sorted(idx.fraud_neighbors(0, u).tolist()) == sorted(fr)
-                assert sorted(idx.benign_neighbors(0, u).tolist()) == sorted(be)
-                assert sorted(idx.unlabeled_neighbors(0, u).tolist()) == sorted(un)
+                assert sorted(fraud_neighbors(idx, 0, u).tolist()) == sorted(fr)
+                assert sorted(benign_neighbors(idx, 0, u).tolist()) == sorted(be)
+                assert sorted(unlabeled_neighbors(idx, 0, u).tolist()) == sorted(un)
+
+    def test_arrays_equal_ascending_bucket_oracle(self):
+        # Exact arrays, not sorted sets: inside each bucket ids must ascend.
+        rng = np.random.default_rng(13)
+        for n, sizes in ((40, (300, 60, 0)), (120, (900, 400, 50))):
+            g = RelationalGraph.from_edge_lists(n, [rng.integers(0, n, size=(m, 2)) for m in sizes])
+            labels = rng.integers(0, 2, size=n)
+            train = rng.choice([True, True, False], size=n)
+            idx = PartitionIndex.build(g, labels, train)
+            want = reference_partition(g, labels, train)
+            for got_arrays, want_arrays in zip((idx.ordered, idx.fr_counts, idx.be_counts), want):
+                assert len(got_arrays) == g.num_relations
+                for got, expected in zip(got_arrays, want_arrays):
+                    np.testing.assert_array_equal(got, expected, strict=True)
 
     def test_val_labeled_node_lands_in_unlabeled_bucket(self):
         # label information outside the train split must not leak
@@ -159,9 +214,9 @@ class TestPartitionIndex:
         labels = np.array([0, 1, 1])
         splits = np.array([0, 1, 0])
         idx = PartitionIndex.build(g, labels, splits == 0)
-        np.testing.assert_array_equal(idx.fraud_neighbors(0, 0), [2])
-        np.testing.assert_array_equal(idx.unlabeled_neighbors(0, 0), [1])
-        np.testing.assert_array_equal(idx.benign_neighbors(0, 0), [])
+        np.testing.assert_array_equal(fraud_neighbors(idx, 0, 0), [2])
+        np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [1])
+        np.testing.assert_array_equal(benign_neighbors(idx, 0, 0), [])
 
     def test_bucket_segments_match_per_node_queries(self):
         rng = np.random.default_rng(6)
@@ -176,13 +231,13 @@ class TestPartitionIndex:
         for pos, u in enumerate(batch):
             got = []
             for bucket, query in (
-                ("fr", idx.fraud_neighbors),
-                ("be", idx.benign_neighbors),
-                ("un", idx.unlabeled_neighbors),
+                ("fr", fraud_neighbors),
+                ("be", benign_neighbors),
+                ("un", unlabeled_neighbors),
             ):
                 members = getattr(seg, f"{bucket}_members")
                 seg_ids = getattr(seg, f"{bucket}_segments")
-                np.testing.assert_array_equal(members[seg_ids == pos], query(0, int(u)))
+                np.testing.assert_array_equal(members[seg_ids == pos], query(idx, 0, int(u)))
                 got.append(members[seg_ids == pos])
             np.testing.assert_array_equal(np.sort(np.concatenate(got)), g.neighbors(0, int(u)))
 
@@ -190,8 +245,8 @@ class TestPartitionIndex:
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
         t = make_table([[0.0], [0.0], [0.0]], [0, 1, 0], [0, 0, 1])
         idx = PartitionIndex.from_table(g, t)
-        np.testing.assert_array_equal(idx.fraud_neighbors(0, 0), [1])
-        np.testing.assert_array_equal(idx.unlabeled_neighbors(0, 0), [2])
+        np.testing.assert_array_equal(fraud_neighbors(idx, 0, 0), [1])
+        np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [2])
 
     def test_batch_out_of_range_raises(self):
         g = RelationalGraph.from_edge_lists(2, [[(0, 1)]])

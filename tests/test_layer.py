@@ -6,6 +6,8 @@ from pmpfraud import ndiff as nd
 from pmpfraud.graph import PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, layer_forward
 
+from .reference import benign_neighbors, fraud_neighbors, unlabeled_neighbors
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -52,9 +54,9 @@ def materialized_aggregate(params, variant, idx, h, batch):
             w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
         else:
             w_fr, w_be = params.M_fr.data, params.M_be.data
-        s_fr = h.data[idx.fraud_neighbors(0, u)].sum(axis=0)
-        s_be = h.data[idx.benign_neighbors(0, u)].sum(axis=0)
-        s_un = h.data[idx.unlabeled_neighbors(0, u)].sum(axis=0)
+        s_fr = h.data[fraud_neighbors(idx, 0, u)].sum(axis=0)
+        s_be = h.data[benign_neighbors(idx, 0, u)].sum(axis=0)
+        s_un = h.data[unlabeled_neighbors(idx, 0, u)].sum(axis=0)
         if not variant.partition_enabled:
             out[pos] = (s_fr + s_be + s_un) @ params.M_fr.data
             continue
