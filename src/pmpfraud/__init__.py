@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .graph import (
-    BucketSegments,
     NodeTable,
     PartitionIndex,
     RelationalGraph,
@@ -18,7 +17,6 @@ from .training import Adam, History, TrainConfig, TrainingDiverged, evaluate, tr
 
 __all__ = [
     "__version__",
-    "BucketSegments",
     "NodeTable",
     "PartitionIndex",
     "RelationalGraph",

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "DenseCapExceeded",
     "normalized_laplacian",
-    "normalized_adjacency",
     "eigendecompose",
     "mask_matrices",
     "k_matrix",
@@ -36,7 +35,6 @@ __all__ = [
     "influence",
     "InfluenceReport",
     "influence_report",
-    "influence_linear_check",
 ]
 
 DEFAULT_DENSE_CAP = 2000
@@ -68,11 +66,6 @@ def normalized_laplacian(graph: RelationalGraph, relation: int = 0, cap: int = D
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     return np.eye(n) - inv_sqrt[:, None] * adj * inv_sqrt[None, :]
-
-
-def normalized_adjacency(graph: RelationalGraph, relation: int = 0, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense D^{-1/2} A D^{-1/2}, i.e. I minus the normalized Laplacian."""
-    return np.eye(graph.num_nodes) - normalized_laplacian(graph, relation, cap)
 
 
 def eigendecompose(laplacian: np.ndarray):
@@ -285,38 +278,3 @@ def influence_report(
         edges = np.linspace(0.0, 1.0, num_bins + 1)
         counts = np.zeros(num_bins, dtype=np.int64)
     return InfluenceReport(rows=rows, bin_edges=edges, bin_counts=counts, split=split or "all")
-
-
-def influence_linear_check(adjacency_norm: np.ndarray, W: np.ndarray, k: int, i: int, j: int) -> float:
-    """Max abs error between engine and closed-form linear sensitivity.
-
-    For the linear model H = A^k X W, the Jacobian block
-    d H[i, :] / d X[j, :] equals (A^k)_{ij} * W. Builds the model through
-    the differentiation engine, extracts the block column by column with
-    seeded reverse passes, and returns the worst deviation.
-    """
-    A = np.asarray(adjacency_norm, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    n = A.shape[0]
-    d_in, d_out = W.shape
-    rng = np.random.default_rng(0)
-    X = nd.Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
-    A_t = nd.Tensor(A)
-    W_t = nd.Tensor(W)
-
-    expected = np.linalg.matrix_power(A, k)[i, j] * W
-    block = np.empty((d_in, d_out), dtype=np.float64)
-    for q in range(d_out):
-        # Fresh graph per column; reverse passes must not share adjoints.
-        H = X
-        for _ in range(k):
-            H = nd.matmul(A_t, H)
-        H = nd.matmul(H, W_t)
-        X.grad = None
-        seed = np.zeros((n, d_out))
-        seed[i, q] = 1.0
-        nd.backward(H, seed=seed)
-        block[:, q] = X.grad[j]
-    return float(np.max(np.abs(block - expected)))

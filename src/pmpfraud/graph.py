@@ -16,7 +16,6 @@ __all__ = [
     "RelationalGraph",
     "NodeTable",
     "PartitionIndex",
-    "BucketSegments",
     "SPLIT_NAMES",
     "SPLIT_TRAIN",
     "SPLIT_VAL",
@@ -165,39 +164,23 @@ class NodeTable:
         return self.splits == SPLIT_TRAIN
 
 
-@dataclass(frozen=True)
-class BucketSegments:
-    """Flattened bucket membership for a batch of centers.
-
-    Member arrays hold neighbor ids (or row positions after remapping);
-    segment arrays assign each member to its center's position in the
-    batch. Each bucket lists its members center by center, in ascending
-    segment id, so a center's whole neighborhood is its fraud, then
-    benign, then unlabeled run.
-    """
-
-    num_segments: int
-    fr_members: np.ndarray
-    fr_segments: np.ndarray
-    be_members: np.ndarray
-    be_segments: np.ndarray
-    un_members: np.ndarray
-    un_segments: np.ndarray
-
-
 class PartitionIndex:
-    """Neighbor lists split into fraud / benign / unlabeled buckets.
+    """Each node's bucket as a neighbor: 0 train-fraud, 1 train-benign,
+    2 everything else (unlabeled).
 
     Bucket membership uses the labels of train-split nodes only; every
-    val or test neighbor is unlabeled by construction. Built once per
-    (graph, node table) and never updated during training.
+    val or test node is unlabeled by construction. A node's bucket
+    depends on that node alone, so one ``int8`` entry serves it in every
+    relation and every neighborhood. Built once per (graph, node table)
+    and never updated during training.
     """
 
-    def __init__(self, graph: RelationalGraph, ordered, fr_counts, be_counts):
+    def __init__(self, graph: RelationalGraph, bucket):
+        bucket = np.asarray(bucket, dtype=np.int8)
+        if bucket.shape != (graph.num_nodes,):
+            raise ValueError("bucket must have one entry per node")
         self.graph = graph
-        self.ordered = [_freeze(np.asarray(a, dtype=np.int64)) for a in ordered]
-        self.fr_counts = [_freeze(np.asarray(a, dtype=np.int64)) for a in fr_counts]
-        self.be_counts = [_freeze(np.asarray(a, dtype=np.int64)) for a in be_counts]
+        self.bucket = _freeze(bucket)
 
     @classmethod
     def build(cls, graph: RelationalGraph, labels: np.ndarray, train_mask: np.ndarray) -> "PartitionIndex":
@@ -205,55 +188,11 @@ class PartitionIndex:
         train_mask = np.asarray(train_mask, dtype=bool)
         if labels.shape != (graph.num_nodes,) or train_mask.shape != (graph.num_nodes,):
             raise ValueError("labels and train_mask must have one entry per node")
-        n = graph.num_nodes
-        node_cat = np.select([train_mask & (labels == 1), train_mask & (labels == 0)], [0, 1], 2)
-        ordered, fr_counts, be_counts = [], [], []
-        for r in range(graph.num_relations):
-            cols = graph.col_indices[r]
-            rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees(r))
-            cat = node_cat[cols]
-            out = np.empty_like(cols)
-            start = graph.row_offsets[r][:-1].copy()
-            # Buckets fraud, benign, unlabeled; the unlabeled counts are implied.
-            for k, kept_counts in enumerate((fr_counts, be_counts, [])):
-                members = np.flatnonzero(cat == k)
-                member_rows = rows[members]
-                count = np.bincount(member_rows, minlength=n)
-                # Rows ascend, so a member's rank in its row's bucket is its rank
-                # among all bucket-k members minus those in earlier rows.
-                first = start - (np.cumsum(count) - count)
-                out[first[member_rows] + np.arange(members.size)] = cols[members]
-                start += count
-                kept_counts.append(count)
-            ordered.append(out)
-        return cls(graph, ordered, fr_counts, be_counts)
+        return cls(graph, np.select([train_mask & (labels == 1), train_mask & (labels == 0)], [0, 1], 2))
 
     @classmethod
     def from_table(cls, graph: RelationalGraph, table: NodeTable) -> "PartitionIndex":
         return cls.build(graph, table.labels, table.train_mask())
-
-    def bucket_segments(self, relation: int, centers: np.ndarray) -> BucketSegments:
-        """Flattened per-bucket membership for a batch of center nodes."""
-        centers = np.asarray(centers, dtype=np.int64)
-        if centers.size and (centers.min() < 0 or centers.max() >= self.graph.num_nodes):
-            raise ValueError("batch node index out of range")
-        off = self.graph.row_offsets[relation]
-        base = off[centers]
-        total = off[centers + 1] - base
-        frc = self.fr_counts[relation][centers]
-        bec = self.be_counts[relation][centers]
-        unc = total - frc - bec
-        ids = np.arange(centers.size, dtype=np.int64)
-        ordered = self.ordered[relation]
-        return BucketSegments(
-            num_segments=centers.size,
-            fr_members=_multi_slice(ordered, base, frc),
-            fr_segments=np.repeat(ids, frc),
-            be_members=_multi_slice(ordered, base + frc, bec),
-            be_segments=np.repeat(ids, bec),
-            un_members=_multi_slice(ordered, base + frc + bec, unc),
-            un_segments=np.repeat(ids, unc),
-        )
 
 
 def _resolve_single_relation(graph: RelationalGraph, relation) -> tuple:

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ndiff as nd
-from .graph import BucketSegments
 
 __all__ = [
     "LayerVariant",
@@ -127,30 +126,36 @@ def _segment(h_prev: nd.Tensor, members: np.ndarray, seg_ids: np.ndarray, k: int
 def aggregate_segments(
     params: PmpLayerParams,
     variant: LayerVariant,
-    segs: BucketSegments,
+    members: np.ndarray,
+    seg_ids: np.ndarray,
+    bucket: np.ndarray,
     h_prev: nd.Tensor,
     h_centers: nd.Tensor,
     h_gate: nd.Tensor,
 ) -> nd.Tensor:
-    """Bucketed neighbor aggregation over pre-built segment arrays.
+    """Bucketed neighbor aggregation over the centers' flattened neighborhoods.
 
-    Member arrays in ``segs`` index rows of ``h_prev``. ``h_centers`` is
-    the centers' representation used by the weight generators;
-    ``h_gate`` is the (pre-dropout) representation feeding the blend
-    gate. Empty buckets contribute exact zeros.
+    ``members`` index rows of ``h_prev`` and list each center's neighbors
+    in turn, ``seg_ids`` give each member's center position, and
+    ``bucket`` each member's bucket (0 fraud, 1 benign, 2 unlabeled).
+    ``h_centers`` is the centers' representation used by the weight
+    generators; ``h_gate`` is the (pre-dropout) representation feeding the
+    blend gate. Empty buckets contribute exact zeros.
     """
-    k = segs.num_segments
+    k = h_centers.shape[0]
+    # A stable sort by bucket keeps the center-major member order inside each
+    # bucket, so every bucket sum adds a center's neighbors in ascending id.
+    order = np.argsort(bucket, kind="stable")
+    members, seg_ids = members[order], seg_ids[order]
     if not variant.partition_enabled:
         # The scatter adds in array order: each center sums its fraud, benign,
         # then unlabeled run, and since a node has one bucket for every center,
         # each row's gradient still accumulates in center order.
-        members = np.concatenate([segs.fr_members, segs.be_members, segs.un_members])
-        seg_ids = np.concatenate([segs.fr_segments, segs.be_segments, segs.un_segments])
         return nd.matmul(_segment(h_prev, members, seg_ids, k), params.M_fr)
     rs = variant.root_specific_enabled
-    S_fr = _segment(h_prev, segs.fr_members, segs.fr_segments, k)
-    S_be = _segment(h_prev, segs.be_members, segs.be_segments, k)
-    S_un = _segment(h_prev, segs.un_members, segs.un_segments, k)
+    cuts = np.cumsum(np.bincount(bucket, minlength=3))[:2]
+    runs = zip(np.split(members, cuts), np.split(seg_ids, cuts))
+    S_fr, S_be, S_un = (_segment(h_prev, m, s, k) for m, s in runs)
     total = nd.add(
         _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
         _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
@@ -167,7 +172,9 @@ def aggregate_segments(
 def layer_forward(
     params: PmpLayerParams,
     variant: LayerVariant,
-    segs: BucketSegments,
+    members: np.ndarray,
+    seg_ids: np.ndarray,
+    bucket: np.ndarray,
     h_prev: nd.Tensor,
     h_centers: nd.Tensor,
     h_gate: nd.Tensor,
@@ -180,5 +187,5 @@ def layer_forward(
     one).
     """
     self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
-    out = nd.add(self_term, aggregate_segments(params, variant, segs, h_prev, h_centers, h_gate))
+    out = nd.add(self_term, aggregate_segments(params, variant, members, seg_ids, bucket, h_prev, h_centers, h_gate))
     return nd.relu(out) if use_relu else out

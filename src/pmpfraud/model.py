@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -131,9 +131,11 @@ def model_forward(
 
     Representations are computed on demand for each layer's one-hop
     frontier, so cost scales with the batch neighborhood, not the graph.
-    Frontiers come from marking ids in a node mask and ids map to frontier
-    rows through a dense lookup table, so no step sorts. ``batch`` may be
-    unsorted and repeat ids; score i belongs to batch[i].
+    Each layer's neighborhoods are listed once: the same members mark the
+    frontier and feed the aggregation. Frontiers come from marking ids in a
+    node mask and ids map to frontier rows through a dense lookup table, so
+    neither step sorts. ``batch`` may be unsorted and repeat ids; score i
+    belongs to batch[i].
     ``features`` may be a gradient-enabled tensor for sensitivity
     analysis. With ``training`` on and ``dropout_p`` > 0, dropout follows
     each layer; its masks are keyed by (seed, relation, layer, epoch,
@@ -156,32 +158,29 @@ def model_forward(
     per_relation = []
     for r in range(cfg.num_relations):
         fronts = [None] * (cfg.num_layers + 1)
+        hoods = [None] * (cfg.num_layers + 1)
         fronts[cfg.num_layers] = batch
         for l in range(cfg.num_layers, 0, -1):
-            members, _ = graph.neighbor_segments(r, fronts[l])
+            hoods[l] = graph.neighbor_segments(r, fronts[l])
             mark = np.zeros(graph.num_nodes, dtype=bool)
             mark[fronts[l]] = True
-            mark[members] = True
+            mark[hoods[l][0]] = True
             fronts[l - 1] = np.flatnonzero(mark)
         h = nd.gather_rows(feats, fronts[0])
         h_gate_src = h
         for l in range(1, cfg.num_layers + 1):
             centers, prev = fronts[l], fronts[l - 1]
+            members, seg_ids = hoods[l]
             row_of[prev] = np.arange(prev.size)
-            segs = partition.bucket_segments(r, centers)
-            segs = replace(
-                segs,
-                fr_members=row_of[segs.fr_members],
-                be_members=row_of[segs.be_members],
-                un_members=row_of[segs.un_members],
-            )
             pos = row_of[centers]
             h_c = nd.gather_rows(h, pos)
             h_g = nd.gather_rows(h_gate_src, pos)
             act = layer_forward(
                 model.layers[r][l - 1],
                 cfg.variant,
-                segs,
+                row_of[members],
+                seg_ids,
+                partition.bucket[members],
                 h,
                 h_c,
                 h_g,

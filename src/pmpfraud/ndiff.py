@@ -35,7 +35,6 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "sub",
     "mul",
     "add_rowvec",
     "row_scale",
@@ -228,12 +227,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes differ, {a.data.shape} vs {b.data.shape}")
     return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes differ, {a.data.shape} vs {b.data.shape}")
-    return _make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,9 +1,10 @@
 """Mini-batch training with Adam and validation-AUC early stopping.
 
-The neighbor partition is built once from train labels before the first
-epoch and reused everywhere, including validation and test scoring: at
-inference time only training labels are known, so val and test nodes stay
-in the unlabeled bucket.
+The neighbor partition is built from train labels before the first epoch
+and reused for every batch and validation pass; ``evaluate`` builds its own
+the same way, one O(n) pass over the node table. At inference time only
+training labels are known, so val and test nodes stay in the unlabeled
+bucket.
 """
 from __future__ import annotations
 

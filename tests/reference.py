@@ -2,9 +2,15 @@
 
 Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
-shares code with the production paths it checks.
+shares code with the production paths it checks. The two exceptions check
+the differentiation engine itself and are built on it: ``sub``, an operator
+the model never uses, and ``influence_linear_check``.
 """
+import math
+
 import numpy as np
+
+from pmpfraud import ndiff as nd
 
 
 def reference_csr(num_nodes, edge_lists):
@@ -23,41 +29,35 @@ def reference_csr(num_nodes, edge_lists):
     return offsets, indices
 
 
-def reference_partition(graph, labels, train_mask):
-    """Per-relation (ordered, fr_counts, be_counts) by a per-node loop: each
-    row is its train-fraud neighbors ascending, then train-benign ascending,
-    then every other neighbor ascending."""
-    ordered, fr_counts, be_counts = [], [], []
-    for r in range(graph.num_relations):
-        rows, frc, bec = [], [], []
-        for u in range(graph.num_nodes):
-            nbrs = sorted(int(v) for v in graph.neighbors(r, u))
-            fr = [v for v in nbrs if train_mask[v] and labels[v] == 1]
-            be = [v for v in nbrs if train_mask[v] and labels[v] == 0]
-            un = [v for v in nbrs if v not in fr and v not in be]
-            rows += fr + be + un
-            frc.append(len(fr))
-            bec.append(len(be))
-        ordered.append(np.array(rows, dtype=np.int64))
-        fr_counts.append(np.array(frc, dtype=np.int64))
-        be_counts.append(np.array(bec, dtype=np.int64))
-    return ordered, fr_counts, be_counts
+def reference_partition(labels, train_mask):
+    """Each node's bucket by a per-node loop: 0 train-fraud, 1 train-benign,
+    2 every other node."""
+    bucket = []
+    for y, is_train in zip(labels, train_mask):
+        if is_train and y == 1:
+            bucket.append(0)
+        elif is_train and y == 0:
+            bucket.append(1)
+        else:
+            bucket.append(2)
+    return np.array(bucket, dtype=np.int8)
+
+
+def _bucket_neighbors(partition, relation, node, b):
+    nbrs = partition.graph.neighbors(relation, node)
+    return nbrs[partition.bucket[nbrs] == b]
 
 
 def fraud_neighbors(partition, relation, node):
-    start = partition.graph.row_offsets[relation][node]
-    return partition.ordered[relation][start : start + partition.fr_counts[relation][node]]
+    return _bucket_neighbors(partition, relation, node, 0)
 
 
 def benign_neighbors(partition, relation, node):
-    start = partition.graph.row_offsets[relation][node] + partition.fr_counts[relation][node]
-    return partition.ordered[relation][start : start + partition.be_counts[relation][node]]
+    return _bucket_neighbors(partition, relation, node, 1)
 
 
 def unlabeled_neighbors(partition, relation, node):
-    off = partition.graph.row_offsets[relation]
-    start = off[node] + partition.fr_counts[relation][node] + partition.be_counts[relation][node]
-    return partition.ordered[relation][start : off[node + 1]]
+    return _bucket_neighbors(partition, relation, node, 2)
 
 
 def pairwise_auc(scores, labels):
@@ -180,3 +180,55 @@ def naive_model_forward(model, graph, partition, features, batch, relu_margins=N
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ model.head_w.data + model.head_b.data
     return _sigmoid(logits[:, 0])
+
+
+def sub(a, b):
+    """Elementwise difference as a differentiation engine operator."""
+    return nd._make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+
+
+def normalized_adjacency(graph, relation=0):
+    """Dense D^{-1/2} A D^{-1/2} by a per-edge loop; isolated nodes keep
+    zero rows."""
+    n = graph.num_nodes
+    deg = graph.degrees(relation)
+    adj = np.zeros((n, n))
+    for u in range(n):
+        for v in graph.neighbors(relation, u):
+            adj[u, v] = (1.0 / math.sqrt(deg[u])) * (1.0 / math.sqrt(deg[v]))
+    return adj
+
+
+def influence_linear_check(adjacency_norm, W, k, i, j):
+    """Max abs error between engine and closed-form linear sensitivity.
+
+    For the linear model H = A^k X W, the Jacobian block
+    d H[i, :] / d X[j, :] equals (A^k)_{ij} * W. Builds the model through
+    the differentiation engine, extracts the block column by column with
+    seeded reverse passes, and returns the worst deviation.
+    """
+    A = np.asarray(adjacency_norm, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    n = A.shape[0]
+    d_in, d_out = W.shape
+    rng = np.random.default_rng(0)
+    X = nd.Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
+    A_t = nd.Tensor(A)
+    W_t = nd.Tensor(W)
+
+    expected = np.linalg.matrix_power(A, k)[i, j] * W
+    block = np.empty((d_in, d_out), dtype=np.float64)
+    for q in range(d_out):
+        # Fresh graph per column; reverse passes must not share adjoints.
+        H = X
+        for _ in range(k):
+            H = nd.matmul(A_t, H)
+        H = nd.matmul(H, W_t)
+        X.grad = None
+        seed = np.zeros((n, d_out))
+        seed[i, q] = 1.0
+        nd.backward(H, seed=seed)
+        block[:, q] = X.grad[j]
+    return float(np.max(np.abs(block - expected)))

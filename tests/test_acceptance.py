@@ -15,9 +15,7 @@ import pytest
 from pmpfraud import ndiff as nd
 from pmpfraud.analysis import (
     eigendecompose,
-    influence_linear_check,
     influence_report,
-    normalized_adjacency,
     normalized_laplacian,
     spatial_spectral_check,
 )
@@ -34,7 +32,9 @@ from .reference import (
     benign_neighbors,
     counted_metrics,
     fraud_neighbors,
+    influence_linear_check,
     naive_model_forward,
+    normalized_adjacency,
     pairwise_auc,
     unlabeled_neighbors,
 )

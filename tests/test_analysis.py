@@ -10,17 +10,17 @@ from pmpfraud.analysis import (
     SpectralReport,
     eigendecompose,
     influence,
-    influence_linear_check,
     influence_report,
     k_matrix,
     mask_matrices,
-    normalized_adjacency,
     normalized_laplacian,
     spatial_spectral_check,
 )
 from pmpfraud.graph import NodeTable, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel
+
+from .reference import influence_linear_check, normalized_adjacency
 
 
 def random_graph(rng, n, factor=3):

@@ -195,18 +195,20 @@ class TestPartitionIndex:
                 assert sorted(unlabeled_neighbors(idx, 0, u).tolist()) == sorted(un)
 
     def test_arrays_equal_ascending_bucket_oracle(self):
-        # Exact arrays, not sorted sets: inside each bucket ids must ascend.
         rng = np.random.default_rng(13)
         for n, sizes in ((40, (300, 60, 0)), (120, (900, 400, 50))):
             g = RelationalGraph.from_edge_lists(n, [rng.integers(0, n, size=(m, 2)) for m in sizes])
             labels = rng.integers(0, 2, size=n)
             train = rng.choice([True, True, False], size=n)
             idx = PartitionIndex.build(g, labels, train)
-            want = reference_partition(g, labels, train)
-            for got_arrays, want_arrays in zip((idx.ordered, idx.fr_counts, idx.be_counts), want):
-                assert len(got_arrays) == g.num_relations
-                for got, expected in zip(got_arrays, want_arrays):
-                    np.testing.assert_array_equal(got, expected, strict=True)
+            np.testing.assert_array_equal(idx.bucket, reference_partition(labels, train), strict=True)
+            assert idx.bucket.dtype == np.int8
+            assert not idx.bucket.flags.writeable
+
+    def test_bucket_needs_one_entry_per_node(self):
+        g = RelationalGraph.from_edge_lists(3, [[(0, 1)]])
+        with pytest.raises(ValueError, match="one entry per node"):
+            PartitionIndex(g, np.zeros(2, dtype=np.int8))
 
     def test_val_labeled_node_lands_in_unlabeled_bucket(self):
         # label information outside the train split must not leak
@@ -218,41 +220,12 @@ class TestPartitionIndex:
         np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [1])
         np.testing.assert_array_equal(benign_neighbors(idx, 0, 0), [])
 
-    def test_bucket_segments_match_per_node_queries(self):
-        rng = np.random.default_rng(6)
-        n = 25
-        g = RelationalGraph.from_edge_lists(n, [random_edges(rng, n, 70)])
-        labels = rng.integers(0, 2, size=n)
-        train = rng.random(n) < 0.6
-        idx = PartitionIndex.build(g, labels, train)
-        batch = np.array([3, 0, 17, 9])
-        seg = idx.bucket_segments(0, batch)
-        assert seg.num_segments == 4
-        for pos, u in enumerate(batch):
-            got = []
-            for bucket, query in (
-                ("fr", fraud_neighbors),
-                ("be", benign_neighbors),
-                ("un", unlabeled_neighbors),
-            ):
-                members = getattr(seg, f"{bucket}_members")
-                seg_ids = getattr(seg, f"{bucket}_segments")
-                np.testing.assert_array_equal(members[seg_ids == pos], query(idx, 0, int(u)))
-                got.append(members[seg_ids == pos])
-            np.testing.assert_array_equal(np.sort(np.concatenate(got)), g.neighbors(0, int(u)))
-
     def test_from_table_uses_train_split_only(self):
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
         t = make_table([[0.0], [0.0], [0.0]], [0, 1, 0], [0, 0, 1])
         idx = PartitionIndex.from_table(g, t)
         np.testing.assert_array_equal(fraud_neighbors(idx, 0, 0), [1])
         np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [2])
-
-    def test_batch_out_of_range_raises(self):
-        g = RelationalGraph.from_edge_lists(2, [[(0, 1)]])
-        idx = PartitionIndex.build(g, np.array([0, 1]), np.array([True, True]))
-        with pytest.raises(ValueError):
-            idx.bucket_segments(0, np.array([0, 2]))
 
 
 class TestHomophily:

@@ -6,7 +6,7 @@ from pmpfraud import ndiff as nd
 from pmpfraud.graph import PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, layer_forward
 
-from .reference import benign_neighbors, fraud_neighbors, unlabeled_neighbors
+from .reference import add_at_rows, benign_neighbors, fraud_neighbors, unlabeled_neighbors
 
 
 def _sigmoid(x):
@@ -16,14 +16,16 @@ def _sigmoid(x):
 def aggregate(params, variant, partition, relation, h, batch):
     """Neighbor aggregation for ``batch`` with ``h`` holding one row per node."""
     h_c = nd.gather_rows(h, batch)
-    return aggregate_segments(params, variant, partition.bucket_segments(relation, batch), h, h_c, h_c)
+    members, seg_ids = partition.graph.neighbor_segments(relation, batch)
+    return aggregate_segments(params, variant, members, seg_ids, partition.bucket[members], h, h_c, h_c)
 
 
 def forward(params, variant, partition, relation, h, batch, use_relu=True):
     """Whole layer (self term, aggregation, activation) for ``batch``."""
     h_c = nd.gather_rows(h, batch)
-    segs = partition.bucket_segments(relation, batch)
-    return layer_forward(params, variant, segs, h, h_c, h_c, use_relu=use_relu)
+    members, seg_ids = partition.graph.neighbor_segments(relation, batch)
+    bucket = partition.bucket[members]
+    return layer_forward(params, variant, members, seg_ids, bucket, h, h_c, h_c, use_relu=use_relu)
 
 
 def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):
@@ -76,6 +78,11 @@ ALL_VARIANTS = [
     LayerVariant(True, False, True),
     LayerVariant(True, True, True),
 ]
+
+
+def variant_id(v):
+    flags = (v.partition_enabled, v.adaptive_combination_enabled, v.root_specific_enabled)
+    return "".join("pat"[i] for i, f in enumerate(flags) if f) or "none"
 
 
 class TestVariant:
@@ -213,7 +220,7 @@ class TestAggregate:
         out = aggregate(p, LayerVariant.full(), idx, 0, h, np.array([0]))
         np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: "".join("pat"[i] for i, f in enumerate((v.partition_enabled, v.adaptive_combination_enabled, v.root_specific_enabled)) if f) or "none")
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
     def test_fused_matches_materialized(self, variant):
         rng = np.random.default_rng(5)
         for trial in range(6):
@@ -273,6 +280,57 @@ class TestAggregate:
         adaptive = aggregate(params, LayerVariant(True, True, False), idx, 0, h, batch)
         fixed = aggregate(params, LayerVariant(True, False, False), idx, 0, h, batch)
         np.testing.assert_allclose(adaptive.data, fixed.data, rtol=0, atol=1e-12)
+
+
+class TestSummationOrder:
+    """Each bucket sum adds its members center by center, ascending id within
+    a center; the baseline adds each center's fraud, then benign, then
+    unlabeled run. Checked bitwise against an unbuffered ``np.add.at`` in
+    that order, on neighborhoods where the order changes the rounding."""
+
+    def instance(self, rng):
+        g, idx, params, h = random_setup(rng, n=40, d_in=4, d_out=4, edge_factor=6)
+        batch = rng.permutation(g.num_nodes)
+        runs = []
+        for query in (fraud_neighbors, benign_neighbors, unlabeled_neighbors):
+            members = [query(idx, 0, int(u)) for u in batch]
+            seg_ids = [np.full(m.size, pos) for pos, m in enumerate(members)]
+            runs.append((np.concatenate(members), np.concatenate(seg_ids)))
+        return idx, params, h, batch, runs
+
+    def aggregate_recording_sums(self, monkeypatch, params, variant, idx, h, batch):
+        sums = []
+        real = nd.segment_sum
+
+        def spy(values, segment_ids, num_segments):
+            out = real(values, segment_ids, num_segments)
+            sums.append(out.data)
+            return out
+
+        monkeypatch.setattr(nd, "segment_sum", spy)
+        out = aggregate(params, variant, idx, 0, h, batch)
+        monkeypatch.undo()
+        return out, sums
+
+    def test_baseline_adds_fraud_then_benign_then_unlabeled_runs(self, monkeypatch):
+        idx, params, h, batch, runs = self.instance(np.random.default_rng(21))
+        params.M_fr.data = np.eye(4)
+        members = np.concatenate([m for m, _ in runs])
+        seg_ids = np.concatenate([s for _, s in runs])
+        want = add_at_rows(h.data[members], seg_ids, batch.size)
+        out, sums = self.aggregate_recording_sums(monkeypatch, params, LayerVariant.baseline(), idx, h, batch)
+        assert len(sums) == 1
+        np.testing.assert_array_equal(sums[0], want)
+        np.testing.assert_array_equal(out.data, want)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS[1:], ids=variant_id)
+    def test_each_bucket_adds_center_by_center(self, monkeypatch, variant):
+        idx, params, h, batch, runs = self.instance(np.random.default_rng(22))
+        _, sums = self.aggregate_recording_sums(monkeypatch, params, variant, idx, h, batch)
+        assert len(sums) == 3
+        for got, (members, seg_ids) in zip(sums, runs):
+            assert members.size
+            np.testing.assert_array_equal(got, add_at_rows(h.data[members], seg_ids, batch.size))
 
 
 class TestGradients:

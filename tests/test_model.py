@@ -131,12 +131,7 @@ class TestForward:
         edges = np.stack([rows, g1.col_indices[0]], axis=1)
         g2 = RelationalGraph.from_edge_lists(g1.num_nodes, [edges, edges])
         # same bucketing on both copies of the relation
-        idx2 = PartitionIndex(
-            g2,
-            [idx1.ordered[0], idx1.ordered[0]],
-            [idx1.fr_counts[0], idx1.fr_counts[0]],
-            [idx1.be_counts[0], idx1.be_counts[0]],
-        )
+        idx2 = PartitionIndex(g2, idx1.bucket)
         cfg2 = ModelConfig(
             feature_dim=model1.config.feature_dim,
             hidden_dim=model1.config.hidden_dim,
