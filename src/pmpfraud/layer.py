@@ -15,8 +15,10 @@ The root-specific path is computed in fused form,
 
     S @ (diag(h) @ M + B) = (S * h) @ M + S @ B,
 
-so no per-center weight matrix is ever materialized. A center's own label
-plays no role in its forward pass; only its neighbors' buckets do.
+so no per-center weight matrix is ever materialized. Each map is linear, so
+the blend is applied to the unlabeled sum: (S_fr + alpha S_un) @ W_fr +
+(S_be + (1 - alpha) S_un) @ W_be is the same per-center map at half the
+matrix products. A center's own label plays no role; its neighbors' do.
 """
 from __future__ import annotations
 
@@ -119,10 +121,6 @@ def _bucket_term(S: nd.Tensor, h_centers: nd.Tensor, M: nd.Tensor, B: nd.Tensor,
     return nd.matmul(S, M)
 
 
-def _segment(h_prev: nd.Tensor, members: np.ndarray, seg_ids: np.ndarray, k: int) -> nd.Tensor:
-    return nd.segment_sum(nd.gather_rows(h_prev, members), seg_ids, k)
-
-
 def aggregate_segments(
     params: PmpLayerParams,
     variant: LayerVariant,
@@ -143,30 +141,23 @@ def aggregate_segments(
     blend gate. Empty buckets contribute exact zeros.
     """
     k = h_centers.shape[0]
-    # A stable sort by bucket keeps the center-major member order inside each
-    # bucket, so every bucket sum adds a center's neighbors in ascending id.
-    order = np.argsort(bucket, kind="stable")
-    members, seg_ids = members[order], seg_ids[order]
     if not variant.partition_enabled:
-        # The scatter adds in array order: each center sums its fraud, benign,
-        # then unlabeled run, and since a node has one bucket for every center,
-        # each row's gradient still accumulates in center order.
-        return nd.matmul(_segment(h_prev, members, seg_ids, k), params.M_fr)
+        # Stable: each center adds its fraud, benign, then unlabeled run in CSR order.
+        order = np.argsort(bucket, kind="stable")
+        return nd.matmul(nd.gather_segment_sum(h_prev, members[order], seg_ids[order], k), params.M_fr)
+    # Segment bucket * k + center; center-major members add in ascending id.
+    S = nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * k + seg_ids, 3 * k)
+    S_fr, S_be, S_un = (nd.gather_rows(S, np.arange(b * k, (b + 1) * k)) for b in range(3))
     rs = variant.root_specific_enabled
-    cuts = np.cumsum(np.bincount(bucket, minlength=3))[:2]
-    runs = zip(np.split(members, cuts), np.split(seg_ids, cuts))
-    S_fr, S_be, S_un = (_segment(h_prev, m, s, k) for m, s in runs)
+    if variant.adaptive_combination_enabled:
+        a = alpha_gate(params, h_gate)
+        S_fr = nd.add(S_fr, nd.row_scale(S_un, a))
+        S_be = nd.add(S_be, nd.row_scale(S_un, nd.affine(a, -1.0, 1.0)))
     total = nd.add(
         _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
         _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
     )
-    if variant.adaptive_combination_enabled:
-        a = alpha_gate(params, h_gate)
-        un_fr = _bucket_term(S_un, h_centers, params.M_fr, params.B_fr, rs)
-        un_be = _bucket_term(S_un, h_centers, params.M_be, params.B_be, rs)
-        blended = nd.add(nd.row_scale(un_fr, a), nd.row_scale(un_be, nd.affine(a, -1.0, 1.0)))
-        return nd.add(total, blended)
-    return nd.add(total, nd.matmul(S_un, params.M_un))
+    return total if variant.adaptive_combination_enabled else nd.add(total, nd.matmul(S_un, params.M_un))
 
 
 def layer_forward(

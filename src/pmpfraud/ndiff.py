@@ -41,7 +41,7 @@ __all__ = [
     "affine",
     "sigmoid",
     "relu",
-    "segment_sum",
+    "gather_segment_sum",
     "gather_rows",
     "dropout",
     "concat",
@@ -218,7 +218,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None), (ad.T @ g if b.requires_grad else None)
 
     return _make(ad @ bd, "matmul", (a, b), vjp)
 
@@ -307,20 +307,29 @@ def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.
     return out.reshape(num_rows, d).astype(values.dtype, copy=False)
 
 
-def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of [m, d] ``values`` into ``num_segments`` buckets.
+def gather_segment_sum(x: Tensor, rows: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """out[s] = sum of x[rows[i]] over every i with segment_ids[i] == s.
 
-    Empty segments come out as exact zero rows. The adjoint scatters the
-    upstream segment gradient to every member row.
+    Empty segments are zero rows. One bincount per column of x.T builds no
+    [m, d] gathered copy or cell index; each cell adds in input order from
+    0.0, bitwise as an unbuffered scatter-add. The adjoint swaps the ids.
     """
-    _require_2d(values, "segment_sum")
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.ndim != 1 or seg.shape[0] != values.data.shape[0]:
-        raise ShapeError(f"segment_sum: ids shape {seg.shape} does not match values {values.data.shape}")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ShapeError("segment_sum: segment id out of range")
-    out = _scatter_add_rows(values.data, seg, num_segments)
-    return _make(out, "segment_sum", (values,), lambda g: (g[seg],))
+    _require_2d(x, "gather_segment_sum")
+    rows, seg = np.asarray(rows, dtype=np.int64), np.asarray(segment_ids, dtype=np.int64)
+    if rows.ndim != 1 or seg.shape != rows.shape:
+        raise ShapeError(f"gather_segment_sum: rows shape {rows.shape} and ids shape {seg.shape} differ or are not 1-d")
+    for ids, bound, what in ((rows, x.data.shape[0], "row index"), (seg, num_segments, "segment id")):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ShapeError(f"gather_segment_sum: {what} out of range")
+
+    def summed(v, into, src, size):
+        out = np.empty((v.shape[1], size))
+        for j, col in enumerate(np.ascontiguousarray(v.T)):
+            out[j] = np.bincount(into, weights=col[src], minlength=size)
+        return np.ascontiguousarray(out.T, dtype=v.dtype)
+
+    out = summed(x.data, seg, rows, num_segments)
+    return _make(out, "gather_segment_sum", (x,), lambda g: (summed(g, rows, seg, x.data.shape[0]),))
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:

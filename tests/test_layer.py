@@ -185,6 +185,28 @@ class TestWeightGeneration:
             got = self.applied_matrix(p, LayerVariant.full(), h_i, 0, False)
             np.testing.assert_allclose(got, np.diag(h_i) @ M.data + B.data, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("root_specific", [True, False])
+    def test_blend_at_interior_gate(self, root_specific):
+        # the unlabeled sum is blended before the generated maps, which is
+        # the same per-center map alpha * W_fr(h) + (1 - alpha) * W_be(h)
+        rng = np.random.default_rng(13)
+        p = PmpLayerParams(3, 2, rng=rng)
+        p.B_fr.data = rng.normal(size=(3, 2))
+        p.B_be.data = rng.normal(size=(3, 2))
+        p.w_phi.data = rng.normal(size=(3, 1))
+        p.b_phi.data = np.array([0.3])
+        h_i = rng.normal(size=3)
+        a = float(_sigmoid(h_i @ p.w_phi.data[:, 0] + p.b_phi.data[0]))
+        assert 0.2 < a < 0.8
+        if root_specific:
+            w_fr = np.diag(h_i) @ p.M_fr.data + p.B_fr.data
+            w_be = np.diag(h_i) @ p.M_be.data + p.B_be.data
+        else:
+            w_fr, w_be = p.M_fr.data, p.M_be.data
+        variant = LayerVariant(True, True, root_specific)
+        got = self.applied_matrix(p, variant, h_i, 0, False)
+        np.testing.assert_allclose(got, a * w_fr + (1.0 - a) * w_be, rtol=0, atol=1e-12)
+
 
 class TestAggregate:
     def shared_weights_fixture(self):
@@ -300,14 +322,14 @@ class TestSummationOrder:
 
     def aggregate_recording_sums(self, monkeypatch, params, variant, idx, h, batch):
         sums = []
-        real = nd.segment_sum
+        real = nd.gather_segment_sum
 
-        def spy(values, segment_ids, num_segments):
-            out = real(values, segment_ids, num_segments)
+        def spy(x, rows, segment_ids, num_segments):
+            out = real(x, rows, segment_ids, num_segments)
             sums.append(out.data)
             return out
 
-        monkeypatch.setattr(nd, "segment_sum", spy)
+        monkeypatch.setattr(nd, "gather_segment_sum", spy)
         out = aggregate(params, variant, idx, 0, h, batch)
         monkeypatch.undo()
         return out, sums
@@ -325,12 +347,16 @@ class TestSummationOrder:
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS[1:], ids=variant_id)
     def test_each_bucket_adds_center_by_center(self, monkeypatch, variant):
+        # one call sums all three buckets; block b of its k rows is bucket b
         idx, params, h, batch, runs = self.instance(np.random.default_rng(22))
         _, sums = self.aggregate_recording_sums(monkeypatch, params, variant, idx, h, batch)
-        assert len(sums) == 3
-        for got, (members, seg_ids) in zip(sums, runs):
+        assert len(sums) == 1
+        k = batch.size
+        assert sums[0].shape == (3 * k, h.shape[1])
+        for b, (members, seg_ids) in enumerate(runs):
             assert members.size
-            np.testing.assert_array_equal(got, add_at_rows(h.data[members], seg_ids, batch.size))
+            want = add_at_rows(h.data[members], seg_ids, k)
+            np.testing.assert_array_equal(sums[0][b * k : (b + 1) * k], want)
 
 
 class TestGradients:

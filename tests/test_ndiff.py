@@ -68,9 +68,10 @@ class TestOperatorGradients:
 
     def test_segment_sum(self):
         rng = np.random.default_rng(8)
-        values = fd_tensor(rng, (7, 3))
-        seg = np.array([0, 0, 1, 2, 2, 2, 4])
-        run_op_check({"v": values}, lambda: nd.mean(nd.sigmoid(nd.segment_sum(values, seg, 5))))
+        x = fd_tensor(rng, (4, 3))
+        rows = np.array([3, 0, 3, 1, 2, 0, 3])  # unsorted, repeated, across segments
+        seg = np.array([2, 0, 0, 4, 2, 2, 1])  # segment 3 stays empty
+        run_op_check({"x": x}, lambda: nd.mean(nd.sigmoid(nd.gather_segment_sum(x, rows, seg, 5))))
 
     def test_gather_rows(self):
         rng = np.random.default_rng(9)
@@ -146,11 +147,11 @@ class TestOperatorValues:
         np.testing.assert_array_equal(y.data, [[0.0, 0.0, 2.0]])
 
     def test_segment_sum_values_and_empty_segment(self):
-        values = nd.Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
-        out = nd.segment_sum(values, np.array([0, 0, 2]), 3)
-        np.testing.assert_array_equal(out.data, [[3.0], [0.0], [3.0]])
+        x = nd.Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
+        out = nd.gather_segment_sum(x, np.array([0, 1, 2, 1]), np.array([0, 0, 2, 2]), 3)
+        np.testing.assert_array_equal(out.data, [[3.0], [0.0], [5.0]])
         nd.backward(out, seed=np.array([[5.0], [7.0], [11.0]]))
-        np.testing.assert_array_equal(values.grad, [[5.0], [5.0], [11.0]])
+        np.testing.assert_array_equal(x.grad, [[5.0], [16.0], [11.0]])
 
     def test_bce_at_half_is_ln2(self):
         probs = nd.Tensor(np.array([0.5, 0.5]))
@@ -204,11 +205,12 @@ class TestOperatorValues:
 
 
 class TestScatterMatchesAddAt:
-    """The row scatter behind segment_sum and the gather_rows adjoint is
-    bitwise equal to an np.add.at oracle. Values span 16 decades, so any
-    change in summation order shows up in the low bits."""
+    """gather_segment_sum, both ways, and the gather_rows adjoint are bitwise
+    equal to an np.add.at oracle. Values span 16 decades, so any change in
+    summation order shows up in the low bits."""
 
     K = 12
+    N = 9
 
     def case(self, seed, m=300, d=5):
         rng = np.random.default_rng(seed)
@@ -217,13 +219,30 @@ class TestScatterMatchesAddAt:
         values = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 9, size=(m, d))
         return ids, values
 
+    def gather_case(self, seed, m=300, d=5):
+        ids, _ = self.case(seed, m, d)
+        rng = np.random.default_rng(seed + 100)
+        rows = rng.integers(0, self.N, size=m)  # unsorted, repeated
+        x = rng.standard_normal((self.N, d)) * 10.0 ** rng.integers(-8, 9, size=(self.N, d))
+        return rows, ids, x
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_segment_sum_forward(self, seed):
-        ids, values = self.case(seed)
-        out = nd.segment_sum(nd.Tensor(values), ids, self.K).data
-        expected = add_at_rows(values, ids, self.K)
+        rows, ids, x = self.gather_case(seed)
+        out = nd.gather_segment_sum(nd.Tensor(x), rows, ids, self.K).data
+        expected = add_at_rows(x[rows], ids, self.K)
         assert np.array_equal(out, expected)
         assert not out[4].any() and not out[-1].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_segment_sum_backward(self, seed):
+        # Row r collects, in input order, the upstream gradient of every
+        # segment it was added to.
+        rows, ids, x = self.gather_case(seed)
+        _, upstream = self.case(seed + 10, m=self.K)
+        t = nd.Tensor(x, requires_grad=True)
+        nd.backward(nd.gather_segment_sum(t, rows, ids, self.K), seed=upstream)
+        assert np.array_equal(t.grad, add_at_rows(upstream[ids], rows, self.N))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gather_rows_backward(self, seed):
@@ -233,9 +252,20 @@ class TestScatterMatchesAddAt:
         assert np.array_equal(x.grad, add_at_rows(upstream, ids, self.K))
 
     def test_result_keeps_input_dtype(self):
-        ids, values = self.case(3, m=20)
-        out = nd.segment_sum(nd.Tensor(values, dtype=np.float32), ids, self.K)
+        # float32 sums accumulate in float64 and round once, both ways.
+        rows, ids, x = self.gather_case(3, m=40)
+        x32 = x.astype(np.float32)
+        t = nd.Tensor(x32, dtype=np.float32, requires_grad=True)
+        out = nd.gather_segment_sum(t, rows, ids, self.K)
         assert out.data.dtype == np.float32
+        wide = x32.astype(np.float64)
+        assert np.array_equal(out.data, add_at_rows(wide[rows], ids, self.K).astype(np.float32))
+        _, upstream = self.case(4, m=self.K)
+        up32 = upstream.astype(np.float32)
+        nd.backward(out, seed=up32)
+        assert t.grad.dtype == np.float32
+        want = add_at_rows(up32.astype(np.float64)[ids], rows, self.N).astype(np.float32)
+        assert np.array_equal(t.grad, want)
 
 
 class TestReversePass:
@@ -274,6 +304,25 @@ class TestReversePass:
         combined = tape.gradients(nd.add(nd.affine(f(), a), nd.affine(g(), b)))["w"]
         np.testing.assert_allclose(combined, a * grad_f + b * grad_g, rtol=0, atol=1e-12)
 
+    def test_matmul_skips_adjoint_of_non_grad_operand(self):
+        rng = np.random.default_rng(21)
+        x_data, w_data = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
+        g = rng.normal(size=(5, 4))
+        grads = []
+        for x_grad in (True, False):
+            x = nd.Tensor(x_data, requires_grad=x_grad)
+            w = nd.Tensor(w_data, requires_grad=True)
+            out = nd.matmul(x, w)
+            gx, gw = out._vjp(g)
+            assert (gx is None) == (not x_grad)
+            nd.backward(nd.mean(nd.sigmoid(out)))
+            grads.append(w.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+        x = nd.Tensor(x_data, requires_grad=True)
+        gx, gw = nd.matmul(x, nd.Tensor(w_data))._vjp(g)
+        assert gw is None
+        np.testing.assert_array_equal(gx, g @ w_data.T)
+
     def test_unreached_parameter_gets_exact_zero(self):
         used = nd.Tensor(np.array([[1.0]]), requires_grad=True)
         unused = nd.Tensor(np.array([[2.0]]), requires_grad=True)
@@ -307,9 +356,20 @@ class TestErrors:
             nd.row_scale(a, nd.Tensor(np.ones(3)))
 
     def test_segment_ids_out_of_range(self):
-        v = nd.Tensor(np.ones((3, 2)))
+        x = nd.Tensor(np.ones((3, 2)))
+        rows = np.array([0, 1, 2])
+        for ids in ([0, 1, 5], [0, 3, 1], [0, -1, 1]):
+            with pytest.raises(nd.ShapeError, match="segment id out of range"):
+                nd.gather_segment_sum(x, rows, np.array(ids), 3)
+
+    def test_segment_rows_out_of_range(self):
+        x = nd.Tensor(np.ones((3, 2)))
+        ids = np.array([0, 1, 2])
+        for rows in ([0, 3, 1], [0, -1, 1]):
+            with pytest.raises(nd.ShapeError, match="row index out of range"):
+                nd.gather_segment_sum(x, np.array(rows), ids, 3)
         with pytest.raises(nd.ShapeError):
-            nd.segment_sum(v, np.array([0, 1, 5]), 3)
+            nd.gather_segment_sum(x, np.array([0, 1]), ids, 3)
 
     def test_gather_index_out_of_range(self):
         x = nd.Tensor(np.ones((3, 2)))
