@@ -9,65 +9,76 @@ A bundle holds one dataset:
     labels.csv      "node,label" with label in {0, 1}
     splits.csv      "node,split" with split in {train, val, test}
 
+The meta.json sizes must be positive JSON integers; they are checked, not
+coerced. labels.csv and splits.csv share one per-node reader, which requires
+every node exactly once; split names become codes as they are parsed.
 Loaders validate counts, ranges, and finiteness, and raise BundleError
 naming the offending file.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
+import numbers
 import os
 
 import numpy as np
 
 from . import ndiff as nd
-from .graph import SPLIT_NAMES, NodeTable, RelationalGraph
+from .graph import SPLIT_NAMES, NodeTable, RelationalGraph, split_index
 
 __all__ = ["BundleError", "load_bundle", "write_bundle"]
+
+_META_SIZES = ("num_nodes", "num_relations", "feature_dim")
 
 
 class BundleError(ValueError):
     """A bundle file is missing, malformed, or inconsistent with meta.json."""
 
 
-def _require(path: str) -> str:
-    if not os.path.exists(path):
-        raise BundleError(f"missing file: {path}")
-    return path
-
-
-def _load_int_csv(path: str, expect_cols: int) -> np.ndarray:
-    _require(path)
+def _load_int_csv(path: str, converters=None) -> np.ndarray:
+    """The rows below the header of a two-column integer CSV; ``converters`` as for ``np.loadtxt``."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, converters=converters)
+    except FileNotFoundError:
+        raise BundleError(f"missing file: {path}") from None
     except ValueError as err:
-        raise BundleError(f"{path}: {err}") from err
+        raise BundleError(f"{path}: {err}" + (f" ({err.__cause__})" if err.__cause__ else "")) from err
     if data.size == 0:
-        return np.empty((0, expect_cols), dtype=np.int64)
-    if data.shape[1] != expect_cols:
-        raise BundleError(f"{path}: expected {expect_cols} columns, got {data.shape[1]}")
+        return np.empty((0, 2), dtype=np.int64)
+    if data.shape[1] != 2:
+        raise BundleError(f"{path}: expected 2 columns, got {data.shape[1]}")
     return data
+
+
+def _load_node_column(path: str, n: int, converters=None) -> np.ndarray:
+    """Column 1 of a "node,value" CSV, indexed by node; every node must appear exactly once."""
+    rows = _load_int_csv(path, converters)
+    if rows.shape[0] != n:
+        raise BundleError(f"{path}: row-count mismatch, expected {n} rows, got {rows.shape[0]}")
+    if not np.array_equal(np.sort(rows[:, 0]), np.arange(n)):
+        raise BundleError(f"{path}: node column must cover 0..{n - 1} exactly once")
+    column = np.empty(n, dtype=np.int64)
+    column[rows[:, 0]] = rows[:, 1]
+    return column
 
 
 def load_bundle(path: str):
     """Read a bundle directory. Returns (RelationalGraph, NodeTable)."""
-    meta_path = _require(os.path.join(path, "meta.json"))
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta_path = os.path.join(path, "meta.json")
     try:
-        n = int(meta["num_nodes"])
-        num_relations = int(meta["num_relations"])
-        d = int(meta["feature_dim"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise BundleError(f"{meta_path}: bad or missing field ({err})") from err
-    if n <= 0 or num_relations <= 0 or d <= 0:
-        raise BundleError(f"{meta_path}: num_nodes, num_relations, feature_dim must be positive")
+        meta = nd.read_json_object(meta_path)
+        for key in _META_SIZES:
+            nd.check_setting(f"{meta_path}: {key}", meta.get(key), numbers.Integral, lambda v: v >= 1,
+                             "a positive integer")
+    except ValueError as err:
+        raise BundleError(str(err)) from err
+    n, num_relations, d = (meta[key] for key in _META_SIZES)
 
     edge_lists = []
     for r in range(num_relations):
         edge_path = os.path.join(path, f"edges_r{r}.csv")
-        edges = _load_int_csv(edge_path, 2)
+        edges = _load_int_csv(edge_path)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise BundleError(f"{edge_path}: node index out of range [0, {n})")
         edge_lists.append(edges)
@@ -95,40 +106,10 @@ def load_bundle(path: str):
         raise BundleError(f"{csv_path if os.path.exists(csv_path) else f32_path}: non-finite feature value")
 
     labels_path = os.path.join(path, "labels.csv")
-    rows = _load_int_csv(labels_path, 2)
-    if rows.shape[0] != n:
-        raise BundleError(f"{labels_path}: row-count mismatch, expected {n} rows, got {rows.shape[0]}")
-    if not np.array_equal(np.sort(rows[:, 0]), np.arange(n)):
-        raise BundleError(f"{labels_path}: node column must cover 0..{n - 1} exactly once")
-    if not np.isin(rows[:, 1], (0, 1)).all():
+    labels = _load_node_column(labels_path, n)
+    if not np.isin(labels, (0, 1)).all():
         raise BundleError(f"{labels_path}: label outside {{0, 1}}")
-    labels = np.zeros(n, dtype=np.int8)
-    labels[rows[:, 0]] = rows[:, 1]
-
-    splits_path = _require(os.path.join(path, "splits.csv"))
-    splits = np.full(n, -1, dtype=np.int8)
-    seen = 0
-    with open(splits_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise BundleError(f"{splits_path}: empty file")
-        for line in reader:
-            if len(line) != 2:
-                raise BundleError(f"{splits_path}: expected 2 columns, got {len(line)}")
-            try:
-                node = int(line[0])
-            except ValueError as err:
-                raise BundleError(f"{splits_path}: node id {line[0]!r} is not an integer") from err
-            name = line[1].strip()
-            if not 0 <= node < n:
-                raise BundleError(f"{splits_path}: node index out of range [0, {n})")
-            if name not in SPLIT_NAMES:
-                raise BundleError(f"{splits_path}: unknown split {name!r}")
-            splits[node] = SPLIT_NAMES.index(name)
-            seen += 1
-    if seen != n or (splits < 0).any():
-        raise BundleError(f"{splits_path}: row-count mismatch, expected one row per node")
+    splits = _load_node_column(os.path.join(path, "splits.csv"), n, {1: lambda name: split_index(name.strip())})
 
     try:
         table = NodeTable(features, labels, splits)

@@ -22,7 +22,7 @@ from . import __version__, analysis, bundle, graph as graph_mod, synth
 from . import ndiff as nd
 from .layer import LayerVariant
 from .model import ModelConfig, PmpModel
-from .training import Adam, TrainConfig, TrainingDiverged, check_setting, evaluate, run_epoch, train
+from .training import Adam, TrainConfig, TrainingDiverged, evaluate, run_epoch, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -105,37 +105,27 @@ def _resolved_train_config(args) -> dict:
     settings = {**TrainConfig().to_dict(), "hidden_dim": 64, "num_layers": 1}
     config = {"bundle": os.path.abspath(args.bundle), **settings, "variant": LayerVariant().to_dict()}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_config = json.load(fh)
-        except (OSError, ValueError) as err:
-            raise ValueError(f"{args.config}: cannot read config file: {err}") from err
-        if not isinstance(file_config, dict):
-            raise ValueError(f"{args.config}: expected a JSON object, got {type(file_config).__name__}")
+        file_config = nd.read_json_object(args.config)
         for key in file_config:
             if key not in settings and key != "variant":
                 raise ValueError(f"{args.config}: unknown key {key!r}")
         config.update(file_config)
-    variant, names = config["variant"], sorted(f.name for f in fields(LayerVariant))
-    if not isinstance(variant, dict) or sorted(variant) != names or {type(v) for v in variant.values()} != {bool}:
-        raise ValueError(f"variant must map each of {names} to true or false, got {variant!r}")
+    LayerVariant.from_dict(config["variant"])  # checked as given, so config.json keeps its key order
     config.update({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
-    config["variant"] = {**variant, **_ablated_by_args(args)}
+    config["variant"] = {**config["variant"], **_ablated_by_args(args)}
     return config
 
 
 def cmd_train(args) -> int:
     config = _resolved_train_config(args)
     train_config = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
-    for key in ("hidden_dim", "num_layers"):
-        check_setting(key, config[key], numbers.Integral, lambda v: v >= 1, "a positive integer")
     g, table = bundle.load_bundle(config["bundle"])
     model_config = ModelConfig(
         feature_dim=table.feature_dim,
         hidden_dim=config["hidden_dim"],
         num_layers=config["num_layers"],
         num_relations=g.num_relations,
-        variant=LayerVariant(**config["variant"]),
+        variant=LayerVariant.from_dict(config["variant"]),
     )
     os.makedirs(args.out, exist_ok=True)
     model = PmpModel(model_config, seed=train_config.seed)
@@ -154,10 +144,11 @@ def cmd_train(args) -> int:
 
 def _load_run(run_dir: str):
     config_path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(config_path):
-        raise bundle.BundleError(f"missing file: {config_path}")
-    with open(config_path) as fh:
-        config = json.load(fh)["resolved"]
+    config = nd.read_json_object(config_path).get("resolved")
+    if not isinstance(config, dict) or not isinstance(config.get("bundle"), str):
+        raise ValueError(f'{config_path}: expected a "resolved" object naming the "bundle"')
+    nd.check_setting(f"{config_path}: seed", config.get("seed"), numbers.Integral, lambda v: v >= 0,
+                     "a non-negative integer")
     g, table = bundle.load_bundle(config["bundle"])
     model = PmpModel.load(os.path.join(run_dir, "checkpoint"))
     return config, g, table, model
@@ -165,8 +156,8 @@ def _load_run(run_dir: str):
 
 def cmd_eval(args) -> int:
     config, g, table, model = _load_run(args.run)
-    report = evaluate(model, g, table, args.split, seed=int(config["seed"]))
-    payload = {**_stamp(config, int(config["seed"])), **report.to_dict()}
+    report = evaluate(model, g, table, args.split, seed=config["seed"])
+    payload = {**_stamp(config, config["seed"]), **report.to_dict()}
     out_path = os.path.join(args.run, f"metrics-{args.split}.json")
     _write_json(out_path, payload)
     print(json.dumps(payload, indent=2))
@@ -176,10 +167,10 @@ def cmd_eval(args) -> int:
 def cmd_influence(args) -> int:
     config, g, table, model = _load_run(args.run)
     report = analysis.influence_report(model, g, table, split=args.split, num_bins=args.bins)
-    meta = _meta_line(config, int(config["seed"]))
+    meta = _meta_line(config, config["seed"])
     report.to_csv(os.path.join(args.run, "influence.csv"), meta_line=meta)
     payload = {
-        **_stamp(config, int(config["seed"])),
+        **_stamp(config, config["seed"]),
         "split": report.split,
         "reduction": report.reduction,
         "mean_diff": report.mean_diff(),

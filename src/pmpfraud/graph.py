@@ -20,6 +20,7 @@ __all__ = [
     "SPLIT_TRAIN",
     "SPLIT_VAL",
     "SPLIT_TEST",
+    "split_index",
     "homophily_score",
     "neighborhood_label_ratio",
     "RatioHistogram",
@@ -27,6 +28,13 @@ __all__ = [
 
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = 0, 1, 2
+
+
+def split_index(name: str) -> int:
+    """The code of split ``name`` in ``SPLIT_NAMES``; ValueError names an unknown one."""
+    if name not in SPLIT_NAMES:
+        raise ValueError(f"unknown split {name!r}, expected one of {', '.join(SPLIT_NAMES)}")
+    return SPLIT_NAMES.index(name)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -158,7 +166,7 @@ class NodeTable:
         return self.features.shape[1]
 
     def split_ids(self, name: str) -> np.ndarray:
-        return np.flatnonzero(self.splits == SPLIT_NAMES.index(name))
+        return np.flatnonzero(self.splits == split_index(name))
 
     def train_mask(self) -> np.ndarray:
         return self.splits == SPLIT_TRAIN

@@ -22,7 +22,7 @@ matrix products. A center's own label plays no role; its neighbors' do.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -64,12 +64,13 @@ class LayerVariant:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LayerVariant":
-        return cls(
-            bool(d["partition_enabled"]),
-            bool(d["adaptive_combination_enabled"]),
-            bool(d["root_specific_enabled"]),
-        )
+    def from_dict(cls, d) -> "LayerVariant":
+        """The variant ``d`` describes; ``d`` must map each field name to a
+        bool, or ValueError names it."""
+        names = sorted(f.name for f in fields(cls))
+        if not isinstance(d, dict) or sorted(d) != names or {type(v) for v in d.values()} != {bool}:
+            raise ValueError(f"variant must map each of {names} to true or false, got {d!r}")
+        return cls(**d)
 
 
 class PmpLayerParams:

@@ -9,6 +9,7 @@ and dropout follows each layer's activation during training.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -32,10 +33,8 @@ class ModelConfig:
     variant: LayerVariant = field(default_factory=LayerVariant.full)
 
     def __post_init__(self):
-        if self.feature_dim <= 0 or self.hidden_dim <= 0:
-            raise ValueError("dimensions must be positive")
-        if self.num_layers < 1 or self.num_relations < 1:
-            raise ValueError("need at least one layer and one relation")
+        for name in ("feature_dim", "hidden_dim", "num_layers", "num_relations"):
+            nd.check_setting(name, getattr(self, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -43,10 +42,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(
-            feature_dim=int(d["feature_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            num_layers=int(d["num_layers"]),
-            num_relations=int(d["num_relations"]),
+            feature_dim=d["feature_dim"],
+            hidden_dim=d["hidden_dim"],
+            num_layers=d["num_layers"],
+            num_relations=d["num_relations"],
             variant=LayerVariant.from_dict(d["variant"]),
         )
 
@@ -88,8 +87,9 @@ class PmpModel:
         return {k: v.data.copy() for k, v in self.parameters().items()}
 
     def load_state(self, state: dict):
-        params = self.parameters()
-        for k, p in params.items():
+        for k, p in self.parameters().items():
+            if k not in state:
+                raise ValueError(f"parameter {k}: missing")
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
@@ -103,15 +103,16 @@ class PmpModel:
     @classmethod
     def load(cls, directory: str) -> "PmpModel":
         path = os.path.join(directory, _MODEL_SIDECAR)
+        sidecar = nd.read_json_object(path)
         try:
-            with open(path) as fh:
-                config = ModelConfig.from_dict(json.load(fh))
-        except FileNotFoundError:
-            raise ValueError(f"{path}: checkpoint file is missing") from None
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
+            model = cls(ModelConfig.from_dict(sidecar), seed=0)
+        except (KeyError, ValueError) as err:
             raise ValueError(f"{path}: malformed model config ({err!r})") from err
-        model = cls(config, seed=0)
-        model.load_state(nd.load_checkpoint(directory))
+        state = nd.load_checkpoint(directory)
+        try:
+            model.load_state(state)
+        except ValueError as err:
+            raise ValueError(f"{directory}: {err}") from err
         return model
 
 

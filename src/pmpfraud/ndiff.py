@@ -50,6 +50,8 @@ __all__ = [
     "reshape",
     "grad_check",
     "GradCheckReport",
+    "check_setting",
+    "read_json_object",
     "write_file_atomic",
     "write_csv_atomic",
     "save_checkpoint",
@@ -519,11 +521,33 @@ def grad_check(function, parameters: dict, tolerance: float = 1e-4) -> GradCheck
 
 
 # ---------------------------------------------------------------------------
-# Parameter checkpoints
+# Settings, files and parameter checkpoints
 # ---------------------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.json"
 _BLOB_NAME = "params.bin"
+
+
+def check_setting(name: str, value, kind: type, ok, rule: str):
+    """Raise ValueError naming ``name`` and ``value`` unless ``value`` is an
+    instance of the ``numbers`` class ``kind``, not a bool, and ``ok(value)``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object stored in ``path``. Raises ValueError naming ``path``
+    when the file is missing, unreadable, not JSON, or not an object."""
+    try:
+        with open(path, "rb") as fh:
+            value = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: file is missing") from None
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{path}: cannot read JSON: {err}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def write_file_atomic(path: str, data: bytes) -> None:
@@ -561,14 +585,6 @@ def save_checkpoint(directory: str, params: dict) -> None:
     write_file_atomic(os.path.join(directory, _MANIFEST_NAME), json.dumps(manifest, indent=2).encode())
 
 
-def _read_checkpoint_file(path: str, mode: str):
-    try:
-        with open(path, mode) as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise ValueError(f"{path}: checkpoint file is missing") from None
-
-
 def load_checkpoint(directory: str) -> dict:
     """Read a checkpoint back as {name: float64 array} in manifest order.
 
@@ -577,16 +593,20 @@ def load_checkpoint(directory: str) -> dict:
     """
     manifest_path = os.path.join(directory, _MANIFEST_NAME)
     blob_path = os.path.join(directory, _BLOB_NAME)
+    manifest = read_json_object(manifest_path)
     try:
-        manifest = json.loads(_read_checkpoint_file(manifest_path, "r"))
         entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in manifest["params"]]
-        digest = manifest.get("sha256")
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{manifest_path}: malformed checkpoint manifest ({err!r})") from err
-    raw = _read_checkpoint_file(blob_path, "rb")
+    try:
+        with open(blob_path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"{blob_path}: file is missing") from None
     expected = 8 * sum(int(np.prod(shape)) for _, shape in entries)
     if len(raw) != expected:
         raise ValueError(f"{blob_path}: has {len(raw)} bytes, manifest expects {expected}")
+    digest = manifest.get("sha256")
     if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
         raise ValueError(f"{blob_path}: sha256 does not match the manifest, the file is corrupted")
     blob = np.frombuffer(raw, dtype="<f8")

@@ -19,17 +19,11 @@ from . import metrics as metrics_mod
 from . import ndiff as nd
 from .graph import NodeTable, RelationalGraph
 from .model import PmpModel, loss as loss_fn, model_forward
+from .ndiff import check_setting
 
 __all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "run_epoch", "train", "evaluate", "forward_scores"]
 
 EVAL_BATCH_SIZE = 4096
-
-
-def check_setting(name: str, value, kind: type, ok, rule: str):
-    """Raise ValueError naming ``name`` and ``value`` unless ``value`` is an
-    instance of the ``numbers`` class ``kind``, not a bool, and ``ok(value)``."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,24 @@ BAD_CONFIG_VALUES = [
 ]
 
 
+# Every JSON file the program reads back, each damaged in one way. A damage
+# is None (the file is deleted), the text to write, or a change to the
+# parsed object.
+JSON_FILES = ("meta.json", "config.json", "checkpoint/model.json", "checkpoint/manifest.json", "train --config")
+DAMAGED_JSON = [
+    pytest.param(name, damage, id=f"{name}-{label}")
+    for name in JSON_FILES
+    for label, damage in (("deleted", None), ("malformed", '{"num_nodes": 30,'), ("list", "[]"))
+] + [
+    pytest.param("meta.json", lambda d: d.update(num_nodes=199.5), id="meta.json-float-size"),
+    pytest.param("meta.json", lambda d: d.update(num_nodes="30"), id="meta.json-string-size"),
+    pytest.param("checkpoint/model.json", lambda d: d["variant"].update(partition_enabled="false"),
+                 id="model.json-string-flag"),
+    pytest.param("checkpoint/model.json", lambda d: d.update(hidden_dim=8.5), id="model.json-float-size"),
+    pytest.param("config.json", lambda d: d.clear(), id="config.json-empty-object"),
+]
+
+
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "bundle"
@@ -195,7 +213,8 @@ class TestTrain:
         ("--no-root-specific", {"root_specific_enabled"}),
     ], ids=["no-partition", "no-adaptive-combination", "no-root-specific"])
     def test_ablation_flag_outranks_config_variant(self, bundle_dir, tmp_path, capsys, flag, switched_off):
-        full = LayerVariant.full().to_dict()
+        # keys out of field order: config.json must keep the file's order
+        full = dict(reversed(LayerVariant.full().to_dict().items()))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"variant": full}))
         out = tmp_path / "run"
@@ -204,7 +223,8 @@ class TestTrain:
         assert main(argv) == 0
         capsys.readouterr()
         want = {name: name not in switched_off for name in full}
-        assert json.loads((out / "config.json").read_text())["resolved"]["variant"] == want
+        variant = json.loads((out / "config.json").read_text())["resolved"]["variant"]
+        assert list(variant.items()) == list(want.items())
         assert PmpModel.load(str(out / "checkpoint")).config.variant == LayerVariant(**want)
 
     def test_config_file_with_cli_override(self, bundle_dir, tmp_path):
@@ -305,6 +325,44 @@ class TestEvalAndInfluence:
     def test_missing_checkpoint_file_exits_2_naming_it(self, run_dir, tmp_path, name):
         error = self.damaged_run(run_dir, tmp_path, name, lambda path: path.unlink())
         assert "missing" in error
+
+    @pytest.mark.parametrize("name, damage", DAMAGED_JSON)
+    def test_damaged_json_file_exits_2_naming_it(self, bundle_dir, run_dir, tmp_path, capsys, name, damage):
+        if name == "meta.json":
+            shutil.copytree(bundle_dir, tmp_path / "bundle")
+            path, argv = tmp_path / "bundle" / name, ["validate", tmp_path / "bundle"]
+        elif name == "train --config":
+            path = tmp_path / "cfg.json"
+            path.write_text("{}")
+            argv = ["train", bundle_dir, "--out", tmp_path / "out", "--config", path]
+        else:
+            shutil.copytree(run_dir, tmp_path / "run")
+            path, argv = tmp_path / "run" / name, ["eval", tmp_path / "run"]
+        if damage is None:
+            path.unlink()
+        elif callable(damage):
+            content = json.loads(path.read_text())
+            damage(content)
+            path.write_text(json.dumps(content))
+        else:
+            path.write_text(damage)
+        assert str(path) in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"hidden_dim": 9}, "parameter rel0.layer0.W_self: shape (4, 8) != (4, 9)"),
+        ({"num_layers": 2}, "parameter rel0.layer1.W_self: missing"),
+    ], ids=["shape", "missing"])
+    def test_checkpoint_at_odds_with_model_json_exits_2_naming_it(self, run_dir, tmp_path, capsys, change,
+                                                                     message):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        sidecar = run / "checkpoint" / "model.json"
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **change)))
+        assert rejected(capsys, "eval", run) == f"{run / 'checkpoint'}: {message}"
+
+    def test_unknown_split_exits_2_naming_it(self, run_dir, capsys):
+        error = rejected(capsys, "influence", run_dir, "--split", "bogus")
+        assert error == "unknown split 'bogus', expected one of train, val, test"
 
     def test_truncated_blob_exits_2_naming_it(self, run_dir, tmp_path):
         def truncate(path):

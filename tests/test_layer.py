@@ -96,6 +96,17 @@ class TestVariant:
         for v in ALL_VARIANTS:
             assert LayerVariant.from_dict(v.to_dict()) == v
 
+    @pytest.mark.parametrize("d", [
+        {"partition_enabled": "false", "adaptive_combination_enabled": False, "root_specific_enabled": False},
+        {"partition_enabled": 1, "adaptive_combination_enabled": 0, "root_specific_enabled": 0},
+        {"partition_enabled": True, "adaptive_combination_enabled": True},
+        dict(LayerVariant.full().to_dict(), dropout_p=0.0),
+        [True, True, True],
+    ], ids=["string", "ints", "missing-key", "extra-key", "list"])
+    def test_from_dict_takes_only_three_bools(self, d):
+        with pytest.raises(ValueError, match="^variant must map each of .* to true or false, got "):
+            LayerVariant.from_dict(d)
+
     def test_presets(self):
         assert LayerVariant.full() == LayerVariant(True, True, True)
         assert LayerVariant.baseline() == LayerVariant(False, False, False)

@@ -1,6 +1,7 @@
 """Stacked model against a per-node naive reference and exact identities."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,11 @@ class TestConfig:
             ModelConfig(0, 4)
         with pytest.raises(ValueError):
             ModelConfig(4, 4, num_layers=0)
+
+    @pytest.mark.parametrize("name", ["feature_dim", "hidden_dim", "num_layers", "num_relations"])
+    @pytest.mark.parametrize("value", [8.5, True, "8", None])
+    def test_sizes_must_be_integers(self, name, value):
+        # from_dict passes JSON values through, so the sizes are checked, not coerced
+        d = dict(ModelConfig(4, 8).to_dict(), **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+            ModelConfig.from_dict(d)
