@@ -42,6 +42,8 @@ def _load_int_csv(path: str, converters=None) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, converters=converters)
     except FileNotFoundError:
         raise BundleError(f"missing file: {path}") from None
+    except OSError as err:
+        raise BundleError(f"{path}: cannot read: {err}") from None
     except ValueError as err:
         raise BundleError(f"{path}: {err}" + (f" ({err.__cause__})" if err.__cause__ else "")) from err
     if data.size == 0:
@@ -89,6 +91,8 @@ def load_bundle(path: str):
     if os.path.exists(csv_path):
         try:
             features = np.loadtxt(csv_path, delimiter=",", ndmin=2, dtype=np.float64)
+        except OSError as err:
+            raise BundleError(f"{csv_path}: cannot read: {err}") from None
         except ValueError as err:
             raise BundleError(f"{csv_path}: {err}") from err
         if features.shape[0] != n:
@@ -96,10 +100,13 @@ def load_bundle(path: str):
         if features.shape[1] != d:
             raise BundleError(f"{csv_path}: expected {d} columns, got {features.shape[1]}")
     elif os.path.exists(f32_path):
-        raw = np.fromfile(f32_path, dtype="<f4")
+        try:
+            raw = np.fromfile(f32_path, dtype="<f4")
+        except OSError as err:
+            raise BundleError(f"{f32_path}: cannot read: {err}") from None
         if raw.size != n * d:
             raise BundleError(f"{f32_path}: row-count mismatch, expected {n * d} values, got {raw.size}")
-        features = raw.astype(np.float64).reshape(n, d)
+        features = raw.reshape(n, d)  # NodeTable widens it to float64 in its own copy
     else:
         raise BundleError(f"missing file: {csv_path} (or features.f32)")
     if not np.all(np.isfinite(features)):

@@ -150,7 +150,14 @@ def _load_run(run_dir: str):
     nd.check_setting(f"{config_path}: seed", config.get("seed"), numbers.Integral, lambda v: v >= 0,
                      "a non-negative integer")
     g, table = bundle.load_bundle(config["bundle"])
-    model = PmpModel.load(os.path.join(run_dir, "checkpoint"))
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    model = PmpModel.load(checkpoint)
+    cfg = model.config
+    if (table.feature_dim, g.num_relations) != (cfg.feature_dim, cfg.num_relations):
+        raise ValueError(
+            f"bundle {config['bundle']} has feature_dim {table.feature_dim} and {g.num_relations} relation(s), "
+            f"but checkpoint {checkpoint} expects feature_dim {cfg.feature_dim} and {cfg.num_relations} relation(s)"
+        )
     return config, g, table, model
 
 

@@ -133,12 +133,18 @@ class NodeTable:
 
     Labels: 1 fraud, 0 benign. Splits: 0 train, 1 val, 2 test. Both label
     classes must appear in the train split; features must be finite.
+
+    The table owns read-only copies of its three arrays; the caller's stay
+    as they were. Features are stored column-major (float64, Fortran
+    order): ``ndiff.gather_segment_sum`` sums one column at a time, so
+    layer 1 then reads each column of the table in place instead of
+    transposing the whole table on every call.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, splits: np.ndarray):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int8)
-        splits = np.asarray(splits, dtype=np.int8)
+        features = np.array(features, dtype=np.float64, order="F")
+        labels = np.array(labels, dtype=np.int8)
+        splits = np.array(splits, dtype=np.int8)
         if features.ndim != 2:
             raise ValueError("features must be [num_nodes, feature_dim]")
         n = features.shape[0]

@@ -130,13 +130,16 @@ def model_forward(
 ) -> nd.Tensor:
     """Fraud probabilities for ``batch``, strictly inside (0, 1).
 
-    Representations are computed on demand for each layer's one-hop
-    frontier, so cost scales with the batch neighborhood, not the graph.
-    Each layer's neighborhoods are listed once: the same members mark the
-    frontier and feed the aggregation. Frontiers come from marking ids in a
-    node mask and ids map to frontier rows through a dense lookup table, so
-    neither step sorts. ``batch`` may be unsorted and repeat ids; score i
-    belongs to batch[i].
+    Representations are computed on demand for each layer's centers, so
+    cost scales with the batch neighborhood, not the graph. Layer 1 sums
+    straight from the feature table, whose rows its members and centers
+    index by node id; a column-major table, as ``NodeTable`` stores it, is
+    summed without a transposed copy. Each layer l >= 2 reads layer l - 1's
+    output over the one-hop frontier of its centers. Neighborhoods are
+    listed once per layer: the same members mark the frontier and feed the
+    aggregation. Frontiers come from marking ids in a node mask, and ids
+    map to frontier rows through a dense lookup table, so neither step sorts.
+    ``batch`` may be unsorted and repeat ids; score i belongs to batch[i].
     ``features`` may be a gradient-enabled tensor for sensitivity
     analysis. With ``training`` on and ``dropout_p`` > 0, dropout follows
     each layer; its masks are keyed by (seed, relation, layer, epoch,
@@ -154,7 +157,7 @@ def model_forward(
     if feats.shape != (graph.num_nodes, cfg.feature_dim):
         raise ValueError(f"features must be [{graph.num_nodes}, {cfg.feature_dim}]")
 
-    # Row of each frontier node; entries outside the current frontier are stale.
+    # Row of each frontier node (layers 2 and up); entries outside the current frontier are stale.
     row_of = np.empty(graph.num_nodes, dtype=np.int64)
     per_relation = []
     for r in range(cfg.num_relations):
@@ -163,28 +166,27 @@ def model_forward(
         fronts[cfg.num_layers] = batch
         for l in range(cfg.num_layers, 0, -1):
             hoods[l] = graph.neighbor_segments(r, fronts[l])
-            mark = np.zeros(graph.num_nodes, dtype=bool)
-            mark[fronts[l]] = True
-            mark[hoods[l][0]] = True
-            fronts[l - 1] = np.flatnonzero(mark)
-        h = nd.gather_rows(feats, fronts[0])
-        h_gate_src = h
+            if l > 1:
+                mark = np.zeros(graph.num_nodes, dtype=bool)
+                mark[fronts[l]] = True
+                mark[hoods[l][0]] = True
+                fronts[l - 1] = np.flatnonzero(mark)
+        h = h_gate_src = feats
         for l in range(1, cfg.num_layers + 1):
-            centers, prev = fronts[l], fronts[l - 1]
-            members, seg_ids = hoods[l]
-            row_of[prev] = np.arange(prev.size)
-            pos = row_of[centers]
-            h_c = nd.gather_rows(h, pos)
-            h_g = nd.gather_rows(h_gate_src, pos)
+            (members, seg_ids), centers = hoods[l], fronts[l]
+            bucket = partition.bucket[members]  # by node id, before the remap to rows
+            if l > 1:
+                row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
+                members, centers = row_of[members], row_of[centers]
             act = layer_forward(
                 model.layers[r][l - 1],
                 cfg.variant,
-                row_of[members],
+                members,
                 seg_ids,
-                partition.bucket[members],
+                bucket,
                 h,
-                h_c,
-                h_g,
+                nd.gather_rows(h, centers),
+                nd.gather_rows(h_gate_src, centers),
                 use_relu=(l < cfg.num_layers),
             )
             if dropout_p > 0.0:

@@ -14,12 +14,18 @@ straight to it. Scores saturated on the correct side then send back an
 exact zero rather than a subnormal, and the rest of the reverse pass runs
 on normal numbers.
 
+Inside a ``no_grad()`` scope operators record nothing: read-only scoring
+keeps no reverse graph, and each intermediate is freed as soon as the next
+op has read it.
+
 Everything is float64 unless a tensor is constructed with an explicit
 dtype. Operators validate shapes up front and refuse to emit non-finite
 values instead of letting NaN or Inf propagate silently.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -30,6 +36,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GradientTape",
+    "no_grad",
     "ShapeError",
     "NonFiniteError",
     "backward",
@@ -103,6 +110,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
+# False inside a ``no_grad()`` scope. A context variable, so a scope entered
+# in one thread (or task) never stops recording in another.
+_RECORDING = contextvars.ContextVar("ndiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which operators record no parents or adjoints.
+
+    Results are still checked for finiteness, but none requires gradients,
+    so ``backward`` from one raises. Scopes nest, and leaving one, by
+    return or by exception, restores the state it was entered in.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
 def _make(data, op: str, parents, vjp):
     """Wrap an operator result, keeping the graph only where gradients flow."""
     if not np.all(np.isfinite(data)):
@@ -111,7 +138,7 @@ def _make(data, op: str, parents, vjp):
     out.data = data
     out.grad = None
     out.op = op
-    if any(p.requires_grad for p in parents):
+    if _RECORDING.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -184,7 +211,8 @@ class GradientTape:
 
     A tape is confined to one logical execution thread; independent tapes
     over disjoint graphs can run concurrently because all state lives on
-    the tensors themselves.
+    the tensors themselves, and a ``no_grad()`` scope covers only the
+    thread that entered it.
     """
 
     def __init__(self, params: dict):
@@ -603,6 +631,8 @@ def load_checkpoint(directory: str) -> dict:
             raw = fh.read()
     except FileNotFoundError:
         raise ValueError(f"{blob_path}: file is missing") from None
+    except OSError as err:
+        raise ValueError(f"{blob_path}: cannot read: {err}") from None
     expected = 8 * sum(int(np.prod(shape)) for _, shape in entries)
     if len(raw) != expected:
         raise ValueError(f"{blob_path}: has {len(raw)} bytes, manifest expects {expected}")

@@ -5,6 +5,11 @@ and reused for every batch and validation pass; ``evaluate`` builds its own
 the same way, one O(n) pass over the node table. At inference time only
 training labels are known, so val and test nodes stay in the unlabeled
 bucket.
+
+Training batches record a reverse graph for the Adam step. Scoring
+(``forward_scores``, which serves the per-epoch validation pass and
+``evaluate``) needs no gradients and runs under ``ndiff.no_grad()``, so it
+records none; the scores are bitwise those of a recorded forward.
 """
 from __future__ import annotations
 
@@ -121,12 +126,16 @@ class History:
 
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,
                    batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
-    """Deterministic probabilities for a node list, computed in chunks."""
+    """Deterministic probabilities for a node list, computed in chunks.
+
+    Scoring runs under ``ndiff.no_grad()``: no chunk records a reverse graph.
+    """
     out = np.empty(ids.size, dtype=np.float64)
-    for start in range(0, ids.size, batch_size):
-        chunk = ids[start : start + batch_size]
-        z = model_forward(model, graph, partition, features, chunk, training=False)
-        out[start : start + chunk.size] = z.data
+    with nd.no_grad():
+        for start in range(0, ids.size, batch_size):
+            chunk = ids[start : start + batch_size]
+            z = model_forward(model, graph, partition, features, chunk, training=False)
+            out[start : start + chunk.size] = z.data
     return out
 
 

@@ -4,13 +4,16 @@ Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
 shares code with the production paths it checks. The two exceptions check
 the differentiation engine itself and are built on it: ``sub``, an operator
-the model never uses, and ``influence_linear_check``.
+the model never uses, and ``influence_linear_check``. A third,
+``frontier_model_forward``, checks only how ``model_forward`` feeds its
+layers, so it runs the production layer on inputs it indexes its own way.
 """
 import math
 
 import numpy as np
 
 from pmpfraud import ndiff as nd
+from pmpfraud.layer import layer_forward
 
 
 def reference_csr(num_nodes, edge_lists):
@@ -180,6 +183,40 @@ def naive_model_forward(model, graph, partition, features, batch, relu_margins=N
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ model.head_w.data + model.head_b.data
     return _sigmoid(logits[:, 0])
+
+
+def frontier_model_forward(model, graph, partition, features, batch):
+    """``model_forward`` without dropout, with every layer's frontier built
+    first and layer 0's rows copied out of the feature table.
+
+    Frontiers are ``np.union1d`` of the centers and their neighbors, ids
+    map to frontier rows by ``np.searchsorted``, and layer 1 sums from the
+    gathered copy of the layer-0 frontier rather than from the table.
+    """
+    cfg = model.config
+    feats = features if isinstance(features, nd.Tensor) else nd.Tensor(np.asarray(features, dtype=np.float64))
+    batch = np.asarray(batch, dtype=np.int64)
+    per_relation = []
+    for r in range(cfg.num_relations):
+        fronts, hoods = [batch], []
+        for _ in range(cfg.num_layers):
+            members, seg_ids = graph.neighbor_segments(r, fronts[0])
+            hoods.insert(0, (members, seg_ids))
+            fronts.insert(0, np.union1d(fronts[0], members))
+        h = nd.gather_rows(feats, fronts[0])
+        for l in range(1, cfg.num_layers + 1):
+            members, seg_ids = hoods[l - 1]
+            pos = np.searchsorted(fronts[l - 1], fronts[l])
+            h = layer_forward(
+                model.layers[r][l - 1], cfg.variant, np.searchsorted(fronts[l - 1], members), seg_ids,
+                partition.bucket[members], h, nd.gather_rows(h, pos), nd.gather_rows(h, pos),
+                use_relu=(l < cfg.num_layers),
+            )
+        per_relation.append(h)
+    cat = nd.concat(per_relation, axis=1)
+    hidden = nd.relu(nd.add_rowvec(nd.matmul(cat, model.readout_W), model.readout_b))
+    logits = nd.add_rowvec(nd.matmul(hidden, model.head_w), model.head_b)
+    return nd.sigmoid(nd.reshape(logits, (batch.size,)))
 
 
 def sub(a, b):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pmpfraud import analysis
+from pmpfraud import ndiff as nd
 from pmpfraud.analysis import (
     DenseCapExceeded,
     SpectralReport,
@@ -16,9 +17,9 @@ from pmpfraud.analysis import (
     normalized_laplacian,
     spatial_spectral_check,
 )
-from pmpfraud.graph import NodeTable, RelationalGraph
+from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
-from pmpfraud.model import ModelConfig, PmpModel
+from pmpfraud.model import ModelConfig, PmpModel, model_forward
 
 from .reference import influence_linear_check, normalized_adjacency
 
@@ -229,6 +230,38 @@ class TestInfluence:
         i_f, i_b = influence(model, g, table, 0)
         assert abs(i_f - outer * w_fr) < 1e-12
         assert abs(i_b - outer * w_be) < 1e-12
+
+    def test_feature_gradient_matches_finite_differences(self):
+        # two layers and two relations: the gradient reaches the features
+        # through layer 1's sums and both layers' center rows
+        rng = np.random.default_rng(8)
+        n = 14
+        g = RelationalGraph.from_edge_lists(n, [rng.integers(0, n, size=(2 * n, 2)) for _ in range(2)])
+        labels = np.array([1, 0] * (n // 2))
+        table = NodeTable(0.5 * rng.normal(size=(n, 3)), labels, np.zeros(n, dtype=np.int64))
+        model = PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=2, num_relations=2), seed=8)
+        for p in model.parameters().values():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        partition = PartitionIndex.from_table(g, table)
+        center = 0
+        # grad_check perturbs a row-major view, so it needs a C-order copy
+        feats = nd.Tensor(np.array(table.features, order="C"), requires_grad=True)
+        report = nd.grad_check(lambda: nd.mean(model_forward(model, g, partition, feats, np.array([center]))),
+                               {"features": feats}, tolerance=1e-6)
+        assert report.passed, str(report)
+        assert np.count_nonzero(feats.grad) > 20
+
+        def score(shift):
+            return float(model_forward(model, g, partition, table.features + shift, np.array([center])).data[0])
+
+        neighbors = np.unique(np.concatenate([g.neighbors(r, center) for r in range(2)]))
+        got = influence(model, g, table, center, partition=partition)
+        for value, cls in zip(got, (1, 0)):
+            rows = neighbors[labels[neighbors] == cls]
+            assert rows.size and value != 0.0
+            step = np.zeros((n, 3))
+            step[rows] = 1e-6
+            assert abs(value - (score(step) - score(-step)) / 2e-6) < 1e-6 * max(1.0, abs(value))
 
     def test_zero_model_has_zero_influence(self):
         g, table, model, _ = self.chain_fixture()

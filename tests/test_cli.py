@@ -360,6 +360,21 @@ class TestEvalAndInfluence:
         sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **change)))
         assert rejected(capsys, "eval", run) == f"{run / 'checkpoint'}: {message}"
 
+    @pytest.mark.parametrize("command", ["eval", "influence"])
+    def test_bundle_of_another_shape_exits_2_naming_bundle_and_checkpoint(self, run_dir, tmp_path, capsys,
+                                                                          command):
+        other = tmp_path / "bundle-d6"
+        assert main(["synth", "--out", str(other), "--n", "80", "--m-attach", "2", "--d", "6"]) == 0
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        config = json.loads((run / "config.json").read_text())
+        config["resolved"]["bundle"] = str(other)
+        (run / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        error = rejected(capsys, command, run)
+        assert str(other) in error and str(run / "checkpoint") in error
+        assert "feature_dim 6" in error and "feature_dim 4" in error
+
     def test_unknown_split_exits_2_naming_it(self, run_dir, capsys):
         error = rejected(capsys, "influence", run_dir, "--split", "bogus")
         assert error == "unknown split 'bogus', expected one of train, val, test"
@@ -379,6 +394,26 @@ class TestEvalAndInfluence:
 
         error = self.damaged_run(run_dir, tmp_path, "params.bin", flip_one_bit)
         assert "sha256" in error
+
+
+# Every file a bundle or a run holds that is read as raw rows or bytes.
+READ_AS_DATA = ("labels.csv", "splits.csv", "edges_r0.csv", "features.csv", "features.f32", "checkpoint/params.bin")
+
+
+@pytest.mark.parametrize("name", READ_AS_DATA)
+def test_directory_in_place_of_a_file_exits_2_naming_it(bundle_dir, run_dir, tmp_path, capsys, name):
+    if name.startswith("checkpoint/"):
+        shutil.copytree(run_dir, tmp_path / "run")
+        path, argv = tmp_path / "run" / name, ["eval", tmp_path / "run"]
+    else:
+        shutil.copytree(bundle_dir, tmp_path / "bundle")
+        path, argv = tmp_path / "bundle" / name, ["validate", tmp_path / "bundle"]
+        if name == "features.f32":
+            (tmp_path / "bundle" / "features.csv").unlink()
+    if path.exists():
+        path.unlink()
+    path.mkdir()
+    assert str(path) in rejected(capsys, *argv)
 
 
 class TestSpectral:

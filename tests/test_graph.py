@@ -164,6 +164,23 @@ class TestNodeTable:
         with pytest.raises(ValueError):
             t.labels[0] = 1
 
+    def test_owns_copies_and_leaves_the_callers_arrays_writeable(self):
+        features = np.array([[0.0, 1.0], [2.0, 3.0]])
+        labels, splits = np.array([0, 1], dtype=np.int8), np.array([0, 0], dtype=np.int8)
+        t = NodeTable(features, labels, splits)
+        for given in (features, labels, splits):
+            assert given.flags.writeable
+            given[0] = 1
+        np.testing.assert_array_equal(t.features, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(t.labels, [0, 1])
+        np.testing.assert_array_equal(t.splits, [0, 0])
+        assert not (t.features.flags.writeable or t.labels.flags.writeable or t.splits.flags.writeable)
+
+    def test_features_are_column_major_float64(self):
+        t = make_table([[0, 1], [2, 3]], [0, 1], [0, 0])
+        assert t.features.dtype == np.float64 and t.features.flags.f_contiguous
+        assert np.shares_memory(np.ascontiguousarray(t.features.T), t.features)
+
 
 class TestPartitionIndex:
     def brute_partition(self, g, r, labels, train, u):

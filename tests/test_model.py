@@ -11,7 +11,7 @@ from pmpfraud.graph import PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward
 
-from .reference import naive_model_forward
+from .reference import frontier_model_forward, naive_model_forward
 
 VARIANTS = [
     LayerVariant(False, False, False),
@@ -79,6 +79,19 @@ class TestForward:
             got = model_forward(model, g, idx, x, batch)
             want = naive_model_forward(model, g, idx, x, batch)
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_gathered_frontier_oracle(self, variant, num_layers, order):
+        # layer 1 sums straight from the table, in either memory order,
+        # exactly as it did from a gathered copy of the layer-0 frontier
+        rng = np.random.default_rng(13)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=num_layers, variant=variant)
+        batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
+        got = model_forward(model, g, idx, np.asarray(x, order=order), batch)
+        want = frontier_model_forward(model, g, idx, x, batch)
+        np.testing.assert_array_equal(got.data, want.data)
 
     def test_frontier_restriction_matches_whole_graph(self):
         # scores of a small batch equal the same rows of a full-graph pass

@@ -2,6 +2,7 @@
 differences, plus the structural guarantees of the reverse pass."""
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -340,6 +341,58 @@ class TestReversePass:
         x = nd.Tensor(np.ones(3))
         with pytest.raises(ValueError):
             nd.backward(nd.mean(nd.relu(x)))
+
+
+class TestNoGrad:
+    def test_records_nothing_and_keeps_finiteness_check(self):
+        w = nd.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        with nd.no_grad():
+            out = nd.relu(nd.matmul(nd.Tensor(np.ones((3, 1))), w))
+            with pytest.raises(nd.NonFiniteError):
+                nd.affine(w, np.inf)
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+        np.testing.assert_array_equal(out.data, np.maximum(np.ones((3, 1)) @ w.data, 0.0))
+        assert nd.relu(w)._parents == (w,)
+
+    def test_backward_from_a_no_grad_output_raises(self):
+        w = nd.Tensor(np.array([0.5, 1.5]), requires_grad=True)
+        with nd.no_grad():
+            out = nd.mean(nd.sigmoid(w))
+        with pytest.raises(ValueError, match="does not depend on any gradient-enabled tensor"):
+            nd.backward(out)
+
+    def test_scope_is_restored_after_an_error_and_when_nested(self):
+        w = nd.Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(nd.NonFiniteError):
+            with nd.no_grad():
+                nd.affine(w, np.nan)
+        assert nd.relu(w).requires_grad
+        with nd.no_grad():
+            with nd.no_grad():
+                assert not nd.relu(w).requires_grad
+            assert not nd.relu(w).requires_grad
+        assert nd.relu(w).requires_grad
+
+    def test_scope_in_one_thread_does_not_stop_recording_in_another(self):
+        w = nd.Tensor(np.ones(2), requires_grad=True)
+        entered, checked = threading.Event(), threading.Event()
+        inside = []
+
+        def score():
+            with nd.no_grad():
+                entered.set()
+                checked.wait(timeout=30)
+                inside.append(nd.relu(w).requires_grad)
+
+        worker = threading.Thread(target=score)
+        worker.start()
+        assert entered.wait(timeout=30)
+        recorded = nd.relu(w)
+        checked.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert recorded.requires_grad and recorded._parents == (w,)
+        assert inside == [False]
 
 
 class TestErrors:

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pmpfraud import ndiff as nd
+from pmpfraud import ndiff as nd, training
 from pmpfraud.graph import NodeTable, PartitionIndex
 from pmpfraud.layer import LayerVariant
-from pmpfraud.model import ModelConfig, PmpModel
+from pmpfraud.model import ModelConfig, PmpModel, model_forward
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
 from pmpfraud.training import (
     Adam,
@@ -272,6 +272,27 @@ class TestEvaluate:
         model = small_model(table2, seed=11)
         with pytest.raises(ValueError, match="val"):
             evaluate(model, g, table2, "val")
+
+    def test_scores_record_no_graph_and_equal_a_taped_loop(self, monkeypatch):
+        g, table = small_dataset(seed=13)
+        cfg = ModelConfig(feature_dim=table.feature_dim, hidden_dim=6, num_layers=2)
+        model = PmpModel(cfg, seed=13)
+        partition = PartitionIndex.from_table(g, table)
+        ids = np.random.default_rng(13).permutation(g.num_nodes)
+        taped = [model_forward(model, g, partition, table.features, ids[s : s + 7]) for s in range(0, ids.size, 7)]
+        assert all(z.requires_grad and z._parents for z in taped)
+        outputs = []
+
+        def spy(*args, **kwargs):
+            outputs.append(model_forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(training, "model_forward", spy)
+        scores = forward_scores(model, g, partition, table.features, ids, batch_size=7)
+        np.testing.assert_array_equal(scores, np.concatenate([z.data for z in taped]))
+        assert len(outputs) == len(taped)
+        assert not any(z.requires_grad or z._parents or z._vjp for z in outputs)
+        assert model_forward(model, g, partition, table.features, ids[:3]).requires_grad
 
     def test_chunked_scores_match_single_pass(self):
         g, table = small_dataset(seed=12)
