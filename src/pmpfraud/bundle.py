@@ -11,7 +11,10 @@ A bundle holds one dataset:
 
 The meta.json sizes must be positive JSON integers; they are checked, not
 coerced. labels.csv and splits.csv share one per-node reader, which requires
-every node exactly once; split names become codes as they are parsed.
+every node exactly once; split names become codes as they are parsed. The
+edge, label and split CSVs must have their header line; one with nothing
+below it has no rows, so a header-only edges file is a relation with no
+edges.
 Loaders validate counts, ranges, and finiteness, and raise BundleError
 naming the offending file.
 """
@@ -37,15 +40,27 @@ class BundleError(ValueError):
 
 
 def _load_int_csv(path: str, converters=None) -> np.ndarray:
-    """The rows below the header of a two-column integer CSV; ``converters`` as for ``np.loadtxt``."""
+    """The rows below the header of a two-column integer CSV; ``converters`` as for ``np.loadtxt``.
+
+    A file with a header line and no rows below it has 0 rows; a file
+    without even a header line is an error.
+    """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, converters=converters)
+        # Peek before parsing: np.loadtxt warns on stderr when it finds no rows.
+        with open(path) as fh:
+            has_header = bool(fh.readline())
+            has_rows = any(line.strip() for line in iter(fh.readline, ""))
+        data = np.empty((0, 2), dtype=np.int64)
+        if has_rows:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, converters=converters)
     except FileNotFoundError:
         raise BundleError(f"missing file: {path}") from None
     except OSError as err:
         raise BundleError(f"{path}: cannot read: {err}") from None
     except ValueError as err:
         raise BundleError(f"{path}: {err}" + (f" ({err.__cause__})" if err.__cause__ else "")) from err
+    if not has_header:
+        raise BundleError(f"{path}: empty file, expected a header line")
     if data.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if data.shape[1] != 2:

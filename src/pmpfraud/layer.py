@@ -32,6 +32,7 @@ __all__ = [
     "LayerVariant",
     "PmpLayerParams",
     "alpha_gate",
+    "bucket_sums",
     "aggregate_segments",
     "layer_forward",
 ]
@@ -122,33 +123,53 @@ def _bucket_term(S: nd.Tensor, h_centers: nd.Tensor, M: nd.Tensor, B: nd.Tensor,
     return nd.matmul(S, M)
 
 
-def aggregate_segments(
-    params: PmpLayerParams,
+def bucket_sums(
     variant: LayerVariant,
+    h_prev: nd.Tensor,
     members: np.ndarray,
     seg_ids: np.ndarray,
     bucket: np.ndarray,
-    h_prev: nd.Tensor,
-    h_centers: nd.Tensor,
-    h_gate: nd.Tensor,
+    num_centers: int,
 ) -> nd.Tensor:
-    """Bucketed neighbor aggregation over the centers' flattened neighborhoods.
+    """Bucket-sum table of ``num_centers`` centers' flattened neighborhoods.
 
     ``members`` index rows of ``h_prev`` and list each center's neighbors
     in turn, ``seg_ids`` give each member's center position, and
     ``bucket`` each member's bucket (0 fraud, 1 benign, 2 unlabeled).
-    ``h_centers`` is the centers' representation used by the weight
-    generators; ``h_gate`` is the (pre-dropout) representation feeding the
-    blend gate. Empty buckets contribute exact zeros.
+    Partitioned, the table is [3k, d] and row b * k + c holds the sum over
+    center c's bucket-b neighbors; the baseline's is [k, d], one row per
+    center over all its neighbors. Each row adds its members in listed
+    order from 0.0, so a row depends only on its center's own neighbor
+    list: a table over every node equals, bitwise, one over any batch.
+    Empty buckets are exact zeros.
     """
-    k = h_centers.shape[0]
     if not variant.partition_enabled:
         # Stable: each center adds its fraud, benign, then unlabeled run in CSR order.
         order = np.argsort(bucket, kind="stable")
-        return nd.matmul(nd.gather_segment_sum(h_prev, members[order], seg_ids[order], k), params.M_fr)
+        return nd.gather_segment_sum(h_prev, members[order], seg_ids[order], num_centers)
     # Segment bucket * k + center; center-major members add in ascending id.
-    S = nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * k + seg_ids, 3 * k)
-    S_fr, S_be, S_un = (nd.gather_rows(S, np.arange(b * k, (b + 1) * k)) for b in range(3))
+    return nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * num_centers + seg_ids, 3 * num_centers)
+
+
+def aggregate_segments(
+    params: PmpLayerParams,
+    variant: LayerVariant,
+    sums: nd.Tensor,
+    rows: np.ndarray,
+    h_centers: nd.Tensor,
+    h_gate: nd.Tensor,
+) -> nd.Tensor:
+    """Bucketed neighbor aggregation of the centers whose sums sit at
+    ``rows`` of each bucket block of a ``bucket_sums`` table.
+
+    ``h_centers`` is the centers' representation used by the weight
+    generators; ``h_gate`` is the (pre-dropout) representation feeding the
+    blend gate.
+    """
+    if not variant.partition_enabled:
+        return nd.matmul(nd.gather_rows(sums, rows), params.M_fr)
+    block = sums.shape[0] // 3
+    S_fr, S_be, S_un = (nd.gather_rows(sums, b * block + rows) for b in range(3))
     rs = variant.root_specific_enabled
     if variant.adaptive_combination_enabled:
         a = alpha_gate(params, h_gate)
@@ -164,20 +185,19 @@ def aggregate_segments(
 def layer_forward(
     params: PmpLayerParams,
     variant: LayerVariant,
-    members: np.ndarray,
-    seg_ids: np.ndarray,
-    bucket: np.ndarray,
-    h_prev: nd.Tensor,
+    sums: nd.Tensor,
+    rows: np.ndarray,
     h_centers: nd.Tensor,
     h_gate: nd.Tensor,
     use_relu: bool = True,
 ) -> nd.Tensor:
     """Self transformation plus neighbor aggregation, then activation.
 
-    Dropout is applied by the caller, which needs both the pre and post
-    dropout outputs (the gate of the next layer reads the pre-dropout
-    one).
+    ``sums`` and ``rows`` locate the centers' bucket sums as for
+    ``aggregate_segments``. Dropout is applied by the caller, which needs
+    both the pre and post dropout outputs (the gate of the next layer reads
+    the pre-dropout one).
     """
     self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
-    out = nd.add(self_term, aggregate_segments(params, variant, members, seg_ids, bucket, h_prev, h_centers, h_gate))
+    out = nd.add(self_term, aggregate_segments(params, variant, sums, rows, h_centers, h_gate))
     return nd.relu(out) if use_relu else out

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import ndiff as nd
 from .graph import PartitionIndex, RelationalGraph
-from .layer import LayerVariant, PmpLayerParams, layer_forward
+from .layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
 
-__all__ = ["ModelConfig", "PmpModel", "model_forward", "loss"]
+__all__ = ["ModelConfig", "PmpModel", "layer_one_sums", "model_forward", "loss"]
 
 _MODEL_SIDECAR = "model.json"
 
@@ -116,6 +116,27 @@ class PmpModel:
         return model
 
 
+def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features, variant: LayerVariant) -> list:
+    """Layer 1's bucket-sum table over every node, one tensor per relation.
+
+    Layer 1 sums raw features, so its bucket sums depend on the graph, the
+    train-label partition and the features, never on the weights: one
+    table serves every batch and scoring chunk of a pass. Partitioned
+    variants get [3n, d] tables, row b * n + i holding node i's bucket-b
+    sum; the baseline's are [n, d]. The CSR lists each node's neighbors in
+    the order a batch lists them, so every row is bitwise the sum
+    ``model_forward`` would make for that node on its own.
+    """
+    feats = features if isinstance(features, nd.Tensor) else nd.Tensor(features)
+    n = graph.num_nodes
+    tables = []
+    for r in range(graph.num_relations):
+        members = graph.col_indices[r]
+        owner = np.repeat(np.arange(n, dtype=np.int64), graph.degrees(r))
+        tables.append(bucket_sums(variant, feats, members, owner, partition.bucket[members], n))
+    return tables
+
+
 def model_forward(
     model: PmpModel,
     graph: RelationalGraph,
@@ -127,22 +148,31 @@ def model_forward(
     epoch: int = 0,
     batch_index: int = 0,
     dropout_p: float = 0.0,
+    sums: list | None = None,
 ) -> nd.Tensor:
     """Fraud probabilities for ``batch``, strictly inside (0, 1).
 
     Representations are computed on demand for each layer's centers, so
-    cost scales with the batch neighborhood, not the graph. Layer 1 sums
-    straight from the feature table, whose rows its members and centers
-    index by node id; a column-major table, as ``NodeTable`` stores it, is
-    summed without a transposed copy. Each layer l >= 2 reads layer l - 1's
-    output over the one-hop frontier of its centers. Neighborhoods are
-    listed once per layer: the same members mark the frontier and feed the
-    aggregation. Frontiers come from marking ids in a node mask, and ids
-    map to frontier rows through a dense lookup table, so neither step sorts.
-    ``batch`` may be unsorted and repeat ids; score i belongs to batch[i].
-    ``features`` may be a gradient-enabled tensor for sensitivity
-    analysis. With ``training`` on and ``dropout_p`` > 0, dropout follows
-    each layer; its masks are keyed by (seed, relation, layer, epoch,
+    cost scales with the batch neighborhood, not the graph. Every layer
+    reads its centers' bucket sums from a ``bucket_sums`` table. Layer 1's
+    is ``sums``, the whole-graph tables of ``layer_one_sums`` for these
+    graph, partition, features and variant, when the caller built them
+    once for a pass of many batches; layer 1 then lists no neighborhoods
+    and sums nothing, and only gathers its centers' rows. Without
+    ``sums`` layer 1 sums its own centers' neighborhoods straight from the
+    feature table, whose rows its members and centers index by node id; a
+    column-major table, as ``NodeTable`` stores it, is summed without a
+    transposed copy. Both give bitwise the same scores. Each layer l >= 2
+    sums layer l - 1's output over the one-hop frontier of its centers.
+    Neighborhoods are listed once per layer: the same members mark the
+    frontier and feed the aggregation. Frontiers come from marking ids in
+    a node mask, and ids map to frontier rows through a dense lookup
+    table, so neither step sorts. ``batch`` may be unsorted and repeat
+    ids; score i belongs to batch[i]. ``features`` may be a
+    gradient-enabled tensor for sensitivity analysis; a shared table
+    carries no gradient back to it, so such callers pass no ``sums``.
+    With ``training`` on and ``dropout_p`` > 0, dropout follows each
+    layer; its masks are keyed by (seed, relation, layer, epoch,
     batch_index) and replay exactly.
     """
     cfg = model.config
@@ -156,15 +186,20 @@ def model_forward(
     feats = features if isinstance(features, nd.Tensor) else nd.Tensor(features)
     if feats.shape != (graph.num_nodes, cfg.feature_dim):
         raise ValueError(f"features must be [{graph.num_nodes}, {cfg.feature_dim}]")
+    if sums is not None:
+        shape = ((3 if cfg.variant.partition_enabled else 1) * graph.num_nodes, cfg.feature_dim)
+        if len(sums) != cfg.num_relations or any(t.shape != shape for t in sums):
+            raise ValueError(f"sums must be {cfg.num_relations} layer-one table(s) of shape {list(shape)}")
 
     # Row of each frontier node (layers 2 and up); entries outside the current frontier are stale.
     row_of = np.empty(graph.num_nodes, dtype=np.int64)
+    listed = 1 if sums is None else 2  # the lowest layer that lists its centers' neighborhoods
     per_relation = []
     for r in range(cfg.num_relations):
         fronts = [None] * (cfg.num_layers + 1)
         hoods = [None] * (cfg.num_layers + 1)
         fronts[cfg.num_layers] = batch
-        for l in range(cfg.num_layers, 0, -1):
+        for l in range(cfg.num_layers, listed - 1, -1):
             hoods[l] = graph.neighbor_segments(r, fronts[l])
             if l > 1:
                 mark = np.zeros(graph.num_nodes, dtype=bool)
@@ -173,18 +208,22 @@ def model_forward(
                 fronts[l - 1] = np.flatnonzero(mark)
         h = h_gate_src = feats
         for l in range(1, cfg.num_layers + 1):
-            (members, seg_ids), centers = hoods[l], fronts[l]
-            bucket = partition.bucket[members]  # by node id, before the remap to rows
-            if l > 1:
-                row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
-                members, centers = row_of[members], row_of[centers]
+            centers = fronts[l]
+            if l < listed:
+                table, rows = sums[r], centers
+            else:
+                members, seg_ids = hoods[l]
+                bucket = partition.bucket[members]  # by node id, before the remap to rows
+                if l > 1:
+                    row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
+                    members, centers = row_of[members], row_of[centers]
+                table = bucket_sums(cfg.variant, h, members, seg_ids, bucket, centers.size)
+                rows = np.arange(centers.size)
             act = layer_forward(
                 model.layers[r][l - 1],
                 cfg.variant,
-                members,
-                seg_ids,
-                bucket,
-                h,
+                table,
+                rows,
                 nd.gather_rows(h, centers),
                 nd.gather_rows(h_gate_src, centers),
                 use_relu=(l < cfg.num_layers),

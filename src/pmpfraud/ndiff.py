@@ -529,19 +529,21 @@ def grad_check(function, parameters: dict, tolerance: float = 1e-4) -> GradCheck
 
     per_block = {}
     for name, p in parameters.items():
-        flat = p.data.reshape(-1)
-        aflat = analytic[name].reshape(-1)
         worst = 0.0
-        for i in range(flat.size):
-            x0 = flat[i]
+        # By multi-index into ``p.data`` itself: a flat reshape of a
+        # parameter that is not C-contiguous would be a copy, and perturbing
+        # it would never reach ``function``.
+        for idx in np.ndindex(p.data.shape):
+            x0 = p.data[idx]
             h = 1e-6 * max(1.0, abs(x0))
-            flat[i] = x0 + h
+            p.data[idx] = x0 + h
             f_plus = float(function().data)
-            flat[i] = x0 - h
+            p.data[idx] = x0 - h
             f_minus = float(function().data)
-            flat[i] = x0
+            p.data[idx] = x0
             fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]), abs(fd))
+            a = analytic[name][idx]
+            rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
             if rel > worst:
                 worst = rel
         per_block[name] = worst

@@ -10,6 +10,18 @@ Training batches record a reverse graph for the Adam step. Scoring
 (``forward_scores``, which serves the per-epoch validation pass and
 ``evaluate``) needs no gradients and runs under ``ndiff.no_grad()``, so it
 records none; the scores are bitwise those of a recorded forward.
+
+A model of two or more layers sums layer 1 from one table per pass.
+Layer 1 sums raw features by bucket, which depends on the graph, the
+partition and the features but not on the weights, so ``train`` builds
+``model.layer_one_sums`` once per call and every batch and every
+validation pass gathers its rows from it; ``forward_scores`` builds one
+per call and shares it across its chunks. Without it, each batch of a
+deep model re-sums layer 1 over its whole one-hop frontier, most of the
+graph. A one-layer model builds none: its only layer's centers are the
+batch itself, so each center's sums are read once per pass either way,
+and a whole-graph table would add the sums of nodes no batch asks for and
+hold 3 * d floats per node and relation.
 """
 from __future__ import annotations
 
@@ -23,7 +35,7 @@ from . import graph as graph_mod
 from . import metrics as metrics_mod
 from . import ndiff as nd
 from .graph import NodeTable, RelationalGraph
-from .model import PmpModel, loss as loss_fn, model_forward
+from .model import PmpModel, layer_one_sums, loss as loss_fn, model_forward
 from .ndiff import check_setting
 
 __all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "run_epoch", "train", "evaluate", "forward_scores"]
@@ -124,34 +136,49 @@ class History:
         nd.write_csv_atomic(path, "epoch,train_loss,val_auc", rows, meta_line)
 
 
+def _pass_sums(model: PmpModel, graph: RelationalGraph, partition, features):
+    """Layer 1's shared bucket-sum tables for one pass, or None for a
+    one-layer model, whose batches are its only layer's centers and gain
+    nothing from a whole-graph table (see the module docstring)."""
+    if model.config.num_layers < 2:
+        return None
+    return layer_one_sums(graph, partition, features, model.config.variant)
+
+
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,
-                   batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
+                   batch_size: int = EVAL_BATCH_SIZE, sums: list | None = None) -> np.ndarray:
     """Deterministic probabilities for a node list, computed in chunks.
 
     Scoring runs under ``ndiff.no_grad()``: no chunk records a reverse graph.
+    ``sums`` are layer 1's tables from ``layer_one_sums`` over the same
+    inputs; without them a model of two or more layers builds them once
+    here and shares them across the chunks.
     """
     out = np.empty(ids.size, dtype=np.float64)
     with nd.no_grad():
+        if sums is None:
+            sums = _pass_sums(model, graph, partition, features)
         for start in range(0, ids.size, batch_size):
             chunk = ids[start : start + batch_size]
-            z = model_forward(model, graph, partition, features, chunk, training=False)
+            z = model_forward(model, graph, partition, features, chunk, training=False, sums=sums)
             out[start : start + chunk.size] = z.data
     return out
 
 
-def _val_auc(model, graph, partition, table: NodeTable) -> float:
+def _val_auc(model, graph, partition, table: NodeTable, sums) -> float:
     ids = table.split_ids("val")
     labels = table.labels[ids]
     if ids.size == 0 or (labels == 1).sum() == 0 or (labels == 0).sum() == 0:
         return math.nan
-    scores = forward_scores(model, graph, partition, table.features, ids)
+    scores = forward_scores(model, graph, partition, table.features, ids, sums=sums)
     return metrics_mod.auc(scores, labels)
 
 
 def run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTable, config: TrainConfig,
-              opt: Adam, tape: nd.GradientTape, perm: np.ndarray, epoch: int) -> float:
+              opt: Adam, tape: nd.GradientTape, perm: np.ndarray, epoch: int, sums: list | None = None) -> float:
     """One pass over ``perm`` in batches of ``config.batch_size``, one Adam
-    step per batch; returns the example-weighted mean train loss.
+    step per batch; returns the example-weighted mean train loss. Every
+    batch reads layer 1 from ``sums`` when given (see ``model_forward``).
 
     ``model_forward`` and ``loss_fn`` are looked up as globals of this
     module, so a wrapper set on it (``perfbench/tracing.py``) sees every
@@ -163,7 +190,7 @@ def run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTab
         try:
             probs = model_forward(
                 model, graph, partition, table.features, batch, training=True,
-                seed=config.seed, epoch=epoch, batch_index=batch_index, dropout_p=config.dropout_p,
+                seed=config.seed, epoch=epoch, batch_index=batch_index, dropout_p=config.dropout_p, sums=sums,
             )
             batch_loss = loss_fn(probs, table.labels, batch, pos_weight=config.pos_weight)
             opt.step(tape.gradients(batch_loss))
@@ -182,6 +209,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
     kept, with NaN recorded in the history.
     """
     partition = graph_mod.PartitionIndex.from_table(graph, table)
+    sums = _pass_sums(model, graph, partition, table.features)
     params = model.parameters()
     opt = Adam(params, config.learning_rate, config.weight_decay)
     tape = nd.GradientTape(params)
@@ -194,9 +222,9 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(train_ids)
-        train_loss = run_epoch(model, graph, partition, table, config, opt, tape, perm, epoch)
+        train_loss = run_epoch(model, graph, partition, table, config, opt, tape, perm, epoch, sums)
         try:
-            val_auc = _val_auc(model, graph, partition, table)
+            val_auc = _val_auc(model, graph, partition, table, sums)
         except nd.NonFiniteError as err:
             raise TrainingDiverged(epoch, -1, str(err)) from err
         history.append(epoch, train_loss, val_auc)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from pmpfraud import ndiff as nd
-from pmpfraud.layer import layer_forward
+from pmpfraud.layer import bucket_sums, layer_forward
 
 
 def reference_csr(num_nodes, edge_lists):
@@ -207,10 +207,11 @@ def frontier_model_forward(model, graph, partition, features, batch):
         for l in range(1, cfg.num_layers + 1):
             members, seg_ids = hoods[l - 1]
             pos = np.searchsorted(fronts[l - 1], fronts[l])
+            sums = bucket_sums(cfg.variant, h, np.searchsorted(fronts[l - 1], members), seg_ids,
+                               partition.bucket[members], pos.size)
             h = layer_forward(
-                model.layers[r][l - 1], cfg.variant, np.searchsorted(fronts[l - 1], members), seg_ids,
-                partition.bucket[members], h, nd.gather_rows(h, pos), nd.gather_rows(h, pos),
-                use_relu=(l < cfg.num_layers),
+                model.layers[r][l - 1], cfg.variant, sums, np.arange(pos.size),
+                nd.gather_rows(h, pos), nd.gather_rows(h, pos), use_relu=(l < cfg.num_layers),
             )
         per_relation.append(h)
     cat = nd.concat(per_relation, axis=1)

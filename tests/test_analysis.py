@@ -244,8 +244,8 @@ class TestInfluence:
             p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
         partition = PartitionIndex.from_table(g, table)
         center = 0
-        # grad_check perturbs a row-major view, so it needs a C-order copy
-        feats = nd.Tensor(np.array(table.features, order="C"), requires_grad=True)
+        # a column-major copy, as NodeTable stores them
+        feats = nd.Tensor(np.array(table.features, order="F"), requires_grad=True)
         report = nd.grad_check(lambda: nd.mean(model_forward(model, g, partition, feats, np.array([center]))),
                                {"features": feats}, tolerance=1e-6)
         assert report.passed, str(report)

@@ -145,6 +145,34 @@ class TestSynthAndValidate:
         proc = run_cli("validate", str(tmp_path / "nope"), expect=2)
         assert stderr_payload(proc)["kind"] == "BundleError"
 
+    def test_header_only_edge_file_is_a_relation_without_edges(self, bundle_dir, tmp_path):
+        shutil.copytree(bundle_dir, tmp_path / "bundle")
+        (tmp_path / "bundle" / "edges_r0.csv").write_text("src,dst\n")
+        proc = run_cli("validate", str(tmp_path / "bundle"))
+        assert json.loads(proc.stdout)["edges"] == [0]
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("name", ["edges_r0.csv", "labels.csv", "splits.csv"])
+    def test_file_without_a_header_line_exits_2_naming_it(self, bundle_dir, tmp_path, name):
+        shutil.copytree(bundle_dir, tmp_path / "bundle")
+        path = tmp_path / "bundle" / name
+        path.write_bytes(b"")
+        proc = run_cli("validate", str(tmp_path / "bundle"), expect=EXIT_VALIDATION)
+        payload = stderr_payload(proc)
+        assert payload["kind"] == "BundleError" and str(path) in payload["error"]
+        assert "header" in payload["error"]
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["labels.csv", "splits.csv"])
+    def test_header_only_node_file_has_no_rows(self, bundle_dir, tmp_path, name):
+        shutil.copytree(bundle_dir, tmp_path / "bundle")
+        path = tmp_path / "bundle" / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        proc = run_cli("validate", str(tmp_path / "bundle"), expect=EXIT_VALIDATION)
+        error = stderr_payload(proc)["error"]
+        assert error == f"{path}: row-count mismatch, expected 80 rows, got 0"
+        assert len(proc.stderr.strip().splitlines()) == 1
+
 
 class TestTrain:
     def test_artifacts(self, run_dir):

@@ -4,7 +4,7 @@ import pytest
 
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import PartitionIndex, RelationalGraph
-from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, layer_forward
+from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, bucket_sums, layer_forward
 
 from .reference import add_at_rows, benign_neighbors, fraud_neighbors, unlabeled_neighbors
 
@@ -13,19 +13,23 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _batch_sums(variant, partition, relation, h, batch):
+    members, seg_ids = partition.graph.neighbor_segments(relation, batch)
+    return bucket_sums(variant, h, members, seg_ids, partition.bucket[members], batch.size), np.arange(batch.size)
+
+
 def aggregate(params, variant, partition, relation, h, batch):
     """Neighbor aggregation for ``batch`` with ``h`` holding one row per node."""
     h_c = nd.gather_rows(h, batch)
-    members, seg_ids = partition.graph.neighbor_segments(relation, batch)
-    return aggregate_segments(params, variant, members, seg_ids, partition.bucket[members], h, h_c, h_c)
+    sums, rows = _batch_sums(variant, partition, relation, h, batch)
+    return aggregate_segments(params, variant, sums, rows, h_c, h_c)
 
 
 def forward(params, variant, partition, relation, h, batch, use_relu=True):
     """Whole layer (self term, aggregation, activation) for ``batch``."""
     h_c = nd.gather_rows(h, batch)
-    members, seg_ids = partition.graph.neighbor_segments(relation, batch)
-    bucket = partition.bucket[members]
-    return layer_forward(params, variant, members, seg_ids, bucket, h, h_c, h_c, use_relu=use_relu)
+    sums, rows = _batch_sums(variant, partition, relation, h, batch)
+    return layer_forward(params, variant, sums, rows, h_c, h_c, use_relu=use_relu)
 
 
 def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pmpfraud import ndiff as nd
-from pmpfraud.graph import PartitionIndex, RelationalGraph
+from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
-from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward
+from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward
 
 from .reference import frontier_model_forward, naive_model_forward
 
@@ -182,6 +182,90 @@ class TestForward:
         g2 = RelationalGraph.from_edge_lists(g.num_nodes, [[(0, 1)], [(1, 2)]])
         with pytest.raises(ValueError):
             model_forward(model, g2, idx, x, np.array([0]))
+
+
+# The four variants of the paper's ablation: full, baseline, adaptive
+# combination off, root-specific weights off.
+ABLATION = [VARIANTS[4], VARIANTS[0], VARIANTS[3], VARIANTS[2]]
+
+
+class TestLayerOneSums:
+    @pytest.mark.parametrize("variant", ABLATION, ids=lambda v: repr(tuple(v.to_dict().values())))
+    @pytest.mark.parametrize("num_relations", [1, 2])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_shared_table_scores_bitwise_equal_to_frontier_oracle(self, variant, num_relations, num_layers):
+        rng = np.random.default_rng(21)
+        g, idx, labels, model, x = random_instance(
+            rng, num_relations=num_relations, num_layers=num_layers, variant=variant
+        )
+        batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
+        sums = layer_one_sums(g, idx, x, variant)
+        shared = model_forward(model, g, idx, x, batch, sums=sums)
+        own = model_forward(model, g, idx, x, batch)
+        want = frontier_model_forward(model, g, idx, x, batch)
+        np.testing.assert_array_equal(shared.data, want.data)
+        np.testing.assert_array_equal(own.data, want.data)
+
+    @pytest.mark.parametrize("variant", ABLATION, ids=lambda v: repr(tuple(v.to_dict().values())))
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_shared_table_gradients_bitwise_equal_to_own_sums(self, variant, dropout_p):
+        rng = np.random.default_rng(22)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2, variant=variant)
+        batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
+        tape = nd.GradientTape(model.parameters())
+        kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
+        runs = []
+        for sums in (None, layer_one_sums(g, idx, x, variant)):
+            probs = model_forward(model, g, idx, x, batch, sums=sums, **kw)
+            runs.append((probs.data, tape.gradients(loss(probs, labels, batch))))
+        (p_own, g_own), (p_shared, g_shared) = runs
+        np.testing.assert_array_equal(p_shared, p_own)
+        for name in g_own:
+            np.testing.assert_array_equal(g_shared[name], g_own[name], err_msg=name)
+
+    @pytest.mark.parametrize("variant", ABLATION, ids=lambda v: repr(tuple(v.to_dict().values())))
+    def test_rows_are_each_nodes_own_bucket_sums(self, variant):
+        rng = np.random.default_rng(23)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, variant=variant)
+        n = g.num_nodes
+        for r, table in enumerate(layer_one_sums(g, idx, x, variant)):
+            for i in range(n):
+                nbrs = g.neighbors(r, i)
+                if variant.partition_enabled:
+                    for b in range(3):
+                        want = sum((x[j] for j in nbrs[idx.bucket[nbrs] == b]), np.zeros(x.shape[1]))
+                        np.testing.assert_allclose(table.data[b * n + i], want, rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_allclose(table.data[i], x[nbrs].sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_val_and_test_labels_never_reach_the_table(self):
+        rng = np.random.default_rng(24)
+        g, idx, labels, model, x = random_instance(rng, n=40, num_relations=2)
+        splits = rng.integers(0, 3, size=g.num_nodes)
+        splits[:2] = 0
+        held_out = splits != 0
+        flipped = labels.copy()
+        flipped[held_out] = 1 - flipped[held_out]
+        tables = [
+            layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, y, splits)), x, LayerVariant.full())
+            for y in (labels, flipped)
+        ]
+        for a, b in zip(*tables):
+            assert a.data.tobytes() == b.data.tobytes()
+        # a train label does reach it
+        train_flip = labels.copy()
+        train_flip[2:][splits[2:] == 0] ^= 1
+        moved = layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, train_flip, splits)), x,
+                               LayerVariant.full())
+        assert any(a.data.tobytes() != m.data.tobytes() for a, m in zip(tables[0], moved))
+
+    def test_tables_of_the_wrong_shape_are_rejected(self):
+        rng = np.random.default_rng(25)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2)
+        sums = layer_one_sums(g, idx, x, LayerVariant.full())
+        for bad in (sums[:1], layer_one_sums(g, idx, x, LayerVariant.baseline())):
+            with pytest.raises(ValueError, match="sums"):
+                model_forward(model, g, idx, x, np.array([0]), sums=bad)
 
 
 class TestDropout:

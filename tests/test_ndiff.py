@@ -123,6 +123,17 @@ class TestOperatorGradients:
 
         run_op_check({"w1": w1, "w2": w2}, fn)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_major_parameter(self, order):
+        # NodeTable stores features column-major; a flat reshape of such a
+        # parameter is a copy that a perturbation would never reach.
+        rng = np.random.default_rng(15)
+        p = fd_tensor(rng, (3, 2))
+        p.data = np.asarray(p.data, order=order)
+        w = nd.Tensor(rng.normal(size=(2, 4)))
+        run_op_check({"p": p}, lambda: nd.mean(nd.matmul(nd.mul(p, p), w)))
+        assert p.data.flags.f_contiguous == (order == "F")
+
 
 class TestOperatorValues:
     def test_identity_loss_gradient_is_exactly_one(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pmpfraud import ndiff as nd, training
-from pmpfraud.graph import NodeTable, PartitionIndex
+from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, model_forward
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
@@ -238,6 +238,86 @@ class TestTrainLoop:
         assert entries_again == entries
         for k in dropped:
             np.testing.assert_array_equal(again[k], dropped[k])
+
+
+class TestSharedLayerOneSums:
+    """Layer 1's whole-graph bucket sums are built once per pass and change nothing."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count ``layer_one_sums`` builds and record the ``sums`` every
+        ``model_forward`` call receives."""
+        builds, received = [], []
+        build, forward = training.layer_one_sums, training.model_forward
+
+        def counting_build(*args, **kwargs):
+            builds.append(build(*args, **kwargs))
+            return builds[-1]
+
+        def recording_forward(*args, sums=None, **kwargs):
+            received.append(sums)
+            return forward(*args, sums=sums, **kwargs)
+
+        monkeypatch.setattr(training, "layer_one_sums", counting_build)
+        monkeypatch.setattr(training, "model_forward", recording_forward)
+        return builds, received
+
+    def test_train_builds_one_table_and_every_batch_and_val_pass_reads_it(self, monkeypatch):
+        g, table = small_dataset(seed=14)
+        model = PmpModel(ModelConfig(feature_dim=table.feature_dim, hidden_dim=6, num_layers=2), seed=14)
+        builds, received = self.counting(monkeypatch)
+        _, history = train(model, g, table, TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=14))
+        assert len(builds) == 1
+        batches = -(-table.split_ids("train").size // 8)
+        assert len(received) == len(history.entries) * (batches + 1)
+        assert all(sums is builds[0] for sums in received)
+
+    def test_forward_scores_builds_one_table_shared_by_its_chunks(self, monkeypatch):
+        g, table = small_dataset(seed=15)
+        model = PmpModel(ModelConfig(feature_dim=table.feature_dim, hidden_dim=6, num_layers=2), seed=15)
+        partition = PartitionIndex.from_table(g, table)
+        builds, received = self.counting(monkeypatch)
+        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes), batch_size=7)
+        assert len(builds) == 1 and len(received) == -(-g.num_nodes // 7)
+        assert all(sums is builds[0] for sums in received)
+
+    def test_one_layer_models_build_no_table(self, monkeypatch):
+        g, table = small_dataset(seed=16)
+        model = small_model(table, seed=16)
+        partition = PartitionIndex.from_table(g, table)
+        builds, received = self.counting(monkeypatch)
+        train(model, g, table, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=16))
+        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes), batch_size=7)
+        evaluate(model, g, table, "test")
+        assert builds == [] and received and all(sums is None for sums in received)
+
+    @pytest.mark.parametrize("variant", [LayerVariant.full(), LayerVariant.baseline(),
+                                         LayerVariant(True, False, True), LayerVariant(True, True, False)],
+                             ids=["full", "baseline", "adaptive-off", "root-specific-off"])
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    @pytest.mark.parametrize("num_relations", [1, 2])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_training_and_evaluation_bitwise_equal_to_per_batch_sums(self, monkeypatch, variant, num_layers,
+                                                                     num_relations, dropout_p):
+        g, table = small_dataset(seed=17)
+        if num_relations == 2:
+            g2, _ = generate_ba_graph(g.num_nodes, 1, 0.3, seed=18)
+            g = RelationalGraph(g.num_nodes, g.row_offsets + g2.row_offsets, g.col_indices + g2.col_indices)
+        cfg = ModelConfig(feature_dim=table.feature_dim, hidden_dim=5, num_layers=num_layers,
+                          num_relations=num_relations, variant=variant)
+        config = TrainConfig(batch_size=16, max_epochs=3, patience=3, dropout_p=dropout_p, seed=17)
+
+        def run():
+            model, history = train(PmpModel(cfg, seed=17), g, table, config)
+            return model.state(), history, evaluate(model, g, table, "test").auc
+
+        shared = run()
+        monkeypatch.setattr(training, "layer_one_sums", lambda *args: None)
+        own = run()
+        for name, value in own[0].items():
+            assert shared[0][name].tobytes() == value.tobytes(), name
+        assert shared[1].entries == own[1].entries and shared[1].best_epoch == own[1].best_epoch
+        assert shared[2] == own[2]
 
 
 class TestEvaluate:
