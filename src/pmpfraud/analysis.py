@@ -56,10 +56,9 @@ def normalized_laplacian(graph: RelationalGraph, relation: int = 0, cap: int = D
     as zero, so they couple to nothing. Eigenvalues lie in [0, 2].
     """
     n = graph.num_nodes
-    offsets, cols = _resolve_single_relation(graph, relation)
+    rows, cols = _resolve_single_relation(graph, relation)
     _check_cap(n, cap)
     adj = np.zeros((n, n), dtype=np.float64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     adj[rows, cols] = 1.0
     deg = adj.sum(axis=1)
     inv_sqrt = np.zeros(n, dtype=np.float64)

@@ -14,7 +14,8 @@ coerced. labels.csv and splits.csv share one per-node reader, which requires
 every node exactly once; split names become codes as they are parsed. The
 edge, label and split CSVs must have their header line; one with nothing
 below it has no rows, so a header-only edges file is a relation with no
-edges.
+edges. features.csv has no header line, and all four CSVs go through one
+reader, so an empty features.csv is a row-count error.
 Loaders validate counts, ranges, and finiteness, and raise BundleError
 naming the offending file.
 """
@@ -39,20 +40,22 @@ class BundleError(ValueError):
     """A bundle file is missing, malformed, or inconsistent with meta.json."""
 
 
-def _load_int_csv(path: str, converters=None) -> np.ndarray:
-    """The rows below the header of a two-column integer CSV; ``converters`` as for ``np.loadtxt``.
+def _load_csv(path: str, columns: int, header: bool = True, dtype=np.int64, converters=None) -> np.ndarray:
+    """The rows of a ``columns``-column CSV, below its header line when
+    ``header`` is set; ``dtype`` and ``converters`` as for ``np.loadtxt``.
 
-    A file with a header line and no rows below it has 0 rows; a file
-    without even a header line is an error.
+    A file with no rows (only its header line, blank lines or ``#``
+    comments) has 0 rows; a file that should have a header line and is
+    empty is an error.
     """
     try:
         # Peek before parsing: np.loadtxt warns on stderr when it finds no rows.
         with open(path) as fh:
-            has_header = bool(fh.readline())
-            has_rows = any(line.strip() for line in iter(fh.readline, ""))
-        data = np.empty((0, 2), dtype=np.int64)
+            has_header = not header or bool(fh.readline())
+            has_rows = any(line.split("#", 1)[0].strip() for line in iter(fh.readline, ""))
+        data = np.empty((0, columns), dtype=dtype)
         if has_rows:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, converters=converters)
+            data = np.loadtxt(path, delimiter=",", skiprows=int(header), dtype=dtype, ndmin=2, converters=converters)
     except FileNotFoundError:
         raise BundleError(f"missing file: {path}") from None
     except OSError as err:
@@ -61,16 +64,14 @@ def _load_int_csv(path: str, converters=None) -> np.ndarray:
         raise BundleError(f"{path}: {err}" + (f" ({err.__cause__})" if err.__cause__ else "")) from err
     if not has_header:
         raise BundleError(f"{path}: empty file, expected a header line")
-    if data.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if data.shape[1] != 2:
-        raise BundleError(f"{path}: expected 2 columns, got {data.shape[1]}")
+    if data.shape[1] != columns:
+        raise BundleError(f"{path}: expected {columns} columns, got {data.shape[1]}")
     return data
 
 
 def _load_node_column(path: str, n: int, converters=None) -> np.ndarray:
     """Column 1 of a "node,value" CSV, indexed by node; every node must appear exactly once."""
-    rows = _load_int_csv(path, converters)
+    rows = _load_csv(path, 2, converters=converters)
     if rows.shape[0] != n:
         raise BundleError(f"{path}: row-count mismatch, expected {n} rows, got {rows.shape[0]}")
     if not np.array_equal(np.sort(rows[:, 0]), np.arange(n)):
@@ -95,7 +96,7 @@ def load_bundle(path: str):
     edge_lists = []
     for r in range(num_relations):
         edge_path = os.path.join(path, f"edges_r{r}.csv")
-        edges = _load_int_csv(edge_path)
+        edges = _load_csv(edge_path, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise BundleError(f"{edge_path}: node index out of range [0, {n})")
         edge_lists.append(edges)
@@ -104,16 +105,9 @@ def load_bundle(path: str):
     csv_path = os.path.join(path, "features.csv")
     f32_path = os.path.join(path, "features.f32")
     if os.path.exists(csv_path):
-        try:
-            features = np.loadtxt(csv_path, delimiter=",", ndmin=2, dtype=np.float64)
-        except OSError as err:
-            raise BundleError(f"{csv_path}: cannot read: {err}") from None
-        except ValueError as err:
-            raise BundleError(f"{csv_path}: {err}") from err
+        features = _load_csv(csv_path, d, header=False, dtype=np.float64)
         if features.shape[0] != n:
             raise BundleError(f"{csv_path}: row-count mismatch, expected {n} rows, got {features.shape[0]}")
-        if features.shape[1] != d:
-            raise BundleError(f"{csv_path}: expected {d} columns, got {features.shape[1]}")
     elif os.path.exists(f32_path):
         try:
             raw = np.fromfile(f32_path, dtype="<f4")
@@ -152,8 +146,7 @@ def write_bundle(path: str, graph: RelationalGraph, table: NodeTable, features_f
     }
     nd.write_file_atomic(os.path.join(path, "meta.json"), json.dumps(meta, indent=2).encode())
     for r in range(graph.num_relations):
-        rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees(r))
-        cols = graph.col_indices[r]
+        rows, cols = graph.row_indices(r), graph.col_indices[r]
         upper = rows < cols
         edges = (f"{u},{v}" for u, v in zip(rows[upper], cols[upper]))
         nd.write_csv_atomic(os.path.join(path, f"edges_r{r}.csv"), "src,dst", edges)

@@ -190,21 +190,14 @@ def cmd_influence(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    if args.bundle:
-        g, table = bundle.load_bundle(args.bundle)
-        labels, train_mask = table.labels, table.train_mask()
-        d = table.feature_dim
-    else:
-        g, labels = synth.generate_ba_graph(args.synth_n, args.synth_m, args.fraud_fraction, args.seed)
-        splits = synth.make_splits(args.synth_n, (0.4, 0.2, 0.4), seed=args.seed + 2, stratify_labels=labels)
-        train_mask = splits == graph_mod.SPLIT_TRAIN
-        d = args.d
+    g, table = bundle.load_bundle(args.bundle)
+    d = table.feature_dim
     rng = np.random.default_rng(args.seed)
     X = rng.normal(size=(g.num_nodes, d))
     W_fr = rng.normal(size=(d, args.signal_dim))
     W_be = rng.normal(size=(d, args.signal_dim))
     report = analysis.spatial_spectral_check(
-        g, labels, train_mask, X, W_fr, W_be, args.alpha, relation=args.relation, cap=args.max_dense_n
+        g, table.labels, table.train_mask(), X, W_fr, W_be, args.alpha, relation=args.relation, cap=args.max_dense_n
     )
     config = _args_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -375,11 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("spectral", help="mask identity and filter responses")
-    p.add_argument("--bundle")
-    p.add_argument("--synth-n", type=int, default=100)
-    p.add_argument("--synth-m", type=int, default=3)
-    p.add_argument("--fraud-fraction", type=float, default=0.1)
-    p.add_argument("--d", type=int, default=8)
+    p.add_argument("bundle")
     p.add_argument("--signal-dim", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--relation", type=int, default=0)

@@ -102,6 +102,11 @@ class RelationalGraph:
     def degrees(self, relation: int) -> np.ndarray:
         return np.diff(self.row_offsets[relation])
 
+    def row_indices(self, relation: int) -> np.ndarray:
+        """The row of every entry of ``col_indices[relation]``: entry k is the
+        edge (row_indices(relation)[k], col_indices[relation][k])."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees(relation))
+
     def neighbors(self, relation: int, node: int) -> np.ndarray:
         off = self.row_offsets[relation]
         return self.col_indices[relation][off[node] : off[node + 1]]
@@ -123,8 +128,7 @@ class RelationalGraph:
         """Single-relation graph over the union of all relations' edge sets."""
         pairs = []
         for r in range(self.num_relations):
-            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees(r))
-            pairs.append(np.stack([rows, self.col_indices[r]], axis=1))
+            pairs.append(np.stack([self.row_indices(r), self.col_indices[r]], axis=1))
         return RelationalGraph.from_edge_lists(self.num_nodes, [np.concatenate(pairs)])
 
 
@@ -210,14 +214,14 @@ class PartitionIndex:
 
 
 def _resolve_single_relation(graph: RelationalGraph, relation) -> tuple:
-    """Return (row_offsets, col_indices) for an int relation or 'union'."""
+    """Return the (rows, cols) of every edge entry of an int relation or 'union'."""
     if relation == "union":
         g = graph.union() if graph.num_relations > 1 else graph
-        return g.row_offsets[0], g.col_indices[0]
+        return g.row_indices(0), g.col_indices[0]
     relation = int(relation)
     if not 0 <= relation < graph.num_relations:
         raise ValueError(f"relation index {relation} out of range: the graph has {graph.num_relations} relation(s)")
-    return graph.row_offsets[relation], graph.col_indices[relation]
+    return graph.row_indices(relation), graph.col_indices[relation]
 
 
 def homophily_score(graph: RelationalGraph, labels: np.ndarray, relation=0) -> float:
@@ -235,9 +239,7 @@ def homophily_score(graph: RelationalGraph, labels: np.ndarray, relation=0) -> f
     labels = np.asarray(labels)
     if labels.shape != (graph.num_nodes,):
         raise ValueError("labels must have one entry per node")
-    offsets, cols = _resolve_single_relation(graph, relation)
-    counts = np.diff(offsets)
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), counts)
+    rows, cols = _resolve_single_relation(graph, relation)
     n = graph.num_nodes
     total = Fraction(0)
     classes = (0, 1)
@@ -295,9 +297,7 @@ def neighborhood_label_ratio(
             raise ValueError(f"{name} must be a positive finite number, got {value}")
     labels = np.asarray(labels)
     train_mask = np.asarray(train_mask, dtype=bool)
-    offsets, cols = _resolve_single_relation(graph, relation)
-    counts = np.diff(offsets)
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), counts)
+    rows, cols = _resolve_single_relation(graph, relation)
     fr = np.bincount(rows[train_mask[cols] & (labels[cols] == 1)], minlength=graph.num_nodes)
     be = np.bincount(rows[train_mask[cols] & (labels[cols] == 0)], minlength=graph.num_nodes)
     centers = np.flatnonzero(train_mask)

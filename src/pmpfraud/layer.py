@@ -124,7 +124,6 @@ def _bucket_term(S: nd.Tensor, h_centers: nd.Tensor, M: nd.Tensor, B: nd.Tensor,
 
 
 def bucket_sums(
-    variant: LayerVariant,
     h_prev: nd.Tensor,
     members: np.ndarray,
     seg_ids: np.ndarray,
@@ -135,18 +134,13 @@ def bucket_sums(
 
     ``members`` index rows of ``h_prev`` and list each center's neighbors
     in turn, ``seg_ids`` give each member's center position, and
-    ``bucket`` each member's bucket (0 fraud, 1 benign, 2 unlabeled).
-    Partitioned, the table is [3k, d] and row b * k + c holds the sum over
-    center c's bucket-b neighbors; the baseline's is [k, d], one row per
-    center over all its neighbors. Each row adds its members in listed
+    ``bucket`` each member's bucket (0 fraud, 1 benign, 2 unlabeled). The
+    table is [3k, d] for every variant: row b * k + c holds the sum over
+    center c's bucket-b neighbors. Each row adds its members in listed
     order from 0.0, so a row depends only on its center's own neighbor
     list: a table over every node equals, bitwise, one over any batch.
     Empty buckets are exact zeros.
     """
-    if not variant.partition_enabled:
-        # Stable: each center adds its fraud, benign, then unlabeled run in CSR order.
-        order = np.argsort(bucket, kind="stable")
-        return nd.gather_segment_sum(h_prev, members[order], seg_ids[order], num_centers)
     # Segment bucket * k + center; center-major members add in ascending id.
     return nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * num_centers + seg_ids, 3 * num_centers)
 
@@ -164,12 +158,13 @@ def aggregate_segments(
 
     ``h_centers`` is the centers' representation used by the weight
     generators; ``h_gate`` is the (pre-dropout) representation feeding the
-    blend gate.
+    blend gate. The baseline maps all three blocks' sum, (S_fr + S_be) +
+    S_un, with the one shared matrix M_fr.
     """
-    if not variant.partition_enabled:
-        return nd.matmul(nd.gather_rows(sums, rows), params.M_fr)
     block = sums.shape[0] // 3
     S_fr, S_be, S_un = (nd.gather_rows(sums, b * block + rows) for b in range(3))
+    if not variant.partition_enabled:
+        return nd.matmul(nd.add(nd.add(S_fr, S_be), S_un), params.M_fr)
     rs = variant.root_specific_enabled
     if variant.adaptive_combination_enabled:
         a = alpha_gate(params, h_gate)

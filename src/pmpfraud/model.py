@@ -116,24 +116,23 @@ class PmpModel:
         return model
 
 
-def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features, variant: LayerVariant) -> list:
+def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features) -> list:
     """Layer 1's bucket-sum table over every node, one tensor per relation.
 
     Layer 1 sums raw features, so its bucket sums depend on the graph, the
-    train-label partition and the features, never on the weights: one
-    table serves every batch and scoring chunk of a pass. Partitioned
-    variants get [3n, d] tables, row b * n + i holding node i's bucket-b
-    sum; the baseline's are [n, d]. The CSR lists each node's neighbors in
-    the order a batch lists them, so every row is bitwise the sum
-    ``model_forward`` would make for that node on its own.
+    train-label partition and the features, never on the weights or the
+    variant: one table serves every batch and scoring chunk of a pass.
+    Each table is [3n, d], row b * n + i holding node i's bucket-b sum.
+    The CSR lists each node's neighbors in the order a batch lists them,
+    so every row is bitwise the sum ``model_forward`` would make for that
+    node on its own.
     """
     feats = features if isinstance(features, nd.Tensor) else nd.Tensor(features)
     n = graph.num_nodes
     tables = []
     for r in range(graph.num_relations):
         members = graph.col_indices[r]
-        owner = np.repeat(np.arange(n, dtype=np.int64), graph.degrees(r))
-        tables.append(bucket_sums(variant, feats, members, owner, partition.bucket[members], n))
+        tables.append(bucket_sums(feats, members, graph.row_indices(r), partition.bucket[members], n))
     return tables
 
 
@@ -156,7 +155,7 @@ def model_forward(
     cost scales with the batch neighborhood, not the graph. Every layer
     reads its centers' bucket sums from a ``bucket_sums`` table. Layer 1's
     is ``sums``, the whole-graph tables of ``layer_one_sums`` for these
-    graph, partition, features and variant, when the caller built them
+    graph, partition and features, when the caller built them
     once for a pass of many batches; layer 1 then lists no neighborhoods
     and sums nothing, and only gathers its centers' rows. Without
     ``sums`` layer 1 sums its own centers' neighborhoods straight from the
@@ -187,7 +186,7 @@ def model_forward(
     if feats.shape != (graph.num_nodes, cfg.feature_dim):
         raise ValueError(f"features must be [{graph.num_nodes}, {cfg.feature_dim}]")
     if sums is not None:
-        shape = ((3 if cfg.variant.partition_enabled else 1) * graph.num_nodes, cfg.feature_dim)
+        shape = (3 * graph.num_nodes, cfg.feature_dim)
         if len(sums) != cfg.num_relations or any(t.shape != shape for t in sums):
             raise ValueError(f"sums must be {cfg.num_relations} layer-one table(s) of shape {list(shape)}")
 
@@ -217,7 +216,7 @@ def model_forward(
                 if l > 1:
                     row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
                     members, centers = row_of[members], row_of[centers]
-                table = bucket_sums(cfg.variant, h, members, seg_ids, bucket, centers.size)
+                table = bucket_sums(h, members, seg_ids, bucket, centers.size)
                 rows = np.arange(centers.size)
             act = layer_forward(
                 model.layers[r][l - 1],

@@ -139,10 +139,11 @@ class History:
 def _pass_sums(model: PmpModel, graph: RelationalGraph, partition, features):
     """Layer 1's shared bucket-sum tables for one pass, or None for a
     one-layer model, whose batches are its only layer's centers and gain
-    nothing from a whole-graph table (see the module docstring)."""
+    nothing from a whole-graph table (see the module docstring). Only the
+    depth decides: the tables have one layout for every variant."""
     if model.config.num_layers < 2:
         return None
-    return layer_one_sums(graph, partition, features, model.config.variant)
+    return layer_one_sums(graph, partition, features)
 
 
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,

@@ -207,7 +207,7 @@ def frontier_model_forward(model, graph, partition, features, batch):
         for l in range(1, cfg.num_layers + 1):
             members, seg_ids = hoods[l - 1]
             pos = np.searchsorted(fronts[l - 1], fronts[l])
-            sums = bucket_sums(cfg.variant, h, np.searchsorted(fronts[l - 1], members), seg_ids,
+            sums = bucket_sums(h, np.searchsorted(fronts[l - 1], members), seg_ids,
                                partition.bucket[members], pos.size)
             h = layer_forward(
                 model.layers[r][l - 1], cfg.variant, sums, np.arange(pos.size),

@@ -173,6 +173,15 @@ class TestSynthAndValidate:
         assert error == f"{path}: row-count mismatch, expected 80 rows, got 0"
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("content", [b"", b"\n\n"], ids=["0-byte", "blank"])
+    def test_empty_features_file_exits_2_with_one_stderr_line(self, bundle_dir, tmp_path, content):
+        shutil.copytree(bundle_dir, tmp_path / "bundle")
+        path = tmp_path / "bundle" / "features.csv"
+        path.write_bytes(content)
+        proc = run_cli("validate", str(tmp_path / "bundle"), expect=EXIT_VALIDATION)
+        assert stderr_payload(proc)["error"] == f"{path}: row-count mismatch, expected 80 rows, got 0"
+        assert len(proc.stderr.strip().splitlines()) == 1
+
 
 class TestTrain:
     def test_artifacts(self, run_dir):
@@ -446,11 +455,9 @@ def test_directory_in_place_of_a_file_exits_2_naming_it(bundle_dir, run_dir, tmp
 
 class TestSpectral:
     def test_synth_source(self, tmp_path):
+        run_cli("synth", "--n", "40", "--m-attach", "2", "--seed", "5", "--out", str(tmp_path / "bundle"))
         out = tmp_path / "spec"
-        proc = run_cli(
-            "spectral", "--synth-n", "40", "--synth-m", "2", "--alpha", "0.3",
-            "--seed", "5", "--out", str(out),
-        )
+        proc = run_cli("spectral", str(tmp_path / "bundle"), "--alpha", "0.3", "--seed", "5", "--out", str(out))
         payload = json.loads(proc.stdout)
         assert payload["alpha"] == 0.3
         assert payload["spatial_identity_error"] <= 1e-10
@@ -462,12 +469,12 @@ class TestSpectral:
 
     def test_bundle_source(self, bundle_dir, tmp_path):
         out = tmp_path / "spec2"
-        run_cli("spectral", "--bundle", str(bundle_dir), "--out", str(out))
+        run_cli("spectral", str(bundle_dir), "--out", str(out))
         assert (out / "spectral.csv").exists()
 
     def test_relation_out_of_range_exits_2(self, bundle_dir, tmp_path):
         proc = run_cli(
-            "spectral", "--bundle", str(bundle_dir), "--relation", "3", "--out", str(tmp_path / "spec3"),
+            "spectral", str(bundle_dir), "--relation", "3", "--out", str(tmp_path / "spec3"),
             expect=EXIT_VALIDATION,
         )
         payload = stderr_payload(proc)
@@ -475,9 +482,9 @@ class TestSpectral:
         assert "relation index 3" in payload["error"]
 
     def test_dense_cap_exits_4(self, tmp_path):
+        run_cli("synth", "--n", "50", "--m-attach", "2", "--out", str(tmp_path / "bundle"))
         proc = run_cli(
-            "spectral", "--synth-n", "50", "--synth-m", "2", "--max-dense-n", "10",
-            "--out", str(tmp_path / "capped"), expect=4,
+            "spectral", str(tmp_path / "bundle"), "--max-dense-n", "10", "--out", str(tmp_path / "capped"), expect=4,
         )
         payload = stderr_payload(proc)
         assert payload["kind"] == "DenseCapExceeded"

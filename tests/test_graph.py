@@ -100,6 +100,15 @@ class TestRelationalGraph:
         np.testing.assert_array_equal(g.degrees(0), [2, 2, 2, 2])
         assert g.num_edges(0) == 4
 
+    def test_row_indices_pair_every_entry_with_its_row(self):
+        # node 1 is isolated in relation 0, which leaves an empty CSR row
+        g = RelationalGraph.from_edge_lists(4, [[(0, 2), (2, 3), (0, 3)], []])
+        rows = g.row_indices(0)
+        assert rows.dtype == np.int64
+        edges = {(int(u), int(v)) for u in range(4) for v in g.neighbors(0, u)}
+        assert list(zip(rows.tolist(), g.col_indices[0].tolist())) == sorted(edges)
+        assert g.row_indices(1).size == 0
+
     def test_multiple_relations_are_independent(self):
         g = RelationalGraph.from_edge_lists(3, [[(0, 1)], [(1, 2)]])
         assert g.num_relations == 2

@@ -13,22 +13,22 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _batch_sums(variant, partition, relation, h, batch):
+def _batch_sums(partition, relation, h, batch):
     members, seg_ids = partition.graph.neighbor_segments(relation, batch)
-    return bucket_sums(variant, h, members, seg_ids, partition.bucket[members], batch.size), np.arange(batch.size)
+    return bucket_sums(h, members, seg_ids, partition.bucket[members], batch.size), np.arange(batch.size)
 
 
 def aggregate(params, variant, partition, relation, h, batch):
     """Neighbor aggregation for ``batch`` with ``h`` holding one row per node."""
     h_c = nd.gather_rows(h, batch)
-    sums, rows = _batch_sums(variant, partition, relation, h, batch)
+    sums, rows = _batch_sums(partition, relation, h, batch)
     return aggregate_segments(params, variant, sums, rows, h_c, h_c)
 
 
 def forward(params, variant, partition, relation, h, batch, use_relu=True):
     """Whole layer (self term, aggregation, activation) for ``batch``."""
     h_c = nd.gather_rows(h, batch)
-    sums, rows = _batch_sums(variant, partition, relation, h, batch)
+    sums, rows = _batch_sums(partition, relation, h, batch)
     return layer_forward(params, variant, sums, rows, h_c, h_c, use_relu=use_relu)
 
 
@@ -321,9 +321,10 @@ class TestAggregate:
 
 class TestSummationOrder:
     """Each bucket sum adds its members center by center, ascending id within
-    a center; the baseline adds each center's fraud, then benign, then
-    unlabeled run. Checked bitwise against an unbuffered ``np.add.at`` in
-    that order, on neighborhoods where the order changes the rounding."""
+    a center, into one [3k, d] table whatever the variant; the baseline maps
+    (fraud + benign) + unlabeled. Checked bitwise against an unbuffered
+    ``np.add.at`` in that order, on neighborhoods where the order changes the
+    rounding."""
 
     def instance(self, rng):
         g, idx, params, h = random_setup(rng, n=40, d_in=4, d_out=4, edge_factor=6)
@@ -349,16 +350,16 @@ class TestSummationOrder:
         monkeypatch.undo()
         return out, sums
 
-    def test_baseline_adds_fraud_then_benign_then_unlabeled_runs(self, monkeypatch):
-        idx, params, h, batch, runs = self.instance(np.random.default_rng(21))
-        params.M_fr.data = np.eye(4)
-        members = np.concatenate([m for m, _ in runs])
-        seg_ids = np.concatenate([s for _, s in runs])
-        want = add_at_rows(h.data[members], seg_ids, batch.size)
+    def test_baseline_maps_fraud_plus_benign_plus_unlabeled_of_the_shared_table(self, monkeypatch):
+        idx, params, h, batch, _ = self.instance(np.random.default_rng(21))
         out, sums = self.aggregate_recording_sums(monkeypatch, params, LayerVariant.baseline(), idx, h, batch)
         assert len(sums) == 1
-        np.testing.assert_array_equal(sums[0], want)
-        np.testing.assert_array_equal(out.data, want)
+        for variant in ALL_VARIANTS[1:]:
+            _, partitioned = self.aggregate_recording_sums(monkeypatch, params, variant, idx, h, batch)
+            assert sums[0].tobytes() == partitioned[0].tobytes()
+        k = batch.size
+        s_fr, s_be, s_un = (sums[0][b * k : (b + 1) * k] for b in range(3))
+        np.testing.assert_array_equal(out.data, ((s_fr + s_be) + s_un) @ params.M_fr.data)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS[1:], ids=variant_id)
     def test_each_bucket_adds_center_by_center(self, monkeypatch, variant):

@@ -199,7 +199,7 @@ class TestLayerOneSums:
             rng, num_relations=num_relations, num_layers=num_layers, variant=variant
         )
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
-        sums = layer_one_sums(g, idx, x, variant)
+        sums = layer_one_sums(g, idx, x)
         shared = model_forward(model, g, idx, x, batch, sums=sums)
         own = model_forward(model, g, idx, x, batch)
         want = frontier_model_forward(model, g, idx, x, batch)
@@ -215,7 +215,7 @@ class TestLayerOneSums:
         tape = nd.GradientTape(model.parameters())
         kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
         runs = []
-        for sums in (None, layer_one_sums(g, idx, x, variant)):
+        for sums in (None, layer_one_sums(g, idx, x)):
             probs = model_forward(model, g, idx, x, batch, sums=sums, **kw)
             runs.append((probs.data, tape.gradients(loss(probs, labels, batch))))
         (p_own, g_own), (p_shared, g_shared) = runs
@@ -228,15 +228,20 @@ class TestLayerOneSums:
         rng = np.random.default_rng(23)
         g, idx, labels, model, x = random_instance(rng, num_relations=2, variant=variant)
         n = g.num_nodes
-        for r, table in enumerate(layer_one_sums(g, idx, x, variant)):
+        for r, table in enumerate(layer_one_sums(g, idx, x)):
             for i in range(n):
                 nbrs = g.neighbors(r, i)
-                if variant.partition_enabled:
-                    for b in range(3):
-                        want = sum((x[j] for j in nbrs[idx.bucket[nbrs] == b]), np.zeros(x.shape[1]))
-                        np.testing.assert_allclose(table.data[b * n + i], want, rtol=0, atol=1e-12)
-                else:
-                    np.testing.assert_allclose(table.data[i], x[nbrs].sum(axis=0), rtol=0, atol=1e-12)
+                for b in range(3):
+                    want = sum((x[j] for j in nbrs[idx.bucket[nbrs] == b]), np.zeros(x.shape[1]))
+                    np.testing.assert_allclose(table.data[b * n + i], want, rtol=0, atol=1e-12)
+
+    def test_every_ablation_variant_gets_the_same_table(self):
+        tables = []
+        for variant in ABLATION:
+            rng = np.random.default_rng(23)
+            g, idx, labels, model, x = random_instance(rng, num_relations=2, variant=variant)
+            tables.append([t.data.tobytes() for t in layer_one_sums(g, idx, x)])
+        assert all(t == tables[0] for t in tables[1:])
 
     def test_val_and_test_labels_never_reach_the_table(self):
         rng = np.random.default_rng(24)
@@ -247,7 +252,7 @@ class TestLayerOneSums:
         flipped = labels.copy()
         flipped[held_out] = 1 - flipped[held_out]
         tables = [
-            layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, y, splits)), x, LayerVariant.full())
+            layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, y, splits)), x)
             for y in (labels, flipped)
         ]
         for a, b in zip(*tables):
@@ -255,15 +260,16 @@ class TestLayerOneSums:
         # a train label does reach it
         train_flip = labels.copy()
         train_flip[2:][splits[2:] == 0] ^= 1
-        moved = layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, train_flip, splits)), x,
-                               LayerVariant.full())
+        moved = layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, train_flip, splits)), x)
         assert any(a.data.tobytes() != m.data.tobytes() for a, m in zip(tables[0], moved))
 
     def test_tables_of_the_wrong_shape_are_rejected(self):
         rng = np.random.default_rng(25)
         g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2)
-        sums = layer_one_sums(g, idx, x, LayerVariant.full())
-        for bad in (sums[:1], layer_one_sums(g, idx, x, LayerVariant.baseline())):
+        sums = layer_one_sums(g, idx, x)
+        wrong_n = [nd.Tensor(t.data[:-3]) for t in sums]
+        wrong_d = [nd.Tensor(t.data[:, :-1]) for t in sums]
+        for bad in (sums[:1], wrong_n, wrong_d):
             with pytest.raises(ValueError, match="sums"):
                 model_forward(model, g, idx, x, np.array([0]), sums=bad)
 
