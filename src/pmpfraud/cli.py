@@ -22,7 +22,7 @@ from . import __version__, analysis, bundle, graph as graph_mod, synth
 from . import ndiff as nd
 from .layer import LayerVariant
 from .model import ModelConfig, PmpModel
-from .training import Adam, TrainConfig, TrainingDiverged, evaluate, run_epoch, train
+from .training import TrainConfig, TrainingDiverged, evaluate, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -246,7 +246,10 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     """Measure per-epoch train time against edge count and fit a line.
 
     Node count grows proportionally with edges (fixed attachment m), so a
-    near-linear fit indicates per-epoch cost O(edges) at fixed dims.
+    near-linear fit indicates per-epoch cost O(edges) at fixed dims. Each
+    graph trains through ``train``: a 1-epoch warm-up call, then one call of
+    ``epochs`` epochs, timed and reported per epoch. The graphs have no
+    validation split, so ``train`` scores nothing between epochs.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
@@ -257,29 +260,17 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     for target, n in zip(edge_targets, nodes):
         g, labels = synth.generate_ba_graph(n, m_attach, 0.1, seed)
         features = synth.generate_features(labels, d, seed=seed + 1)
-        splits = synth.make_splits(n, (0.6, 0.2, 0.2), seed=seed + 2, stratify_labels=labels)
+        splits = synth.make_splits(n, (0.6, 0.0, 0.4), seed=seed + 2, stratify_labels=labels)
         table = graph_mod.NodeTable(features, labels, splits)
-        partition = graph_mod.PartitionIndex.from_table(g, table)
         model = PmpModel(ModelConfig(feature_dim=d, hidden_dim=hidden_dim, num_relations=1), seed=seed)
-        config = TrainConfig(batch_size=batch_size, max_epochs=1, patience=1, seed=seed)
-        # Warmup epoch, then timed epochs without validation scoring.
-        params = model.parameters()
-        opt = Adam(params, config.learning_rate, config.weight_decay)
-        tape = nd.GradientTape(params)
-        train_ids = table.split_ids("train")
-        rng = np.random.default_rng(seed)
-        times = []
-        for epoch in range(epochs + 1):
-            perm = rng.permutation(train_ids)
-            start_time = time.perf_counter()
-            run_epoch(model, g, partition, table, config, opt, tape, perm, epoch)
-            if epoch > 0:
-                times.append(time.perf_counter() - start_time)
+        train(model, g, table, TrainConfig(batch_size=batch_size, max_epochs=1, seed=seed))
+        start_time = time.perf_counter()
+        train(model, g, table, TrainConfig(batch_size=batch_size, max_epochs=epochs, seed=seed))
         entries.append({
             "edges_target": int(target),
             "edges": g.num_edges(0),
             "nodes": n,
-            "seconds_per_epoch": float(np.mean(times)),
+            "seconds_per_epoch": (time.perf_counter() - start_time) / epochs,
         })
     x = np.array([e["edges"] for e in entries], dtype=np.float64)
     y = np.array([e["seconds_per_epoch"] for e in entries], dtype=np.float64)

@@ -42,17 +42,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _multi_slice(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate values[starts[i] : starts[i] + counts[i]] for all i, vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=values.dtype)
-    ends = np.cumsum(counts)
-    group_start_out = ends - counts
-    idx = np.arange(total, dtype=np.int64) - np.repeat(group_start_out, counts) + np.repeat(starts, counts)
-    return values[idx]
-
-
 class RelationalGraph:
     """Per-relation CSR adjacency over a shared node set."""
 
@@ -116,13 +105,18 @@ class RelationalGraph:
         return int(self.col_indices[relation].size) // 2
 
     def neighbor_segments(self, relation: int, centers: np.ndarray):
-        """All neighbors of each center, flattened, with parallel segment ids."""
+        """All neighbors of each center, flattened, with parallel segment ids.
+
+        One ``np.repeat`` builds the segment ids; position j of center i's
+        output run then reads CSR entry ``j + starts[i] - run_starts[i]``."""
         centers = np.asarray(centers, dtype=np.int64)
         off = self.row_offsets[relation]
-        counts = off[centers + 1] - off[centers]
-        members = _multi_slice(self.col_indices[relation], off[centers], counts)
+        starts = off[centers]
+        counts = off[centers + 1] - starts
         seg_ids = np.repeat(np.arange(centers.size, dtype=np.int64), counts)
-        return members, seg_ids
+        run_starts = np.cumsum(counts) - counts
+        entries = np.arange(seg_ids.size, dtype=np.int64) + (starts - run_starts)[seg_ids]
+        return self.col_indices[relation][entries], seg_ids
 
     def union(self) -> "RelationalGraph":
         """Single-relation graph over the union of all relations' edge sets."""

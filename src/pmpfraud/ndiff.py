@@ -381,23 +381,17 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 def dropout(x: Tensor, p: float, training: bool, key) -> Tensor:
     """Inverted dropout with a counter-based mask.
 
-    The mask is a pure function of ``key`` (an int, a tuple of ints, or a
-    SeedSequence), so replaying the same key reproduces the same mask and
-    finite differencing across a fixed key stays valid. With training off
-    or p == 0 the input tensor is returned unchanged, which is the
-    identity map with identity adjoint.
+    The mask is a pure function of ``key``, any seed ``np.random.Philox``
+    takes (an int, a sequence of ints or a SeedSequence), so replaying the
+    same key reproduces the same mask and finite differencing across a
+    fixed key stays valid. With training off or p == 0 the input tensor is
+    returned unchanged, which is the identity map with identity adjoint.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    if isinstance(key, np.random.SeedSequence):
-        seq = key
-    elif isinstance(key, (tuple, list)):
-        seq = np.random.SeedSequence(list(key))
-    else:
-        seq = np.random.SeedSequence(int(key))
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = np.random.Generator(np.random.Philox(key))
     keep = rng.random(x.data.shape) >= p
     factor = keep.astype(x.data.dtype) / (1.0 - p)
     return _make(x.data * factor, "dropout", (x,), lambda g: (g * factor,))

@@ -1,9 +1,12 @@
 """Synthetic graphs, features, and splits for experiments and benchmarks."""
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .graph import RelationalGraph
+from .ndiff import check_setting
 
 __all__ = ["generate_ba_graph", "generate_features", "make_splits"]
 
@@ -56,7 +59,9 @@ def generate_features(
     sigma: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Class-conditional Gaussian features, i.i.d. per dimension."""
+    """Class-conditional Gaussian features, i.i.d. per dimension. Raises
+    ValueError naming ``feature_dim`` unless it is a positive integer."""
+    check_setting("feature_dim", feature_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     means = np.where(labels == 1, mu_fraud, mu_benign).astype(np.float64)

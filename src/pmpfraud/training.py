@@ -1,5 +1,7 @@
 """Mini-batch training with Adam and validation-AUC early stopping.
 
+``train`` is the one training driver; ``cli.run_bench`` times it too.
+
 The neighbor partition is built from train labels before the first epoch
 and reused for every batch and validation pass; ``evaluate`` builds its own
 the same way, one O(n) pass over the node table. At inference time only
@@ -38,7 +40,7 @@ from .graph import NodeTable, RelationalGraph
 from .model import PmpModel, layer_one_sums, loss as loss_fn, model_forward
 from .ndiff import check_setting
 
-__all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "run_epoch", "train", "evaluate", "forward_scores"]
+__all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "train", "evaluate", "forward_scores"]
 
 EVAL_BATCH_SIZE = 4096
 
@@ -175,15 +177,16 @@ def _val_auc(model, graph, partition, table: NodeTable, sums) -> float:
     return metrics_mod.auc(scores, labels)
 
 
-def run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTable, config: TrainConfig,
-              opt: Adam, tape: nd.GradientTape, perm: np.ndarray, epoch: int, sums: list | None = None) -> float:
-    """One pass over ``perm`` in batches of ``config.batch_size``, one Adam
-    step per batch; returns the example-weighted mean train loss. Every
-    batch reads layer 1 from ``sums`` when given (see ``model_forward``).
+def _run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTable, config: TrainConfig,
+               opt: Adam, tape: nd.GradientTape, perm: np.ndarray, epoch: int, sums: list | None) -> float:
+    """One epoch of ``train``: a pass over ``perm`` in batches of
+    ``config.batch_size``, one Adam step per batch; returns the
+    example-weighted mean train loss. Every batch reads layer 1 from
+    ``sums`` when given (see ``model_forward``).
 
     ``model_forward`` and ``loss_fn`` are looked up as globals of this
     module, so a wrapper set on it (``perfbench/tracing.py``) sees every
-    batch of both ``train`` and ``cli.run_bench``.
+    training batch, whoever calls ``train``.
     """
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, perm.size, config.batch_size)):
@@ -223,7 +226,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(train_ids)
-        train_loss = run_epoch(model, graph, partition, table, config, opt, tape, perm, epoch, sums)
+        train_loss = _run_epoch(model, graph, partition, table, config, opt, tape, perm, epoch, sums)
         try:
             val_auc = _val_auc(model, graph, partition, table, sums)
         except nd.NonFiniteError as err:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pmpfraud
-from pmpfraud import cli
+from pmpfraud import cli, training
 from pmpfraud.cli import EXIT_VALIDATION, _write_json, main
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import PmpModel
@@ -116,6 +116,13 @@ class TestSynthAndValidate:
         assert summary["edges"] == [2 * 78]
         assert summary["fraud_nodes"] == 20
         assert sum(summary["split_sizes"].values()) == 80
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_non_positive_feature_dim_exits_2_before_writing(self, capsys, tmp_path, d):
+        out = tmp_path / "bundle"
+        error = rejected(capsys, "synth", "--n", "50", "--m-attach", "2", "--d", d, "--out", out)
+        assert error == f"feature_dim must be a positive integer, got {d}"
+        assert not out.exists()
 
     def test_corrupt_bundle_exits_2_with_json_error(self, bundle_dir, tmp_path):
         import shutil
@@ -540,6 +547,33 @@ class TestBench:
             assert entry["seconds_per_epoch"] > 0
         assert "r_squared" in payload
         assert (out / "bench.json").exists()
+
+    def test_times_train_itself(self, monkeypatch):
+        # bench trains only through train(): a 1-epoch warm-up call, then a
+        # timed call of `epochs` epochs per graph size, and every optimizer
+        # is built inside one of them.
+        max_epochs, outside = [], []
+        inside = [False]
+        real_train, real_adam_init = cli.train, training.Adam.__init__
+
+        def counted_train(model, graph, table, config):
+            max_epochs.append(config.max_epochs)
+            inside[0] = True
+            try:
+                return real_train(model, graph, table, config)
+            finally:
+                inside[0] = False
+
+        def counted_adam_init(self, *args, **kwargs):
+            outside.append(not inside[0])
+            real_adam_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counted_train)
+        monkeypatch.setattr(training.Adam, "__init__", counted_adam_init)
+        result = cli.run_bench([400, 800], hidden_dim=4, m_attach=4, epochs=2)
+        assert len(result["entries"]) == 2
+        assert max_epochs == [1, 2, 1, 2]
+        assert outside == [False] * 4
 
     def test_zero_epochs_exits_2(self):
         proc = run_cli("bench", "--edges", "400", "--epochs", "0", expect=EXIT_VALIDATION)

@@ -135,12 +135,21 @@ class TestRelationalGraph:
         with pytest.raises(ValueError):
             RelationalGraph.from_edge_lists(3, [[(-1, 0)]])
 
-    def test_neighbor_segments_cover_batch(self):
-        g = RelationalGraph.from_edge_lists(5, [[(0, 1), (0, 2), (3, 4)]])
-        batch = np.array([0, 3])
-        members, seg_ids = g.neighbor_segments(0, batch)
-        np.testing.assert_array_equal(members, [1, 2, 4])
-        np.testing.assert_array_equal(seg_ids, [0, 0, 1])
+    @pytest.mark.parametrize("batch", [
+        pytest.param([0, 3], id="sorted"),
+        pytest.param([4, 0, 2, 4, 0, 1], id="unsorted-repeated"),
+        pytest.param([5, 0, 6, 5, 3], id="zero-degree"),
+        pytest.param([5, 6], id="only-zero-degree"),
+        pytest.param([], id="empty"),
+    ])
+    def test_neighbor_segments_cover_batch(self, batch):
+        # Nodes 5 and 6 have no neighbors.
+        g = RelationalGraph.from_edge_lists(7, [[(0, 1), (0, 2), (3, 4), (2, 4), (1, 3)]])
+        members, seg_ids = g.neighbor_segments(0, np.array(batch, dtype=np.int64))
+        runs = [g.neighbors(0, c) for c in batch]
+        assert members.dtype == seg_ids.dtype == np.int64
+        np.testing.assert_array_equal(members, np.concatenate([np.empty(0, np.int64), *runs]))
+        np.testing.assert_array_equal(seg_ids, np.repeat(np.arange(len(batch)), [r.size for r in runs]))
 
 
 class TestNodeTable:

@@ -211,6 +211,21 @@ class TestOperatorValues:
         kept = a.data[a.data != 0]
         np.testing.assert_allclose(kept, 2.0)
 
+    @pytest.mark.parametrize("key, seq", [
+        pytest.param(5, np.random.SeedSequence(5), id="int"),
+        pytest.param(np.int64(5), np.random.SeedSequence(5), id="np.int64"),
+        pytest.param((7, 2, 1, 0), np.random.SeedSequence([7, 2, 1, 0]), id="tuple"),
+        pytest.param([7, 2, 1, 0], np.random.SeedSequence([7, 2, 1, 0]), id="list"),
+        pytest.param(np.random.SeedSequence(3, spawn_key=(0, 1, 2, 4)),
+                     np.random.SeedSequence(3, spawn_key=(0, 1, 2, 4)), id="SeedSequence"),
+    ])
+    def test_dropout_mask_is_philox_of_the_key_seed_sequence(self, key, seq):
+        # Every key form draws the mask Philox draws from its SeedSequence,
+        # so reruns with any of them stay byte-identical.
+        keep = np.random.Generator(np.random.Philox(seq)).random((16, 16)) >= 0.25
+        out = nd.dropout(nd.Tensor(np.ones((16, 16))), 0.25, True, key=key)
+        np.testing.assert_array_equal(out.data, keep / 0.75)
+
     def test_mean_value(self):
         x = nd.Tensor(np.array([[1.0, 2.0], [3.0, 6.0]]))
         assert nd.mean(x).data == 3.0
