@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -190,6 +191,7 @@ def cmd_influence(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    nd.check_setting("signal_dim", args.signal_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)
@@ -250,24 +252,35 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     graph trains through ``train``: a 1-epoch warm-up call, then one call of
     ``epochs`` epochs, timed and reported per epoch. The graphs have no
     validation split, so ``train`` scores nothing between epochs.
+
+    Every setting is checked before the first graph is built: a bad one
+    raises ValueError naming it.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    nd.check_setting("m_attach", m_attach, numbers.Integral, lambda v: v >= 1, "a positive integer")
+    for target in edge_targets:
+        nd.check_setting("edge target", target, numbers.Real, lambda v: math.isfinite(v) and v >= 0,
+                         "a finite, non-negative number")
+    edge_targets = [int(target) for target in edge_targets]
+    model_config = ModelConfig(feature_dim=d, hidden_dim=hidden_dim, num_relations=1)
+    warm_up = TrainConfig(batch_size=batch_size, max_epochs=1, seed=seed)
+    timed = TrainConfig(batch_size=batch_size, max_epochs=epochs, seed=seed)
     nodes = [max(int(round(target / m_attach)) + m_attach, m_attach + 2) for target in edge_targets]
     if len(set(nodes)) < 2:
-        raise ValueError(f"fitting a line needs edge targets of two or more graph sizes, got {list(edge_targets)}")
+        raise ValueError(f"fitting a line needs edge targets of two or more graph sizes, got {edge_targets}")
     entries = []
     for target, n in zip(edge_targets, nodes):
         g, labels = synth.generate_ba_graph(n, m_attach, 0.1, seed)
         features = synth.generate_features(labels, d, seed=seed + 1)
         splits = synth.make_splits(n, (0.6, 0.0, 0.4), seed=seed + 2, stratify_labels=labels)
         table = graph_mod.NodeTable(features, labels, splits)
-        model = PmpModel(ModelConfig(feature_dim=d, hidden_dim=hidden_dim, num_relations=1), seed=seed)
-        train(model, g, table, TrainConfig(batch_size=batch_size, max_epochs=1, seed=seed))
+        model = PmpModel(model_config, seed=seed)
+        train(model, g, table, warm_up)
         start_time = time.perf_counter()
-        train(model, g, table, TrainConfig(batch_size=batch_size, max_epochs=epochs, seed=seed))
+        train(model, g, table, timed)
         entries.append({
-            "edges_target": int(target),
+            "edges_target": target,
             "edges": g.num_edges(0),
             "nodes": n,
             "seconds_per_epoch": (time.perf_counter() - start_time) / epochs,
@@ -288,7 +301,7 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
 
 
 def cmd_bench(args) -> int:
-    targets = [int(float(x)) for x in args.edges.split(",")]
+    targets = [float(x) for x in args.edges.split(",")]
     result = run_bench(targets, d=args.d, hidden_dim=args.hidden_dim, m_attach=args.m_attach,
                        batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     payload = {**_stamp(_args_config(args), args.seed), **result}

@@ -8,9 +8,9 @@ rule on the output tensor; ``backward`` replays the recorded graph once in
 reverse topological order, accumulating gradients additively wherever a
 value fans out.
 
-The cross-entropy of a sigmoid output takes its adjoint in logit space:
-it records the sigmoid's input as its parent and sends sigma(z) - t
-straight to it. Scores saturated on the correct side then send back an
+The cross-entropy has one adjoint, taken in logit space: it is fed a
+recorded sigmoid output, records the sigmoid's input as its parent and
+sends sigma(z) - t straight to it. Scores saturated on the correct side then send back an
 exact zero rather than a subnormal, and the rest of the reverse pass runs
 on normal numbers.
 
@@ -18,9 +18,8 @@ Inside a ``no_grad()`` scope operators record nothing: read-only scoring
 keeps no reverse graph, and each intermediate is freed as soon as the next
 op has read it.
 
-Everything is float64 unless a tensor is constructed with an explicit
-dtype. Operators validate shapes up front and refuse to emit non-finite
-values instead of letting NaN or Inf propagate silently.
+Everything is float64. Operators validate shapes up front and refuse to
+emit non-finite values instead of letting NaN or Inf propagate silently.
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ import contextvars
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,8 +53,6 @@ __all__ = [
     "mean",
     "binary_cross_entropy",
     "reshape",
-    "grad_check",
-    "GradCheckReport",
     "check_setting",
     "read_json_object",
     "write_file_atomic",
@@ -81,7 +77,7 @@ class NonFiniteError(ArithmeticError):
 
 
 class Tensor:
-    """A dense array plus the adjoint rule of the operator that made it.
+    """A dense float64 array plus the adjoint rule of the operator that made it.
 
     Leaves are constructed directly (parameters pass requires_grad=True);
     every other tensor comes out of an operator below. ``grad`` is filled
@@ -90,8 +86,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
@@ -168,9 +164,9 @@ def backward(output: Tensor, seed=None, trace=None):
     if seed is None:
         if output.data.size != 1:
             raise ShapeError("backward: implicit seed requires a single-element output")
-        seed = np.ones_like(output.data)
+        seed = np.ones(output.data.shape)
     else:
-        seed = np.asarray(seed, dtype=output.data.dtype)
+        seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != output.data.shape:
             raise ShapeError(
                 f"backward: seed shape {seed.shape} does not match output shape {output.data.shape}"
@@ -334,7 +330,7 @@ def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.
     d = values.shape[1]
     cells = (ids[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(cells, weights=values.ravel(), minlength=num_rows * d)
-    return out.reshape(num_rows, d).astype(values.dtype, copy=False)
+    return out.reshape(num_rows, d)
 
 
 def gather_segment_sum(x: Tensor, rows: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -356,7 +352,7 @@ def gather_segment_sum(x: Tensor, rows: np.ndarray, segment_ids: np.ndarray, num
         out = np.empty((v.shape[1], size))
         for j, col in enumerate(np.ascontiguousarray(v.T)):
             out[j] = np.bincount(into, weights=col[src], minlength=size)
-        return np.ascontiguousarray(out.T, dtype=v.dtype)
+        return np.ascontiguousarray(out.T)
 
     out = summed(x.data, seg, rows, num_segments)
     return _make(out, "gather_segment_sum", (x,), lambda g: (summed(g, rows, seg, x.data.shape[0]),))
@@ -393,7 +389,7 @@ def dropout(x: Tensor, p: float, training: bool, key) -> Tensor:
         return x
     rng = np.random.Generator(np.random.Philox(key))
     keep = rng.random(x.data.shape) >= p
-    factor = keep.astype(x.data.dtype) / (1.0 - p)
+    factor = keep / (1.0 - p)
     return _make(x.data * factor, "dropout", (x,), lambda g: (g * factor,))
 
 
@@ -423,7 +419,7 @@ def mean(x: Tensor) -> Tensor:
     shape = x.data.shape
 
     def vjp(g):
-        return (np.full(shape, float(g) / size, dtype=x.data.dtype),)
+        return (np.full(shape, float(g) / size),)
 
     return _make(np.asarray(np.mean(x.data)), "mean", (x,), vjp)
 
@@ -443,105 +439,34 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     saturated one still gets the full -+1 signal. A clip-style dead zone
     here would stall training the moment any logit passes ~|28|.
 
-    Any other input gets the probability-space adjoint
-    -t/p + (1-t)/(1-p), taken at the input clipped only away from literal
-    0 and 1.
+    An input through which nothing is recorded (a constant, or any input
+    inside ``no_grad()``) gets the value alone. While recording, any other
+    gradient-carrying input raises ValueError.
     """
-    t = np.asarray(targets, dtype=probs.data.dtype)
+    t = np.asarray(targets, dtype=np.float64)
     if t.shape != probs.data.shape:
         raise ShapeError(f"binary_cross_entropy: target shape {t.shape} vs probs {probs.data.shape}")
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pc = np.clip(probs.data, lo, hi)
     out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
 
-    if probs.op == "sigmoid" and probs._parents:
-        (logits,) = probs._parents
-        zd = logits.data
+    if not (probs.op == "sigmoid" and probs._parents):
+        if _RECORDING.get() and probs.requires_grad:
+            raise ValueError(f"binary_cross_entropy: input must be a recorded sigmoid output, got op {probs.op!r}")
+        return _make(out, "binary_cross_entropy", (), None)
 
-        def logit_vjp(g):
-            return (g * (_logistic(zd) - t),)
-
-        return _make(out, "binary_cross_entropy", (logits,), logit_vjp)
-
-    pg = np.clip(probs.data, _SIGMOID_LO, _SIGMOID_HI)
+    (logits,) = probs._parents
+    zd = logits.data
 
     def vjp(g):
-        return (g * (-t / pg + (1.0 - t) / (1.0 - pg)),)
+        return (g * (_logistic(zd) - t),)
 
-    return _make(out, "binary_cross_entropy", (probs,), vjp)
+    return _make(out, "binary_cross_entropy", (logits,), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
     return _make(np.reshape(x.data, shape).copy(), "reshape", (x,), lambda g: (g.reshape(old),))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    """Worst relative error per parameter block from central differences."""
-
-    per_block: dict
-    tolerance: float
-
-    @property
-    def max_relative_error(self) -> float:
-        return max(self.per_block.values()) if self.per_block else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_error < self.tolerance
-
-    def __str__(self):
-        status = "ok" if self.passed else "FAIL"
-        return f"grad_check {status}: max relative error {self.max_relative_error:.3e} (tol {self.tolerance:.1e})"
-
-
-def grad_check(function, parameters: dict, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare reverse-mode gradients of a scalar ``function()`` against
-    central finite differences over every entry of every parameter.
-
-    ``function`` must be deterministic and must read the parameter tensors
-    in ``parameters`` (their ``data`` is perturbed in place between calls).
-    The step per entry is ``1e-6 * max(1, |x|)``; errors are relative
-    with a unit floor, |a - fd| / max(1, |a|, |fd|).
-    """
-    for p in parameters.values():
-        p.grad = None
-    out = function()
-    if out.data.size != 1:
-        raise ShapeError("grad_check: function must return a scalar tensor")
-    backward(out)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in parameters.items()
-    }
-
-    per_block = {}
-    for name, p in parameters.items():
-        worst = 0.0
-        # By multi-index into ``p.data`` itself: a flat reshape of a
-        # parameter that is not C-contiguous would be a copy, and perturbing
-        # it would never reach ``function``.
-        for idx in np.ndindex(p.data.shape):
-            x0 = p.data[idx]
-            h = 1e-6 * max(1.0, abs(x0))
-            p.data[idx] = x0 + h
-            f_plus = float(function().data)
-            p.data[idx] = x0 - h
-            f_minus = float(function().data)
-            p.data[idx] = x0
-            fd = (f_plus - f_minus) / (2.0 * h)
-            a = analytic[name][idx]
-            rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
-            if rel > worst:
-                worst = rel
-        per_block[name] = worst
-    return GradCheckReport(per_block=per_block, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Synthetic graphs, features, and splits for experiments and benchmarks."""
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -60,8 +61,12 @@ def generate_features(
     seed: int = 0,
 ) -> np.ndarray:
     """Class-conditional Gaussian features, i.i.d. per dimension. Raises
-    ValueError naming ``feature_dim`` unless it is a positive integer."""
+    ValueError naming the setting unless ``feature_dim`` is a positive
+    integer, ``sigma`` a finite number >= 0 and both means finite numbers."""
     check_setting("feature_dim", feature_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
+    check_setting("sigma", sigma, numbers.Real, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+    for name, mu in (("mu_benign", mu_benign), ("mu_fraud", mu_fraud)):
+        check_setting(name, mu, numbers.Real, math.isfinite, "a finite number")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     means = np.where(labels == 1, mu_fraud, mu_benign).astype(np.float64)

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
-shares code with the production paths it checks. The two exceptions check
-the differentiation engine itself and are built on it: ``sub``, an operator
-the model never uses, and ``influence_linear_check``. A third,
+shares code with the production paths it checks. The three exceptions
+check the differentiation engine itself and are built on it: ``sub``, an
+operator the model never uses, ``influence_linear_check`` and
+``grad_check``, the central finite-difference checker. A fourth,
 ``frontier_model_forward``, checks only how ``model_forward`` feeds its
 layers, so it runs the production layer on inputs it indexes its own way.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,6 +225,69 @@ def frontier_model_forward(model, graph, partition, features, batch):
 def sub(a, b):
     """Elementwise difference as a differentiation engine operator."""
     return nd._make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+
+
+@dataclass
+class GradCheckReport:
+    """Worst relative error per parameter block from central differences."""
+
+    per_block: dict
+    tolerance: float
+
+    @property
+    def max_relative_error(self) -> float:
+        return max(self.per_block.values()) if self.per_block else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.max_relative_error < self.tolerance
+
+    def __str__(self):
+        status = "ok" if self.passed else "FAIL"
+        return f"grad_check {status}: max relative error {self.max_relative_error:.3e} (tol {self.tolerance:.1e})"
+
+
+def grad_check(function, parameters: dict, tolerance: float = 1e-4) -> GradCheckReport:
+    """Compare reverse-mode gradients of a scalar ``function()`` against
+    central finite differences over every entry of every parameter.
+
+    ``function`` must be deterministic and must read the parameter tensors
+    in ``parameters`` (their ``data`` is perturbed in place between calls).
+    The step per entry is ``1e-6 * max(1, |x|)``; errors are relative
+    with a unit floor, |a - fd| / max(1, |a|, |fd|).
+    """
+    for p in parameters.values():
+        p.grad = None
+    out = function()
+    if out.data.size != 1:
+        raise nd.ShapeError("grad_check: function must return a scalar tensor")
+    nd.backward(out)
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in parameters.items()
+    }
+
+    per_block = {}
+    for name, p in parameters.items():
+        worst = 0.0
+        # By multi-index into ``p.data`` itself: a flat reshape of a
+        # parameter that is not C-contiguous would be a copy, and perturbing
+        # it would never reach ``function``.
+        for idx in np.ndindex(p.data.shape):
+            x0 = p.data[idx]
+            h = 1e-6 * max(1.0, abs(x0))
+            p.data[idx] = x0 + h
+            f_plus = float(function().data)
+            p.data[idx] = x0 - h
+            f_minus = float(function().data)
+            p.data[idx] = x0
+            fd = (f_plus - f_minus) / (2.0 * h)
+            a = analytic[name][idx]
+            rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
+            if rel > worst:
+                worst = rel
+        per_block[name] = worst
+    return GradCheckReport(per_block=per_block, tolerance=tolerance)
 
 
 def normalized_adjacency(graph, relation=0):

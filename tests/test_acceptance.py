@@ -32,6 +32,7 @@ from .reference import (
     benign_neighbors,
     counted_metrics,
     fraud_neighbors,
+    grad_check,
     influence_linear_check,
     naive_model_forward,
     normalized_adjacency,
@@ -112,7 +113,7 @@ def test_c01_full_model_gradients_match_finite_differences():
         else:
             pytest.fail(f"trial {trial}: no smooth instance in 50 attempts")
 
-        report = nd.grad_check(objective, params, tolerance=1e-4)
+        report = grad_check(objective, params, tolerance=1e-4)
         worst = max(worst, report.max_relative_error)
         assert report.passed, f"trial {trial}: max rel err {report.max_relative_error}"
     elapsed = time.time() - started

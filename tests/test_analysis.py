@@ -21,7 +21,7 @@ from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, model_forward
 
-from .reference import influence_linear_check, normalized_adjacency
+from .reference import grad_check, influence_linear_check, normalized_adjacency
 
 
 def random_graph(rng, n, factor=3):
@@ -246,7 +246,7 @@ class TestInfluence:
         center = 0
         # a column-major copy, as NodeTable stores them
         feats = nd.Tensor(np.array(table.features, order="F"), requires_grad=True)
-        report = nd.grad_check(lambda: nd.mean(model_forward(model, g, partition, feats, np.array([center]))),
+        report = grad_check(lambda: nd.mean(model_forward(model, g, partition, feats, np.array([center]))),
                                {"features": feats}, tolerance=1e-6)
         assert report.passed, str(report)
         assert np.count_nonzero(feats.grad) > 20

@@ -117,11 +117,17 @@ class TestSynthAndValidate:
         assert summary["fraud_nodes"] == 20
         assert sum(summary["split_sizes"].values()) == 80
 
-    @pytest.mark.parametrize("d", [0, -1])
-    def test_non_positive_feature_dim_exits_2_before_writing(self, capsys, tmp_path, d):
+    @pytest.mark.parametrize("argv, error", [
+        (["--d", "0"], "feature_dim must be a positive integer, got 0"),
+        (["--d", "-1"], "feature_dim must be a positive integer, got -1"),
+        (["--sigma", "-1"], "sigma must be a finite number >= 0, got -1.0"),
+        (["--sigma", "nan"], "sigma must be a finite number >= 0, got nan"),
+        (["--mu-fraud", "inf"], "mu_fraud must be a finite number, got inf"),
+        (["--mu-benign=-inf"], "mu_benign must be a finite number, got -inf"),
+    ])
+    def test_bad_feature_setting_exits_2_before_writing(self, capsys, tmp_path, argv, error):
         out = tmp_path / "bundle"
-        error = rejected(capsys, "synth", "--n", "50", "--m-attach", "2", "--d", d, "--out", out)
-        assert error == f"feature_dim must be a positive integer, got {d}"
+        assert rejected(capsys, "synth", "--n", "50", "--m-attach", "2", *argv, "--out", out) == error
         assert not out.exists()
 
     def test_corrupt_bundle_exits_2_with_json_error(self, bundle_dir, tmp_path):
@@ -488,6 +494,13 @@ class TestSpectral:
         assert payload["kind"] == "ValueError"
         assert "relation index 3" in payload["error"]
 
+    @pytest.mark.parametrize("signal_dim", [0, -1])
+    def test_non_positive_signal_dim_exits_2_before_writing(self, capsys, bundle_dir, tmp_path, signal_dim):
+        out = tmp_path / "spec"
+        error = rejected(capsys, "spectral", bundle_dir, "--signal-dim", signal_dim, "--out", out)
+        assert error == f"signal_dim must be a positive integer, got {signal_dim}"
+        assert not out.exists()
+
     def test_dense_cap_exits_4(self, tmp_path):
         run_cli("synth", "--n", "50", "--m-attach", "2", "--out", str(tmp_path / "bundle"))
         proc = run_cli(
@@ -587,6 +600,18 @@ class TestBench:
         monkeypatch.setattr(cli.synth, "generate_ba_graph", lambda *a, **k: pytest.fail("built a graph"))
         error = rejected(capsys, "bench", "--edges", edges)
         assert error.endswith(f"got {[int(x) for x in edges.split(',')]}")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--edges", "2000,4000", "--m-attach", "0"], "m_attach"),
+        (["--edges", "2000,4000", "--m-attach", "-2"], "m_attach"),
+        (["--edges", "inf,4000"], "edge target"),
+        (["--edges", "2000,4000", "--batch-size", "0"], "batch_size"),
+        (["--edges", "2000,4000", "--d", "0"], "feature_dim"),
+        (["--edges", "2000,4000", "--hidden-dim", "0"], "hidden_dim"),
+    ])
+    def test_bad_setting_exits_2_before_building(self, capsys, monkeypatch, argv, name):
+        monkeypatch.setattr(cli.synth, "generate_ba_graph", lambda *a, **k: pytest.fail("built a graph"))
+        assert rejected(capsys, "bench", *argv).startswith(f"{name} must be ")
 
 
 class TestTopLevel:

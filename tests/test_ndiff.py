@@ -9,7 +9,7 @@ import pytest
 
 from pmpfraud import ndiff as nd
 
-from .reference import add_at_rows, sub
+from .reference import add_at_rows, grad_check, sub
 
 
 def fd_tensor(rng, shape, low=0.2, high=1.5):
@@ -19,7 +19,7 @@ def fd_tensor(rng, shape, low=0.2, high=1.5):
 
 
 def run_op_check(params, fn, tolerance=1e-6):
-    report = nd.grad_check(fn, params, tolerance=tolerance)
+    report = grad_check(fn, params, tolerance=tolerance)
     assert report.passed, str(report)
 
 
@@ -101,13 +101,6 @@ class TestOperatorGradients:
         raw = fd_tensor(rng, (10,))
         targets = rng.integers(0, 2, size=10).astype(np.float64)
         run_op_check({"raw": raw}, lambda: nd.mean(nd.binary_cross_entropy(nd.sigmoid(raw), targets)))
-
-    def test_binary_cross_entropy_of_probabilities(self):
-        # A leaf probability input keeps the probability-space adjoint.
-        rng = np.random.default_rng(15)
-        probs = nd.Tensor(rng.uniform(0.05, 0.95, size=10), requires_grad=True)
-        targets = rng.integers(0, 2, size=10).astype(np.float64)
-        run_op_check({"probs": probs}, lambda: nd.mean(nd.binary_cross_entropy(probs, targets)))
 
     def test_composite_expression(self):
         rng = np.random.default_rng(14)
@@ -278,23 +271,6 @@ class TestScatterMatchesAddAt:
         nd.backward(nd.gather_rows(x, ids), seed=upstream)
         assert np.array_equal(x.grad, add_at_rows(upstream, ids, self.K))
 
-    def test_result_keeps_input_dtype(self):
-        # float32 sums accumulate in float64 and round once, both ways.
-        rows, ids, x = self.gather_case(3, m=40)
-        x32 = x.astype(np.float32)
-        t = nd.Tensor(x32, dtype=np.float32, requires_grad=True)
-        out = nd.gather_segment_sum(t, rows, ids, self.K)
-        assert out.data.dtype == np.float32
-        wide = x32.astype(np.float64)
-        assert np.array_equal(out.data, add_at_rows(wide[rows], ids, self.K).astype(np.float32))
-        _, upstream = self.case(4, m=self.K)
-        up32 = upstream.astype(np.float32)
-        nd.backward(out, seed=up32)
-        assert t.grad.dtype == np.float32
-        want = add_at_rows(up32.astype(np.float64)[ids], rows, self.N).astype(np.float32)
-        assert np.array_equal(t.grad, want)
-
-
 class TestReversePass:
     def test_fanout_accumulates_additively(self):
         x = nd.Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
@@ -460,6 +436,21 @@ class TestErrors:
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="affine"):
             nd.affine(big, 10.0)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda p: nd.Tensor(p, requires_grad=True), id="leaf"),
+        pytest.param(lambda p: nd.relu(nd.Tensor(p, requires_grad=True)), id="relu"),
+    ])
+    def test_bce_of_a_gradient_carrying_non_sigmoid_raises(self, make):
+        # The only adjoint is the logit-space one; outside no_grad() such an
+        # input has no logit to send it to. Inside, it still gets its value.
+        p, t = np.array([0.2, 0.7]), np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="binary_cross_entropy"):
+            nd.binary_cross_entropy(make(p), t)
+        with nd.no_grad():
+            out = nd.binary_cross_entropy(make(p), t)
+        assert np.array_equal(out.data, nd.binary_cross_entropy(nd.Tensor(p), t).data)
+        assert not out.requires_grad
+
     def test_dropout_p_validation(self):
         x = nd.Tensor(np.ones(3))
         with pytest.raises(ValueError):
@@ -471,13 +462,13 @@ class TestErrors:
 
 
 class TestPrecision:
-    def test_default_is_float64(self):
-        assert nd.Tensor([1, 2, 3]).data.dtype == np.float64
+    @pytest.mark.parametrize("values", [[1, 2, 3], np.ones(3, dtype=np.float32), np.ones(3)])
+    def test_default_is_float64(self, values):
+        assert nd.Tensor(values).data.dtype == np.float64
 
-    def test_optional_single_precision(self):
-        x = nd.Tensor(np.ones((2, 2)), dtype=np.float32)
-        y = nd.matmul(x, x)
-        assert y.data.dtype == np.float32
+    def test_no_dtype_option(self):
+        with pytest.raises(TypeError):
+            nd.Tensor(np.ones(2), dtype=np.float32)
 
 
 class TestCheckpoint:
