@@ -73,14 +73,10 @@ def eigendecompose(laplacian: np.ndarray):
     return U, lam
 
 
-def mask_matrices(labels: np.ndarray, train_mask: np.ndarray):
-    """Diagonal indicators (F, B) of train-fraud and train-benign nodes."""
-    labels = np.asarray(labels)
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if labels.shape != train_mask.shape:
-        raise ValueError("labels and train_mask must have the same shape")
-    F = np.diag((train_mask & (labels == 1)).astype(np.float64))
-    B = np.diag((train_mask & (labels == 0)).astype(np.float64))
+def mask_matrices(partition: PartitionIndex):
+    """Diagonal indicators (F, B) of buckets 0 (train-fraud) and 1 (train-benign)."""
+    F = np.diag((partition.bucket == 0).astype(np.float64))
+    B = np.diag((partition.bucket == 1).astype(np.float64))
     return F, B
 
 
@@ -122,8 +118,7 @@ class SpectralReport:
 
 def spatial_spectral_check(
     graph: RelationalGraph,
-    labels: np.ndarray,
-    train_mask: np.ndarray,
+    partition: PartitionIndex,
     X: np.ndarray,
     W_fr: np.ndarray,
     W_be: np.ndarray,
@@ -143,7 +138,8 @@ def spatial_spectral_check(
 
     The report carries the max abs deviation of that identity, the
     Laplacian eigendecomposition residual, and per-node two-channel
-    responses (1 - lambda_j) K_jj and (1 - lambda_j) (1 - K_jj).
+    responses (1 - lambda_j) K_jj and (1 - lambda_j) (1 - K_jj). F and B
+    come from ``partition``, the model's own train-label buckets.
     """
     n = graph.num_nodes
     _check_cap(n, cap)
@@ -153,7 +149,7 @@ def spatial_spectral_check(
     if X.shape[0] != n:
         raise ValueError("X must have one row per node")
     L = normalized_laplacian(graph, relation, cap)
-    F, B = mask_matrices(labels, train_mask)
+    F, B = mask_matrices(partition)
     K = k_matrix(F, B, alpha)
     eye = np.eye(n)
     lhs = F @ X @ W_fr + B @ X @ W_be + (eye - F - B) @ X @ (alpha * W_fr + (1.0 - alpha) * W_be)

@@ -198,9 +198,9 @@ def cmd_spectral(args) -> int:
     X = rng.normal(size=(g.num_nodes, d))
     W_fr = rng.normal(size=(d, args.signal_dim))
     W_be = rng.normal(size=(d, args.signal_dim))
-    report = analysis.spatial_spectral_check(
-        g, table.labels, table.train_mask(), X, W_fr, W_be, args.alpha, relation=args.relation, cap=args.max_dense_n
-    )
+    partition = graph_mod.PartitionIndex.from_table(g, table)
+    report = analysis.spatial_spectral_check(g, partition, X, W_fr, W_be, args.alpha, relation=args.relation,
+                                             cap=args.max_dense_n)
     config = _args_config(args)
     os.makedirs(args.out, exist_ok=True)
     report.to_csv(os.path.join(args.out, "spectral.csv"), meta_line=_meta_line(config, args.seed))
@@ -229,10 +229,9 @@ def cmd_homophily(args) -> int:
 
 def cmd_ratio_hist(args) -> int:
     g, table = bundle.load_bundle(args.bundle)
-    relation = args.relation if args.relation == "union" else int(args.relation)
-    hist = graph_mod.neighborhood_label_ratio(
-        g, table.labels, table.train_mask(), relation, bin_width=args.bin_width, max_ratio=args.max_ratio
-    )
+    partition = graph_mod.PartitionIndex.from_table(g, table)
+    hist = graph_mod.neighborhood_label_ratio(g, partition, args.relation, bin_width=args.bin_width,
+                                              max_ratio=args.max_ratio)
     lines = [f"# {_meta_line(_args_config(args), -1)}", "ratio_lo,ratio_hi,node_count"]
     for lo, hi, count in hist.rows():
         lines.append(f"{lo},{hi},{count}")

@@ -172,9 +172,6 @@ class NodeTable:
     def split_ids(self, name: str) -> np.ndarray:
         return np.flatnonzero(self.splits == split_index(name))
 
-    def train_mask(self) -> np.ndarray:
-        return self.splits == SPLIT_TRAIN
-
 
 class PartitionIndex:
     """Each node's bucket as a neighbor: 0 train-fraud, 1 train-benign,
@@ -204,7 +201,7 @@ class PartitionIndex:
 
     @classmethod
     def from_table(cls, graph: RelationalGraph, table: NodeTable) -> "PartitionIndex":
-        return cls.build(graph, table.labels, table.train_mask())
+        return cls.build(graph, table.labels, table.splits == SPLIT_TRAIN)
 
 
 def _resolve_single_relation(graph: RelationalGraph, relation) -> tuple:
@@ -212,7 +209,10 @@ def _resolve_single_relation(graph: RelationalGraph, relation) -> tuple:
     if relation == "union":
         g = graph.union() if graph.num_relations > 1 else graph
         return g.row_indices(0), g.col_indices[0]
-    relation = int(relation)
+    try:
+        relation = int(relation)
+    except ValueError:
+        raise ValueError(f"relation must be an integer index or 'union', got {relation!r}") from None
     if not 0 <= relation < graph.num_relations:
         raise ValueError(f"relation index {relation} out of range: the graph has {graph.num_relations} relation(s)")
     return graph.row_indices(relation), graph.col_indices[relation]
@@ -275,26 +275,23 @@ class RatioHistogram:
 
 def neighborhood_label_ratio(
     graph: RelationalGraph,
-    labels: np.ndarray,
-    train_mask: np.ndarray,
+    partition: PartitionIndex,
     relation=0,
     bin_width: float = 0.1,
     max_ratio: float = 2.0,
 ) -> RatioHistogram:
     """Distribution of |fraud| / |benign| among labeled neighbors.
 
-    Centers are train-split nodes; neighbor labels likewise count only
-    train-split nodes, matching the buckets the model actually sees.
+    Centers and labeled neighbors are the model's own buckets: train-fraud
+    (0) and train-benign (1) nodes of ``partition``, never a val or test label.
     """
     for name, value in (("bin_width", bin_width), ("max_ratio", max_ratio)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
-    labels = np.asarray(labels)
-    train_mask = np.asarray(train_mask, dtype=bool)
     rows, cols = _resolve_single_relation(graph, relation)
-    fr = np.bincount(rows[train_mask[cols] & (labels[cols] == 1)], minlength=graph.num_nodes)
-    be = np.bincount(rows[train_mask[cols] & (labels[cols] == 0)], minlength=graph.num_nodes)
-    centers = np.flatnonzero(train_mask)
+    fr = np.bincount(rows[partition.bucket[cols] == 0], minlength=graph.num_nodes)
+    be = np.bincount(rows[partition.bucket[cols] == 1], minlength=graph.num_nodes)
+    centers = np.flatnonzero(partition.bucket < 2)
     fr, be = fr[centers], be[centers]
     labeled = fr + be > 0
     excluded = int((~labeled).sum())

@@ -57,26 +57,34 @@ class TrainConfig:
     pos_weight: float | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay"):
-            check_setting(name, getattr(self, name), numbers.Real, lambda v: v >= 0, "a non-negative number")
+        _check_rates(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
         check_setting("dropout_p", self.dropout_p, numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
         for name in ("batch_size", "max_epochs", "patience"):
             check_setting(name, getattr(self, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
         check_setting("seed", self.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
         if self.pos_weight is not None:
-            check_setting("pos_weight", self.pos_weight, numbers.Real, lambda v: v > 0, "a positive number or null")
+            check_setting("pos_weight", self.pos_weight, numbers.Real, lambda v: math.isfinite(v) and v > 0,
+                          "a finite, positive number or null")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+def _check_rates(**rates):
+    """ValueError naming the first rate that is not a finite, non-negative number."""
+    for name, value in rates.items():
+        check_setting(name, value, numbers.Real, lambda v: math.isfinite(v) and v >= 0,
+                      "a finite, non-negative number")
+
+
 class TrainingDiverged(ArithmeticError):
-    """Loss or a gradient became non-finite."""
+    """Loss, a gradient or a score became non-finite; ``batch_index`` -1 is the validation pass."""
 
     def __init__(self, epoch: int, batch_index: int, message: str = ""):
         self.epoch = epoch
         self.batch_index = batch_index
-        super().__init__(f"training diverged at epoch {epoch}, batch {batch_index}: {message}")
+        where = "validation pass" if batch_index == -1 else f"batch {batch_index}"
+        super().__init__(f"training diverged at epoch {epoch}, {where}: {message}")
 
 
 class Adam:
@@ -92,8 +100,7 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0):
-        if learning_rate < 0 or weight_decay < 0:
-            raise ValueError(f"negative learning_rate {learning_rate} or weight_decay {weight_decay}")
+        _check_rates(learning_rate=learning_rate, weight_decay=weight_decay)
         self.params = dict(params)
         self.lr = float(learning_rate)
         self.weight_decay = float(weight_decay)

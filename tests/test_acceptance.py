@@ -194,15 +194,15 @@ def test_c04_masked_transformation_matches_k_matrix_form():
         d_out = int(rng.integers(2, 6))
         g = _random_graph(rng, n, approx_edges=3 * n)
         labels = (rng.random(n) < 0.3).astype(np.int8)
-        train_mask = rng.random(n) < 0.6
+        partition = PartitionIndex.build(g, labels, rng.random(n) < 0.6)
         X = rng.normal(size=(n, d))
         W_fr = rng.normal(size=(d, d_out))
         W_be = rng.normal(size=(d, d_out))
         for alpha in (0.1, 0.5, 0.9):
-            report = spatial_spectral_check(g, labels, train_mask, X, W_fr, W_be, alpha)
+            report = spatial_spectral_check(g, partition, X, W_fr, W_be, alpha)
             worst = max(worst, report.spatial_identity_error)
         for alpha in (0.0, 1.0):
-            report = spatial_spectral_check(g, labels, train_mask, X, W_fr, W_be, alpha)
+            report = spatial_spectral_check(g, partition, X, W_fr, W_be, alpha)
             assert report.spatial_identity_error == 0.0
     assert worst <= 1e-10, worst
     print(f"PASS C4: three-bucket form == K-matrix form on 20 graphs, max "

@@ -77,20 +77,34 @@ class TestLaplacian:
             normalized_laplacian(g, cap=10)
 
 
+def partition_of(labels, train, g=None):
+    """The train-label partition of ``labels`` on ``g`` (an edgeless graph if None)."""
+    if g is None:
+        g = RelationalGraph.from_edge_lists(len(labels), [[]])
+    return PartitionIndex.build(g, np.asarray(labels), np.asarray(train))
+
+
 class TestMasks:
     def test_indicators(self):
         labels = np.array([1, 0, 1, 0])
         train = np.array([True, True, False, False])
-        F, B = mask_matrices(labels, train)
+        F, B = mask_matrices(partition_of(labels, train))
         np.testing.assert_array_equal(np.diag(F), [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(np.diag(B), [0.0, 1.0, 0.0, 0.0])
         assert not (F @ B).any()
         assert F.trace() == 1.0 and B.trace() == 1.0
 
+    def test_indicators_are_the_partitions_buckets(self):
+        # F and B read buckets 0 and 1 as given; no label is consulted
+        g = RelationalGraph.from_edge_lists(4, [[]])
+        F, B = mask_matrices(PartitionIndex(g, [2, 1, 0, 1]))
+        np.testing.assert_array_equal(np.diag(F), [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(np.diag(B), [0.0, 1.0, 0.0, 1.0])
+
     def test_k_matrix_entries(self):
         labels = np.array([1, 0, 1])
         train = np.array([True, True, False])
-        F, B = mask_matrices(labels, train)
+        F, B = mask_matrices(partition_of(labels, train))
         K = k_matrix(F, B, 0.3)
         np.testing.assert_array_equal(np.diag(K), [1.0, 0.0, 0.3])
         assert not (K - np.diag(np.diag(K))).any()
@@ -98,27 +112,23 @@ class TestMasks:
     def test_k_boundaries(self):
         labels = np.array([1, 0, 1])
         train = np.array([True, True, False])
-        F, B = mask_matrices(labels, train)
+        F, B = mask_matrices(partition_of(labels, train))
         np.testing.assert_array_equal(k_matrix(F, B, 0.0), F)
         np.testing.assert_array_equal(k_matrix(F, B, 1.0), np.eye(3) - B)
 
     def test_k_complement_is_exact(self):
         labels = np.array([1, 0, 1, 0, 1])
         train = np.array([True] * 3 + [False] * 2)
-        F, B = mask_matrices(labels, train)
+        F, B = mask_matrices(partition_of(labels, train))
         K = k_matrix(F, B, 0.7)
         np.testing.assert_array_equal(K + (np.eye(5) - K), np.eye(5))
 
     def test_alpha_validation(self):
-        F, B = mask_matrices(np.array([1, 0]), np.array([True, True]))
+        F, B = mask_matrices(partition_of([1, 0], [True, True]))
         with pytest.raises(ValueError):
             k_matrix(F, B, -0.1)
         with pytest.raises(ValueError):
             k_matrix(F, B, 1.1)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mask_matrices(np.array([1, 0]), np.array([True]))
 
 
 class TestSpatialSpectral:
@@ -129,7 +139,7 @@ class TestSpatialSpectral:
         X = rng.normal(size=(n, 4))
         W_fr = rng.normal(size=(4, 3))
         W_be = rng.normal(size=(4, 3))
-        return spatial_spectral_check(g, labels, train, X, W_fr, W_be, alpha)
+        return spatial_spectral_check(g, partition_of(labels, train, g), X, W_fr, W_be, alpha)
 
     def test_identity_holds_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -152,11 +162,12 @@ class TestSpatialSpectral:
         g = random_graph(rng, n)
         labels = rng.integers(0, 2, size=n)
         train = rng.random(n) < 0.5
+        partition = partition_of(labels, train, g)
         report = spatial_spectral_check(
-            g, labels, train, rng.normal(size=(n, 2)),
+            g, partition, rng.normal(size=(n, 2)),
             rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.25,
         )
-        F, B = mask_matrices(labels, train)
+        F, B = mask_matrices(partition)
         k_diag = np.diag(k_matrix(F, B, 0.25))
         lam = report.eigenvalues
         assert report.filter_responses.shape == (n, 4)
@@ -182,7 +193,7 @@ class TestSpatialSpectral:
         g = random_graph(rng, 12)
         with pytest.raises(DenseCapExceeded):
             spatial_spectral_check(
-                g, np.zeros(12, dtype=int), np.ones(12, bool),
+                g, partition_of(np.zeros(12, dtype=int), np.ones(12, bool), g),
                 np.zeros((12, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.5, cap=10,
             )
 

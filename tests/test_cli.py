@@ -323,6 +323,21 @@ class TestTrain:
         error = rejected(capsys, "train", bundle_dir, "--out", tmp_path / "run", "--batch-size", "0")
         assert error == "batch_size must be a positive integer, got 0"
 
+    @pytest.mark.parametrize("flag, rule", [
+        ("--lr", "learning_rate must be a finite, non-negative number"),
+        ("--weight-decay", "weight_decay must be a finite, non-negative number"),
+        ("--pos-weight", "pos_weight must be a finite, positive number or null"),
+    ], ids=["lr", "weight-decay", "pos-weight"])
+    def test_infinite_rate_exits_2_before_reading_or_writing(self, bundle_dir, tmp_path, capsys, monkeypatch,
+                                                            flag, rule):
+        def unread(path):
+            raise AssertionError(f"bundle {path} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        out = tmp_path / "run"
+        assert rejected(capsys, "train", bundle_dir, "--out", out, flag, "inf") == f"{rule}, got inf"
+        assert not out.exists()
+
     def test_divergence_exits_3(self, bundle_dir, tmp_path):
         proc = run_cli(
             "train", str(bundle_dir), "--out", str(tmp_path / "div"), "--max-epochs", "2",
@@ -538,6 +553,10 @@ class TestGraphStats:
     def test_hash_covers_every_argument(self, bundle_dir):
         stamps = {run_cli("ratio-hist", str(bundle_dir), "--max-ratio", r).stdout.splitlines()[0] for r in ("2", "5")}
         assert len(stamps) == 2
+
+    def test_ratio_hist_relation_not_an_index_exits_2_naming_it(self, bundle_dir, capsys):
+        error = rejected(capsys, "ratio-hist", bundle_dir, "--relation", "foo")
+        assert error == "relation must be an integer index or 'union', got 'foo'"
 
     @pytest.mark.parametrize("width", ["0", "-0.1"])
     def test_ratio_hist_non_positive_bin_width_exits_2(self, bundle_dir, width):

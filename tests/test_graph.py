@@ -157,7 +157,7 @@ class TestNodeTable:
         t = make_table(np.eye(3), [0, 1, 0], [0, 0, 2])
         assert t.num_nodes == 3
         assert t.feature_dim == 3
-        np.testing.assert_array_equal(t.train_mask(), [True, True, False])
+        np.testing.assert_array_equal(t.split_ids("train"), [0, 1])
         np.testing.assert_array_equal(t.split_ids("test"), [2])
         np.testing.assert_array_equal(t.split_ids("val"), [])
 
@@ -245,6 +245,16 @@ class TestPartitionIndex:
         with pytest.raises(ValueError, match="one entry per node"):
             PartitionIndex(g, np.zeros(2, dtype=np.int8))
 
+    @pytest.mark.parametrize("labels, train", [
+        pytest.param([1, 0], [True, True, False], id="short-labels"),
+        pytest.param([1, 0, 0], [True, True], id="short-train-mask"),
+        pytest.param([1, 0, 0, 1], [True, True, False, False], id="both-long"),
+    ])
+    def test_build_needs_one_entry_per_node(self, labels, train):
+        g = RelationalGraph.from_edge_lists(3, [[(0, 1)]])
+        with pytest.raises(ValueError, match="labels and train_mask must have one entry per node"):
+            PartitionIndex.build(g, np.array(labels), np.array(train))
+
     def test_val_labeled_node_lands_in_unlabeled_bucket(self):
         # label information outside the train split must not leak
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
@@ -319,7 +329,7 @@ class TestRatioHistogram:
         g = RelationalGraph.from_edge_lists(9, [edges])
         labels = np.array([0, 1, 1, 0, 0, 0, 0, 0, 1])
         train = np.array([1, 1, 1, 1, 1, 1, 1, 1, 0], dtype=bool)
-        return neighborhood_label_ratio(g, labels, train, **kwargs)
+        return neighborhood_label_ratio(g, PartitionIndex.build(g, labels, train), **kwargs)
 
     def test_star_fixture(self):
         h = self.star_histogram()
@@ -342,3 +352,13 @@ class TestRatioHistogram:
         rows = h.rows()
         assert len(rows) == 21
         assert rows[-1] == (float("inf"), float("inf"), 1)
+
+    def test_counts_the_partitions_buckets(self):
+        # A path 0-1-2-3 whose buckets are given outright: centers are the
+        # bucket-0/1 nodes (0, 1, 3); node 2 (bucket 2) is neither a center
+        # nor a labeled neighbor. Node 0 sees benign 1 (ratio 0), node 1 sees
+        # fraud 0 (infinite), node 3 sees only node 2 (excluded).
+        g = RelationalGraph.from_edge_lists(4, [[(0, 1), (1, 2), (2, 3)]])
+        h = neighborhood_label_ratio(g, PartitionIndex(g, [0, 1, 2, 0]), bin_width=1.0, max_ratio=1.0)
+        assert (h.num_counted, h.excluded_count, h.infinite_count) == (2, 1, 1)
+        assert h.bins == [(0.0, float("inf"), 1)]

@@ -68,10 +68,15 @@ class TestAdam:
         with pytest.raises(nd.NonFiniteError, match="w"):
             opt.step({"w": np.array([np.nan])})
 
-    def test_hyperparameter_validation(self):
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", -1.0), ("learning_rate", math.inf), ("learning_rate", math.nan),
+        ("weight_decay", -1e-3), ("weight_decay", math.inf),
+    ])
+    def test_hyperparameter_validation(self, name, value):
         theta = nd.Tensor(np.array([1.0]), requires_grad=True)
-        with pytest.raises(ValueError):
-            Adam({"w": theta}, learning_rate=-1.0)
+        rates = {"learning_rate": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite, non-negative number, got {value!r}$"):
+            Adam({"w": theta}, **rates)
 
     def test_steps_follow_sign_of_gradient(self):
         theta = nd.Tensor(np.array([0.0]), requires_grad=True)
@@ -97,13 +102,14 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
 
     @pytest.mark.parametrize("name, value", [
-        ("learning_rate", -0.1), ("learning_rate", math.nan), ("learning_rate", "fast"),
-        ("weight_decay", -1e-3), ("weight_decay", True),
+        ("learning_rate", -0.1), ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", "fast"),
+        ("weight_decay", -1e-3), ("weight_decay", True), ("weight_decay", math.inf),
         ("dropout_p", 1.0), ("dropout_p", -0.5),
         ("batch_size", 0), ("batch_size", 16.5), ("batch_size", True),
         ("max_epochs", 0), ("max_epochs", 3.0), ("patience", -1), ("patience", "20"),
         ("seed", -1), ("seed", 1.5), ("seed", False),
-        ("pos_weight", 0.0), ("pos_weight", -2.0), ("pos_weight", "fast"),
+        ("pos_weight", 0.0), ("pos_weight", -2.0), ("pos_weight", "fast"), ("pos_weight", math.inf),
+        ("pos_weight", math.nan),
     ])
     def test_rejection_names_field_and_value(self, name, value):
         with pytest.raises(ValueError) as info:
@@ -188,6 +194,19 @@ class TestTrainLoop:
             train(model, g, table, cfg)
         assert info.value.epoch >= 0
         assert info.value.batch_index >= -1
+
+    def test_divergence_in_the_validation_pass_names_it(self, monkeypatch):
+        g, table = small_dataset(seed=6)
+        model = small_model(table, seed=6)
+
+        def failing_scores(*args, **kwargs):
+            raise nd.NonFiniteError("matmul: non-finite result")
+
+        monkeypatch.setattr(training, "forward_scores", failing_scores)
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, g, table, TrainConfig(batch_size=16, max_epochs=2, seed=6))
+        assert (info.value.epoch, info.value.batch_index) == (0, -1)
+        assert str(info.value) == "training diverged at epoch 0, validation pass: matmul: non-finite result"
 
     def test_partition_is_built_once(self, monkeypatch):
         calls = []
