@@ -191,7 +191,8 @@ def cmd_influence(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    nd.check_setting("signal_dim", args.signal_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
+    for name in ("signal_dim", "max_dense_n"):
+        nd.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)
@@ -228,6 +229,7 @@ def cmd_homophily(args) -> int:
 
 
 def cmd_ratio_hist(args) -> int:
+    graph_mod.ratio_bin_count(args.bin_width, args.max_ratio)
     g, table = bundle.load_bundle(args.bundle)
     partition = graph_mod.PartitionIndex.from_table(g, table)
     hist = graph_mod.neighborhood_label_ratio(g, partition, args.relation, bin_width=args.bin_width,

@@ -23,11 +23,16 @@ __all__ = [
     "split_index",
     "homophily_score",
     "neighborhood_label_ratio",
+    "ratio_bin_count",
     "RatioHistogram",
+    "MAX_RATIO_BINS",
 ]
 
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = 0, 1, 2
+
+# The most finite bins a label-ratio histogram may have.
+MAX_RATIO_BINS = 10_000
 
 
 def split_index(name: str) -> int:
@@ -273,6 +278,21 @@ class RatioHistogram:
         return out
 
 
+def ratio_bin_count(bin_width: float, max_ratio: float) -> int:
+    """The finite bin count ``ceil(max_ratio / bin_width)`` of a label-ratio
+    histogram. Raises ValueError naming the setting unless both are positive
+    finite numbers, and naming both unless the count is at most
+    ``MAX_RATIO_BINS``."""
+    for name, value in (("bin_width", bin_width), ("max_ratio", max_ratio)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
+    bins = max_ratio / bin_width
+    if not bins <= MAX_RATIO_BINS:
+        raise ValueError(f"max_ratio / bin_width must be at most {MAX_RATIO_BINS} bins, "
+                         f"got max_ratio {max_ratio} and bin_width {bin_width}")
+    return int(np.ceil(bins))
+
+
 def neighborhood_label_ratio(
     graph: RelationalGraph,
     partition: PartitionIndex,
@@ -284,10 +304,9 @@ def neighborhood_label_ratio(
 
     Centers and labeled neighbors are the model's own buckets: train-fraud
     (0) and train-benign (1) nodes of ``partition``, never a val or test label.
+    ``bin_width`` and ``max_ratio`` are checked by ``ratio_bin_count``.
     """
-    for name, value in (("bin_width", bin_width), ("max_ratio", max_ratio)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a positive finite number, got {value}")
+    num_bins = ratio_bin_count(bin_width, max_ratio)
     rows, cols = _resolve_single_relation(graph, relation)
     fr = np.bincount(rows[partition.bucket[cols] == 0], minlength=graph.num_nodes)
     be = np.bincount(rows[partition.bucket[cols] == 1], minlength=graph.num_nodes)
@@ -299,7 +318,6 @@ def neighborhood_label_ratio(
     infinite = int((be == 0).sum())
     finite_fr, finite_be = fr[be > 0], be[be > 0]
     ratio = finite_fr / finite_be
-    num_bins = int(np.ceil(max_ratio / bin_width))
     edges = np.arange(num_bins + 1) * bin_width
     idx = np.minimum((ratio / bin_width).astype(np.int64), num_bins - 1)
     hist = np.bincount(idx, minlength=num_bins)

@@ -19,6 +19,39 @@ so no per-center weight matrix is ever materialized. Each map is linear, so
 the blend is applied to the unlabeled sum: (S_fr + alpha S_un) @ W_fr +
 (S_be + (1 - alpha) S_un) @ W_be is the same per-center map at half the
 matrix products. A center's own label plays no role; its neighbors' do.
+
+``layer_forward`` records the whole layer as one op. With S_fr, S_be, S_un
+the centers' bucket sums, h the centers' representation, alpha = sigmoid(z)
+with z = h_gate @ w_phi + b_phi, and b running over fr and be:
+
+    P_fr = S_fr + alpha S_un,  P_be = S_be + (1 - alpha) S_un   (adaptive;
+           otherwise P_b = S_b and the sum gains S_un @ M_un)
+    pre  = h @ W_self + b_self + sum_b (P_b * h) @ M_b + P_b @ B_b
+           (P_b @ M_b per bucket without root-specific weights; the
+           baseline's aggregation is (S_fr + S_be + S_un) @ M_fr)
+    out  = relu(pre)   (the last layer of a stack is linear)
+
+With G the upstream gradient and G' = G * [pre > 0], the adjoint is
+
+    dW_self = h^T G',  db_self = column sums of G',  dh = G' W_self^T + ...
+    root-specific:  dM_b = (P_b * h)^T G',  dB_b = P_b^T G',
+                    dP_b = G' B_b^T + (G' M_b^T) * h,  dh += (G' M_b^T) * P_b
+    otherwise:      dM_b = P_b^T G',  dP_b = G' M_b^T  (and M_un, S_un alike)
+    adaptive:       dS_b = dP_b,  dS_un = alpha dP_fr + (1 - alpha) dP_be,
+                    dz = (rowsum(dP_fr * S_un) - rowsum(dP_be * S_un))
+                         * alpha (1 - alpha),
+                    dw_phi = h_gate^T dz,  db_phi = sum of dz,  dh_gate = dz w_phi^T
+    baseline:       dM_fr = S^T G',  dS_b = G' M_fr^T for all three buckets,
+                    with S = S_fr + S_be + S_un
+
+and each dS_b is added into the table rows its sums were read from. The forward
+runs the arithmetic of the layer composed of the engine's small ops, in
+its order, and the adjoint adds the terms of a fanned-out value in the
+order that composition's reverse pass visits them, so both are bitwise
+equal to it. Two checks replace its per-op ones: a non-finite gate logit
+raises, because the logistic would hide it, and so does a non-finite
+pre-activation, because ReLU would hide a NaN; every other intermediate
+reaches one of the two.
 """
 from __future__ import annotations
 
@@ -31,9 +64,7 @@ from . import ndiff as nd
 __all__ = [
     "LayerVariant",
     "PmpLayerParams",
-    "alpha_gate",
     "bucket_sums",
-    "aggregate_segments",
     "layer_forward",
 ]
 
@@ -111,18 +142,6 @@ class PmpLayerParams:
         return {prefix + name: getattr(self, name) for name in self.FIELDS}
 
 
-def alpha_gate(params: PmpLayerParams, h: nd.Tensor) -> nd.Tensor:
-    """Per-center blend coefficient in (0, 1) from an [k, d_in] batch."""
-    z = nd.add_rowvec(nd.matmul(h, params.w_phi), params.b_phi)
-    return nd.sigmoid(nd.reshape(z, (h.shape[0],)))
-
-
-def _bucket_term(S: nd.Tensor, h_centers: nd.Tensor, M: nd.Tensor, B: nd.Tensor, root_specific: bool) -> nd.Tensor:
-    if root_specific:
-        return nd.add(nd.matmul(nd.mul(S, h_centers), M), nd.matmul(S, B))
-    return nd.matmul(S, M)
-
-
 def bucket_sums(
     h_prev: nd.Tensor,
     members: np.ndarray,
@@ -145,38 +164,6 @@ def bucket_sums(
     return nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * num_centers + seg_ids, 3 * num_centers)
 
 
-def aggregate_segments(
-    params: PmpLayerParams,
-    variant: LayerVariant,
-    sums: nd.Tensor,
-    rows: np.ndarray,
-    h_centers: nd.Tensor,
-    h_gate: nd.Tensor,
-) -> nd.Tensor:
-    """Bucketed neighbor aggregation of the centers whose sums sit at
-    ``rows`` of each bucket block of a ``bucket_sums`` table.
-
-    ``h_centers`` is the centers' representation used by the weight
-    generators; ``h_gate`` is the (pre-dropout) representation feeding the
-    blend gate. The baseline maps all three blocks' sum, (S_fr + S_be) +
-    S_un, with the one shared matrix M_fr.
-    """
-    block = sums.shape[0] // 3
-    S_fr, S_be, S_un = (nd.gather_rows(sums, b * block + rows) for b in range(3))
-    if not variant.partition_enabled:
-        return nd.matmul(nd.add(nd.add(S_fr, S_be), S_un), params.M_fr)
-    rs = variant.root_specific_enabled
-    if variant.adaptive_combination_enabled:
-        a = alpha_gate(params, h_gate)
-        S_fr = nd.add(S_fr, nd.row_scale(S_un, a))
-        S_be = nd.add(S_be, nd.row_scale(S_un, nd.affine(a, -1.0, 1.0)))
-    total = nd.add(
-        _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
-        _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
-    )
-    return total if variant.adaptive_combination_enabled else nd.add(total, nd.matmul(S_un, params.M_un))
-
-
 def layer_forward(
     params: PmpLayerParams,
     variant: LayerVariant,
@@ -186,13 +173,136 @@ def layer_forward(
     h_gate: nd.Tensor,
     use_relu: bool = True,
 ) -> nd.Tensor:
-    """Self transformation plus neighbor aggregation, then activation.
+    """Self transformation plus bucketed neighbor aggregation, then
+    activation, recorded as one op named ``layer``.
 
-    ``sums`` and ``rows`` locate the centers' bucket sums as for
-    ``aggregate_segments``. Dropout is applied by the caller, which needs
-    both the pre and post dropout outputs (the gate of the next layer reads
-    the pre-dropout one).
+    The centers' bucket sums sit at ``rows`` of each of the three blocks of
+    ``sums``, a ``bucket_sums`` table; when ``rows`` lists every row of a
+    block in order, the blocks are read in place. ``h_centers`` is the
+    centers' representation read by the self term and the weight
+    generators, ``h_gate`` the (pre-dropout) one read by the blend gate;
+    they may be one tensor. Dropout is applied by the caller, which needs
+    both the pre and post dropout outputs (the next layer's gate reads the
+    pre-dropout one). Gradients reach every input that requires them.
     """
-    self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
-    out = nd.add(self_term, aggregate_segments(params, variant, sums, rows, h_centers, h_gate))
-    return nd.relu(out) if use_relu else out
+    p, T = params, sums.data
+    rows = np.asarray(rows, dtype=np.int64)
+    k = rows.size
+    if T.ndim != 2 or T.shape[0] % 3 or T.shape[1] != p.d_in:
+        raise nd.ShapeError(f"layer: sums must be [3m, {p.d_in}], got shape {T.shape}")
+    block = T.shape[0] // 3
+    if rows.ndim != 1 or (k and (rows.min() < 0 or rows.max() >= block)):
+        raise nd.ShapeError(f"layer: rows must be a 1-d list of indices below {block}")
+    adaptive, rs = variant.adaptive_combination_enabled, variant.root_specific_enabled
+    for name, h in (("h_centers", h_centers), ("h_gate", h_gate))[: 1 + adaptive]:
+        if h.shape != (k, p.d_in):
+            raise nd.ShapeError(f"layer: {name} must be [{k}, {p.d_in}], got shape {h.shape}")
+
+    hc, hg = h_centers.data, h_gate.data
+    W_self, M_fr, B_fr, M_be, B_be, M_un, w_phi = (
+        t.data for t in (p.W_self, p.M_fr, p.B_fr, p.M_be, p.B_be, p.M_un, p.w_phi)
+    )
+    whole = k == block and np.array_equal(rows, np.arange(k))
+    if whole:
+        S_fr, S_be, S_un = T[:k], T[k : 2 * k], T[2 * k :]
+    else:
+        S_fr, S_be, S_un = (T[b * block + rows] for b in range(3))
+    pre = hc @ W_self
+    pre += p.b_self.data
+    a = a1 = m_fr = m_be = None
+    if not variant.partition_enabled:
+        S_all = S_fr + S_be
+        S_all += S_un
+        pre += S_all @ M_fr
+    else:
+        if adaptive:
+            z = hg @ w_phi
+            z += p.b_phi.data
+            if not np.all(np.isfinite(z)):
+                raise nd.NonFiniteError("layer: non-finite gate logit")
+            a = nd._clamped_logistic(z.reshape(k))
+            a1 = -1.0 * a + 1.0
+            S_fr = S_fr + S_un * a[:, None]
+            S_be = S_be + S_un * a1[:, None]
+        if rs:
+            m_fr, m_be = S_fr * hc, S_be * hc
+            agg = m_fr @ M_fr
+            agg += S_fr @ B_fr
+            t_be = m_be @ M_be
+            t_be += S_be @ B_be
+            agg += t_be
+        else:
+            agg = S_fr @ M_fr
+            agg += S_be @ M_be
+        if not adaptive:
+            agg += S_un @ M_un
+        pre += agg
+    if not np.all(np.isfinite(pre)):
+        raise nd.NonFiniteError("layer: non-finite pre-activation")
+    mask = pre > 0 if use_relu else None
+    out = np.where(mask, pre, 0.0) if use_relu else pre
+
+    # Inputs in the order the composed layer's reverse pass reaches them, so
+    # a value feeding several of them (the previous layer's output) adds
+    # their adjoints in the same order.
+    names = ["h_centers", "sums"] + (["h_gate"] if adaptive and h_gate is not h_centers else [])
+    names += PmpLayerParams.FIELDS  # a parameter the variant does not read gets None
+    inputs = {"h_centers": h_centers, "sums": sums, "h_gate": h_gate}
+    parents = tuple(inputs[n] if n in inputs else getattr(p, n) for n in names)
+
+    def vjp(g):
+        # Each adjoint is the one its step of the composed layer records;
+        # where a value fans out its terms add in the order that layer's
+        # reverse pass visits them (h_centers: self term, fr, be, gate).
+        if use_relu:
+            g = g * mask
+        grads = {"W_self": hc.T @ g, "b_self": g.sum(axis=0)}
+        need_S = sums.requires_grad or adaptive  # the gate's adjoint reads dP_fr and dP_be
+        g_hc = g @ W_self.T if h_centers.requires_grad else None
+        g_S = [None, None, None]
+        if not variant.partition_enabled:
+            grads["M_fr"] = S_all.T @ g
+            if need_S:
+                g_S = [g @ M_fr.T] * 3
+        else:
+            for b, (S, m, M, B, key) in enumerate(((S_fr, m_fr, M_fr, B_fr, "fr"), (S_be, m_be, M_be, B_be, "be"))):
+                if not rs:
+                    grads["M_" + key] = S.T @ g
+                    if need_S:
+                        g_S[b] = g @ M.T
+                    continue
+                grads["M_" + key] = m.T @ g
+                grads["B_" + key] = S.T @ g
+                if need_S or g_hc is not None:
+                    g_m = g @ M.T
+                    if need_S:
+                        g_S[b] = g @ B.T + g_m * hc
+                    if g_hc is not None:
+                        g_hc = g_hc + g_m * S
+            if not adaptive:
+                grads["M_un"] = S_un.T @ g
+                if need_S:
+                    g_S[2] = g @ M_un.T
+            else:
+                if sums.requires_grad:
+                    g_S[2] = g_S[0] * a[:, None] + g_S[1] * a1[:, None]
+                g_a = (g_S[0] * S_un).sum(axis=1) + -1.0 * (g_S[1] * S_un).sum(axis=1)
+                g_z = (g_a * a * (1.0 - a)).reshape(k, 1)
+                grads["w_phi"] = hg.T @ g_z
+                grads["b_phi"] = g_z.sum(axis=0)
+                if h_gate.requires_grad:
+                    grads["h_gate"] = g_z @ w_phi.T
+                    if h_gate is h_centers:
+                        g_hc = g_hc + grads["h_gate"]
+        grads["h_centers"] = g_hc
+        if sums.requires_grad:
+            stacked = np.concatenate(g_S)
+            if whole:
+                grads["sums"] = stacked  # each table row is read once, in order
+            else:
+                ids = np.concatenate([rows, block + rows, 2 * block + rows])
+                grads["sums"] = nd._scatter_add_rows(stacked, ids, T.shape[0])
+        return tuple(grads.get(n) for n in names)
+
+    return nd._make(out, "layer", parents, vjp)
+

@@ -6,7 +6,9 @@ two activations, segment reductions, dropout, concatenation, mean, and a
 clamped cross-entropy). Each operator records its inputs and an adjoint
 rule on the output tensor; ``backward`` replays the recorded graph once in
 reverse topological order, accumulating gradients additively wherever a
-value fans out.
+value fans out. The message passing layer is one operator of its own:
+``layer.layer_forward`` records it through ``_make`` with an adjoint
+written from the layer's equations.
 
 The cross-entropy has one adjoint, taken in logit space: it is fed a
 recorded sigmoid output, records the sigmoid's input as its parent and
@@ -39,10 +41,8 @@ __all__ = [
     "NonFiniteError",
     "backward",
     "matmul",
-    "add",
     "mul",
     "add_rowvec",
-    "row_scale",
     "affine",
     "sigmoid",
     "relu",
@@ -249,12 +249,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, "matmul", (a, b), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes differ, {a.data.shape} vs {b.data.shape}")
-    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.data.shape != b.data.shape:
@@ -275,19 +269,6 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return _make(a.data + v.data[None, :], "add_rowvec", (a, v), vjp)
 
 
-def row_scale(a: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of an [n, d] matrix by the i-th entry of a length-n vector."""
-    _require_2d(a, "row_scale")
-    if s.data.ndim != 1 or s.data.shape[0] != a.data.shape[0]:
-        raise ShapeError(f"row_scale: scale shape {s.data.shape} does not match {a.data.shape}")
-    ad, sd = a.data, s.data
-
-    def vjp(g):
-        return g * sd[:, None], (g * ad).sum(axis=1)
-
-    return _make(ad * sd[:, None], "row_scale", (a, s), vjp)
-
-
 def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """Elementwise scale*x + shift with python-scalar coefficients."""
     scale = float(scale)
@@ -304,10 +285,15 @@ def _logistic(xd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clamped_logistic(xd: np.ndarray) -> np.ndarray:
+    """The logistic clamped into the open interval (0, 1)."""
+    out = _logistic(xd)
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic, clamped into the open interval (0, 1)."""
-    out = _logistic(x.data)
-    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    out = _clamped_logistic(x.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)

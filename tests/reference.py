@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
-shares code with the production paths it checks. The three exceptions
-check the differentiation engine itself and are built on it: ``sub``, an
-operator the model never uses, ``influence_linear_check`` and
-``grad_check``, the central finite-difference checker. A fourth,
-``frontier_model_forward``, checks only how ``model_forward`` feeds its
-layers, so it runs the production layer on inputs it indexes its own way.
+shares code with the production paths it checks. The exceptions are built
+on the differentiation engine. ``sub``, ``add`` and ``row_scale`` are
+operators the program no longer records, ``influence_linear_check`` and
+``grad_check`` (the central finite-difference checker) check the engine
+itself, and ``composed_layer_forward`` is the layer as the engine's small
+ops record it, node by node, which the one-op ``layer_forward`` must equal
+bitwise. ``frontier_model_forward`` checks only how ``model_forward``
+feeds its layers, so it runs the production layer on inputs it indexes
+its own way.
 """
 import math
 from dataclasses import dataclass
@@ -225,6 +228,68 @@ def frontier_model_forward(model, graph, partition, features, batch):
 def sub(a, b):
     """Elementwise difference as a differentiation engine operator."""
     return nd._make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+
+
+def add(a, b):
+    """Elementwise sum of two same-shape tensors as an engine operator."""
+    if a.data.shape != b.data.shape:
+        raise nd.ShapeError(f"add: shapes differ, {a.data.shape} vs {b.data.shape}")
+    return nd._make(a.data + b.data, "add", (a, b), lambda g: (g, g))
+
+
+def row_scale(a, s):
+    """Row i of an [n, d] tensor times entry i of a length-n tensor, as an
+    engine operator."""
+    if a.data.ndim != 2:
+        raise nd.ShapeError(f"row_scale: expected 2-d operand, got shape {a.data.shape}")
+    if s.data.ndim != 1 or s.data.shape[0] != a.data.shape[0]:
+        raise nd.ShapeError(f"row_scale: scale shape {s.data.shape} does not match {a.data.shape}")
+    ad, sd = a.data, s.data
+
+    def vjp(g):
+        return g * sd[:, None], (g * ad).sum(axis=1)
+
+    return nd._make(ad * sd[:, None], "row_scale", (a, s), vjp)
+
+
+def alpha_gate(params, h):
+    """Per-center blend coefficient in (0, 1) from an [k, d_in] batch, as
+    four recorded ops."""
+    z = nd.add_rowvec(nd.matmul(h, params.w_phi), params.b_phi)
+    return nd.sigmoid(nd.reshape(z, (h.shape[0],)))
+
+
+def _bucket_term(S, h_centers, M, B, root_specific):
+    if root_specific:
+        return add(nd.matmul(nd.mul(S, h_centers), M), nd.matmul(S, B))
+    return nd.matmul(S, M)
+
+
+def aggregate_segments(params, variant, sums, rows, h_centers, h_gate):
+    """The neighbor aggregation of ``layer_forward``, one recorded op per
+    step: three row gathers, the gate, the blend, the two bucket terms."""
+    block = sums.shape[0] // 3
+    S_fr, S_be, S_un = (nd.gather_rows(sums, b * block + rows) for b in range(3))
+    if not variant.partition_enabled:
+        return nd.matmul(add(add(S_fr, S_be), S_un), params.M_fr)
+    rs = variant.root_specific_enabled
+    if variant.adaptive_combination_enabled:
+        a = alpha_gate(params, h_gate)
+        S_fr = add(S_fr, row_scale(S_un, a))
+        S_be = add(S_be, row_scale(S_un, nd.affine(a, -1.0, 1.0)))
+    total = add(
+        _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
+        _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
+    )
+    return total if variant.adaptive_combination_enabled else add(total, nd.matmul(S_un, params.M_un))
+
+
+def composed_layer_forward(params, variant, sums, rows, h_centers, h_gate, use_relu=True):
+    """``layer_forward`` with each step its own recorded op (10 for the
+    baseline, 25 for the full variant): self term, aggregation, ReLU."""
+    self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
+    out = add(self_term, aggregate_segments(params, variant, sums, rows, h_centers, h_gate))
+    return nd.relu(out) if use_relu else out
 
 
 @dataclass

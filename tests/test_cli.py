@@ -516,6 +516,18 @@ class TestSpectral:
         assert error == f"signal_dim must be a positive integer, got {signal_dim}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_max_dense_n_exits_2_before_reading_or_writing(self, capsys, monkeypatch, bundle_dir,
+                                                                        tmp_path, cap):
+        def unread(path):
+            raise AssertionError(f"bundle {path} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        out = tmp_path / "spec"
+        error = rejected(capsys, "spectral", bundle_dir, "--max-dense-n", cap, "--out", out)
+        assert error == f"max_dense_n must be a positive integer, got {cap}"
+        assert not out.exists()
+
     def test_dense_cap_exits_4(self, tmp_path):
         run_cli("synth", "--n", "50", "--m-attach", "2", "--out", str(tmp_path / "bundle"))
         proc = run_cli(
@@ -564,6 +576,22 @@ class TestGraphStats:
         payload = stderr_payload(proc)
         assert payload["kind"] == "ValueError"
         assert f"bin_width must be a positive finite number, got {float(width)}" in payload["error"]
+
+
+    @pytest.mark.parametrize("max_ratio, bin_width", [("1e300", "1e-300"), ("10", "1e-5")],
+                             ids=["overflowing", "million-bins"])
+    def test_ratio_hist_too_many_bins_exits_2_before_reading(self, capsys, monkeypatch, bundle_dir, tmp_path,
+                                                             max_ratio, bin_width):
+        def unread(path):
+            raise AssertionError(f"bundle {path} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        out = tmp_path / "hist.csv"
+        error = rejected(capsys, "ratio-hist", bundle_dir, "--max-ratio", max_ratio, "--bin-width", bin_width,
+                         "--out", out)
+        assert error == (f"max_ratio / bin_width must be at most 10000 bins, "
+                         f"got max_ratio {float(max_ratio)} and bin_width {float(bin_width)}")
+        assert not out.exists()
 
 
 class TestBench:

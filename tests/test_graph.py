@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from pmpfraud.graph import (
+    MAX_RATIO_BINS,
     NodeTable,
     PartitionIndex,
     RatioHistogram,
     RelationalGraph,
     homophily_score,
     neighborhood_label_ratio,
+    ratio_bin_count,
 )
 
 from .reference import (
@@ -352,6 +354,20 @@ class TestRatioHistogram:
         rows = h.rows()
         assert len(rows) == 21
         assert rows[-1] == (float("inf"), float("inf"), 1)
+
+    @pytest.mark.parametrize("max_ratio, bin_width", [(1e300, 1e-300), (10.0, 1e-5)],
+                             ids=["overflowing", "million-bins"])
+    def test_too_many_bins_rejected_naming_both_settings(self, max_ratio, bin_width):
+        with pytest.raises(ValueError) as info:
+            self.star_histogram(bin_width=bin_width, max_ratio=max_ratio)
+        assert str(info.value) == (f"max_ratio / bin_width must be at most {MAX_RATIO_BINS} bins, "
+                                   f"got max_ratio {max_ratio} and bin_width {bin_width}")
+
+    def test_bin_count_bound_is_inclusive(self):
+        assert ratio_bin_count(0.5, 0.5 * MAX_RATIO_BINS) == MAX_RATIO_BINS
+        assert len(self.star_histogram(bin_width=1.0, max_ratio=float(MAX_RATIO_BINS)).bins) == MAX_RATIO_BINS
+        with pytest.raises(ValueError, match="must be at most"):
+            ratio_bin_count(1.0, MAX_RATIO_BINS + 0.5)
 
     def test_counts_the_partitions_buckets(self):
         # A path 0-1-2-3 whose buckets are given outright: centers are the

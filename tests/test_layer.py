@@ -1,12 +1,23 @@
-"""Single layer: bucketed aggregation, weight generation, blend gate."""
+"""Single layer: bucketed aggregation, weight generation, blend gate, and
+the one recorded op against the layer composed of the engine's small ops."""
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import PartitionIndex, RelationalGraph
-from pmpfraud.layer import LayerVariant, PmpLayerParams, aggregate_segments, alpha_gate, bucket_sums, layer_forward
+from pmpfraud.layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
 
-from .reference import add_at_rows, benign_neighbors, fraud_neighbors, grad_check, unlabeled_neighbors
+from .reference import (
+    add_at_rows,
+    benign_neighbors,
+    composed_layer_forward,
+    fraud_neighbors,
+    grad_check,
+    unlabeled_neighbors,
+)
 
 
 def _sigmoid(x):
@@ -18,11 +29,18 @@ def _batch_sums(partition, relation, h, batch):
     return bucket_sums(h, members, seg_ids, partition.bucket[members], batch.size), np.arange(batch.size)
 
 
+def without_self_term(params):
+    """A view of ``params`` whose self term is constant exact zeros."""
+    out = copy.copy(params)
+    out.W_self = nd.Tensor(np.zeros_like(params.W_self.data))
+    out.b_self = nd.Tensor(np.zeros_like(params.b_self.data))
+    return out
+
+
 def aggregate(params, variant, partition, relation, h, batch):
-    """Neighbor aggregation for ``batch`` with ``h`` holding one row per node."""
-    h_c = nd.gather_rows(h, batch)
-    sums, rows = _batch_sums(partition, relation, h, batch)
-    return aggregate_segments(params, variant, sums, rows, h_c, h_c)
+    """Neighbor aggregation for ``batch`` with ``h`` holding one row per node:
+    the layer with its self term at exact zeros and no activation."""
+    return forward(without_self_term(params), variant, partition, relation, h, batch, use_relu=False)
 
 
 def forward(params, variant, partition, relation, h, batch, use_relu=True):
@@ -139,11 +157,31 @@ class TestParams:
             assert np.abs(data).max() > 0.5 * bound
 
 
+def gate_values(params, h_gate):
+    """The blend gate of each row of ``h_gate``, read off the layer.
+
+    Each center's only bucket sum is e_0 in the unlabeled block, M_fr maps
+    e_0 to 1 and M_be maps it to 0, and the self term is zero, so output
+    column 0 is alpha * 1 + (1 - alpha) * 0, which is alpha exactly.
+    """
+    k, d_in = h_gate.shape
+    probe = without_self_term(params)
+    probe.M_fr = nd.Tensor(np.zeros_like(params.M_fr.data))
+    probe.M_fr.data[0, 0] = 1.0
+    probe.M_be = nd.Tensor(np.zeros_like(params.M_be.data))
+    sums = np.zeros((3 * k, d_in))
+    sums[2 * k :, 0] = 1.0
+    h_centers = nd.Tensor(np.zeros((k, d_in)))
+    out = layer_forward(probe, LayerVariant(True, True, False), nd.Tensor(sums), np.arange(k), h_centers, h_gate,
+                        use_relu=False)
+    return out.data[:, 0]
+
+
 class TestGate:
     def test_zero_init_opens_at_half(self):
         p = PmpLayerParams(3, 2)
-        a = alpha_gate(p, nd.Tensor(np.random.default_rng(0).normal(size=(5, 3))))
-        np.testing.assert_array_equal(a.data, np.full(5, 0.5))
+        a = gate_values(p, nd.Tensor(np.random.default_rng(0).normal(size=(5, 3))))
+        np.testing.assert_array_equal(a, np.full(5, 0.5))
 
     def test_matches_scalar_sigmoid(self):
         rng = np.random.default_rng(1)
@@ -151,10 +189,10 @@ class TestGate:
         p.w_phi.data = rng.normal(size=(4, 1))
         p.b_phi.data = rng.normal(size=1)
         h = rng.normal(size=(6, 4))
-        a = alpha_gate(p, nd.Tensor(h))
+        a = gate_values(p, nd.Tensor(h))
         want = _sigmoid(h @ p.w_phi.data[:, 0] + p.b_phi.data[0])
-        np.testing.assert_allclose(a.data, want, rtol=0, atol=1e-15)
-        assert np.all(a.data > 0.0) and np.all(a.data < 1.0)
+        np.testing.assert_allclose(a, want, rtol=0, atol=1e-15)
+        assert np.all(a > 0.0) and np.all(a < 1.0)
 
 
 class TestWeightGeneration:
@@ -404,3 +442,104 @@ class TestGradients:
         for name in ("M_fr", "B_fr", "w_phi", "b_phi", "M_un", "W_self", "b_self"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
         assert np.abs(grads["M_be"]).max() > 0
+
+
+class TestOneRecordedOp:
+    """``layer_forward`` records one op whose forward and adjoint equal,
+    bitwise, the layer composed of the engine's small ops
+    (``reference.composed_layer_forward``)."""
+
+    @staticmethod
+    def run(fn, variant, use_relu, whole, shared_gate, seed):
+        """Output and every gradient, as bytes, of one seeded reverse pass
+        through ``fn``, on an instance where summation order changes the
+        rounding."""
+        rng = np.random.default_rng(seed)
+        n, d_in, d_out = 30, 5, 6
+        g, idx, params, _ = random_setup(rng, n=n, d_in=d_in, d_out=d_out, edge_factor=5)
+        for t in params.tensors().values():
+            t.data = rng.normal(size=t.data.shape)
+        h = nd.Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
+        if whole:
+            # a layer that lists its own centers' neighborhoods reads rows 0..k-1
+            centers = rng.permutation(n)[:17]
+            members, seg_ids = g.neighbor_segments(0, centers)
+            sums = bucket_sums(h, members, seg_ids, idx.bucket[members], centers.size)
+            rows = np.arange(centers.size)
+        else:
+            # a whole-graph table read at unsorted, repeated rows
+            centers = rng.integers(0, n, size=23)
+            members = g.col_indices[0]
+            sums = bucket_sums(h, members, g.row_indices(0), idx.bucket[members], n)
+            rows = centers
+        h_c = nd.gather_rows(h, centers)
+        h_g = h_c if shared_gate else nd.gather_rows(h, centers)
+        out = fn(params, variant, sums, rows, h_c, h_g, use_relu=use_relu)
+        nd.backward(out, seed=rng.normal(size=out.shape))
+        tensors = dict(params.tensors(), out=out, h=h, sums=sums, h_centers=h_c, h_gate=h_g)
+        return {name: (t.data if name == "out" else t.grad) for name, t in tensors.items()}
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+    @pytest.mark.parametrize("use_relu", [True, False], ids=["relu", "linear"])
+    @pytest.mark.parametrize("whole", [False, True], ids=["gathered-rows", "whole-table"])
+    @pytest.mark.parametrize("shared_gate", [False, True], ids=["own-gate-input", "gate-reads-centers"])
+    def test_output_and_every_gradient_bitwise_equal_to_the_composed_layer(self, variant, use_relu, whole, shared_gate):
+        seed = 100 + ALL_VARIANTS.index(variant)
+        got = self.run(layer_forward, variant, use_relu, whole, shared_gate, seed)
+        want = self.run(composed_layer_forward, variant, use_relu, whole, shared_gate, seed)
+        assert got.keys() == want.keys()
+        for name in want:
+            if want[name] is None:
+                assert got[name] is None, name
+            else:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        for name in ("out", "h", "sums", "h_centers", "W_self", "M_fr"):
+            assert np.abs(want[name]).max() > 0, name
+        if variant.adaptive_combination_enabled:
+            assert np.abs(want["h_gate"]).max() > 0 and np.abs(want["w_phi"]).max() > 0
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+    def test_records_one_node(self, variant):
+        rng = np.random.default_rng(30)
+        g, idx, params, h = random_setup(rng)
+        h.requires_grad = True
+        batch = np.arange(g.num_nodes)
+        trace = []
+        nd.backward(nd.mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
+        assert sorted(trace) == ["gather_rows", "gather_segment_sum", "layer", "mean"]
+
+    def overflow_instance(self):
+        rng = np.random.default_rng(31)
+        g, idx, params, h = random_setup(rng)
+        return idx, params, h, np.arange(g.num_nodes)
+
+    def test_overflowing_gate_logit_raises(self):
+        # the logistic would map the +inf logit to the clamp, finite
+        idx, params, h, batch = self.overflow_instance()
+        params.w_phi.data = np.full_like(params.w_phi.data, 1e308)
+        h.data = np.abs(h.data) + 1.0
+        with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="^layer: non-finite gate logit$"):
+            forward(params, LayerVariant.full(), idx, 0, h, batch)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+    def test_overflowing_pre_activation_raises(self, variant):
+        # every pre-activation is -inf, which ReLU would turn into zeros
+        idx, params, h, batch = self.overflow_instance()
+        h.data = np.abs(h.data) + 1.0
+        params.W_self.data = np.full_like(params.W_self.data, -1e308)
+        with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="^layer: non-finite pre-activation$"):
+            forward(params, variant, idx, 0, h, batch, use_relu=True)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(32)
+        g, idx, params, h = random_setup(rng)
+        sums, rows = _batch_sums(idx, 0, h, np.arange(4))
+        h_c = nd.gather_rows(h, np.arange(4))
+        cases = [
+            (nd.Tensor(np.ones((5, 3))), rows, h_c, "sums must be"),
+            (sums, rows + 1, h_c, "rows must be"),
+            (sums, rows, nd.gather_rows(h, np.arange(3)), "h_centers must be"),
+        ]
+        for s, r, hc, message in cases:
+            with pytest.raises(nd.ShapeError, match=message):
+                layer_forward(params, LayerVariant.full(), s, r, hc, hc)

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from pmpfraud import model as model_module
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward
 
-from .reference import frontier_model_forward, grad_check, naive_model_forward
+from .reference import composed_layer_forward, frontier_model_forward, grad_check, naive_model_forward
 
 VARIANTS = [
     LayerVariant(False, False, False),
@@ -364,6 +365,69 @@ class TestGradientCheck:
             probs = model_forward(model, g, idx, x, batch)
             return loss(probs, labels, batch)
 
+        report = grad_check(fn, model.parameters(), tolerance=1e-6)
+        assert report.passed, str(report)
+
+
+class TestOneOpPerLayer:
+    """Every layer call records one op, and the model's scores and
+    gradients are bitwise those of the layer composed of small ops."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
+    @pytest.mark.parametrize("num_relations", [1, 2])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_bitwise_equal_to_the_composed_layer(self, monkeypatch, variant, num_relations, num_layers, dropout_p):
+        rng = np.random.default_rng(40)
+        g, idx, labels, model, x = random_instance(
+            rng, num_relations=num_relations, num_layers=num_layers, variant=variant
+        )
+        batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
+        kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
+
+        def run():
+            # the shared table as training reads it, then a gradient-enabled
+            # feature table as the influence analysis reads it
+            out = []
+            for sums, feats in ((layer_one_sums(g, idx, x), x), (None, nd.Tensor(x, requires_grad=True))):
+                tape = nd.GradientTape(model.parameters())
+                probs = model_forward(model, g, idx, feats, batch, sums=sums, **kw)
+                trace = []
+                grads = tape.gradients(loss(probs, labels, batch), trace=trace)
+                if isinstance(feats, nd.Tensor):
+                    grads["features"] = feats.grad
+                out.append((probs.data, grads, trace))
+            return out
+
+        fused = run()
+        monkeypatch.setattr(model_module, "layer_forward", composed_layer_forward)
+        composed = run()
+        for (p_got, g_got, trace), (p_want, g_want, _) in zip(fused, composed):
+            assert p_got.tobytes() == p_want.tobytes()
+            assert g_got.keys() == g_want.keys()
+            for name in g_want:
+                assert g_got[name].tobytes() == g_want[name].tobytes(), name
+            assert trace.count("layer") == num_relations * num_layers
+        assert np.abs(fused[1][1]["features"]).max() > 0
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_finite_differences(self, variant, num_layers, dropout_p):
+        rng = np.random.default_rng(41)
+        g, idx, labels, model, x = random_instance(rng, n=12, num_layers=num_layers, variant=variant, hidden=3)
+        # At unit feature scale the 2-layer root-specific heads sit at the
+        # cross-entropy's clamp, where its value is flat and its adjoint is
+        # not; half the scale keeps every probability clear of it.
+        x = 0.5 * x
+        batch = np.arange(g.num_nodes)
+        kw = dict(training=True, seed=7, epoch=0, batch_index=0, dropout_p=dropout_p)
+
+        def fn():
+            return loss(model_forward(model, g, idx, x, batch, **kw), labels, batch)
+
+        probs = model_forward(model, g, idx, x, batch, **kw).data
+        assert np.all((probs > 1e-4) & (probs < 1.0 - 1e-4))
         report = grad_check(fn, model.parameters(), tolerance=1e-6)
         assert report.passed, str(report)
 
