@@ -2,6 +2,10 @@
 differences, plus the structural guarantees of the reverse pass."""
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -469,6 +473,35 @@ class TestPrecision:
     def test_no_dtype_option(self):
         with pytest.raises(TypeError):
             nd.Tensor(np.ones(2), dtype=np.float32)
+
+
+# Frees a 16 MiB array, then counts the minor faults of touching a second one.
+_REFAULT_PROBE = """
+import resource
+import numpy as np
+import pmpfraud.ndiff
+
+def touch():
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(2 << 20)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+touch()
+print(touch())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are set on glibc only")
+def test_freed_arrays_stay_in_the_heap():
+    """In a fresh process glibc's default thresholds hand the first 16 MiB
+    block back to the OS and fault the second one in again (484 or 995
+    faults on a 2-core Linux VM with madvise huge pages); importing the
+    engine keeps the freed block for reuse."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert int(out) < 256
 
 
 class TestCheckpoint:
