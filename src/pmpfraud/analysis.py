@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff as nd
-from .graph import NodeTable, PartitionIndex, RelationalGraph, _resolve_single_relation
+from .graph import NodeTable, PartitionIndex, RelationalGraph, _resolve_single_relation, split_index
 from .model import PmpModel, model_forward
 
 __all__ = [
@@ -29,11 +29,13 @@ __all__ = [
     "normalized_laplacian",
     "eigendecompose",
     "mask_matrices",
+    "check_alpha",
     "k_matrix",
     "SpectralReport",
     "spatial_spectral_check",
     "influence",
     "InfluenceReport",
+    "check_influence_settings",
     "influence_report",
 ]
 
@@ -80,14 +82,19 @@ def mask_matrices(partition: PartitionIndex):
     return F, B
 
 
+def check_alpha(alpha: float):
+    """ValueError unless the blend level ``alpha`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def k_matrix(F: np.ndarray, B: np.ndarray, alpha: float) -> np.ndarray:
     """Diagonal blend mask K = F + alpha * (I - F - B).
 
     Entries: 1 on train-fraud nodes, 0 on train-benign nodes, alpha
     elsewhere. K + (I - K) = I holds exactly.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
     n = F.shape[0]
     eye = np.eye(n)
     return F + alpha * eye - alpha * F - alpha * B
@@ -239,6 +246,15 @@ class InfluenceReport:
         nd.write_csv_atomic(path, "node,I_f,I_b,diff", rows, meta_line)
 
 
+def check_influence_settings(split: str | None, num_bins: int):
+    """ValueError naming the setting unless ``split`` is None or a split name
+    and ``num_bins`` is at least 1."""
+    if split is not None:
+        split_index(split)
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be at least 1, got {num_bins}")
+
+
 def influence_report(
     model: PmpModel,
     graph: RelationalGraph,
@@ -247,8 +263,7 @@ def influence_report(
     num_bins: int = 30,
 ) -> InfluenceReport:
     """Influence of every fraud node in ``split`` (all splits if None)."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be at least 1, got {num_bins}")
+    check_influence_settings(split, num_bins)
     if split is None:
         candidates = np.flatnonzero(table.labels == 1)
     else:

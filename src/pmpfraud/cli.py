@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, analysis, bundle, graph as graph_mod, synth
 from . import ndiff as nd
 from .layer import LayerVariant
-from .model import ModelConfig, PmpModel
+from .model import ModelConfig, PmpModel, check_sizes
 from .training import TrainConfig, TrainingDiverged, evaluate, train
 
 EXIT_OK = 0
@@ -120,6 +120,7 @@ def _resolved_train_config(args) -> dict:
 def cmd_train(args) -> int:
     config = _resolved_train_config(args)
     train_config = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
+    check_sizes(hidden_dim=config["hidden_dim"], num_layers=config["num_layers"])
     g, table = bundle.load_bundle(config["bundle"])
     model_config = ModelConfig(
         feature_dim=table.feature_dim,
@@ -173,6 +174,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_influence(args) -> int:
+    analysis.check_influence_settings(args.split, args.bins)
     config, g, table, model = _load_run(args.run)
     report = analysis.influence_report(model, g, table, split=args.split, num_bins=args.bins)
     meta = _meta_line(config, config["seed"])
@@ -193,6 +195,7 @@ def cmd_influence(args) -> int:
 def cmd_spectral(args) -> int:
     for name in ("signal_dim", "max_dense_n"):
         nd.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
+    analysis.check_alpha(args.alpha)
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)

@@ -44,7 +44,7 @@ With G the upstream gradient and G' = G * [pre > 0], the adjoint is
     baseline:       dM_fr = S^T G',  dS_b = G' M_fr^T for all three buckets,
                     with S = S_fr + S_be + S_un
 
-and each dS_b is added into the table rows its sums were read from. The forward
+and the table's adjoint stacks the three dS_b in block order. The forward
 runs the arithmetic of the layer composed of the engine's small ops, in
 its order, and the adjoint adds the terms of a fanned-out value in the
 order that composition's reverse pass visits them, so both are bitwise
@@ -168,7 +168,6 @@ def layer_forward(
     params: PmpLayerParams,
     variant: LayerVariant,
     sums: nd.Tensor,
-    rows: np.ndarray,
     h_centers: nd.Tensor,
     h_gate: nd.Tensor,
     use_relu: bool = True,
@@ -176,37 +175,29 @@ def layer_forward(
     """Self transformation plus bucketed neighbor aggregation, then
     activation, recorded as one op named ``layer``.
 
-    The centers' bucket sums sit at ``rows`` of each of the three blocks of
-    ``sums``, a ``bucket_sums`` table; when ``rows`` lists every row of a
-    block in order, the blocks are read in place. ``h_centers`` is the
-    centers' representation read by the self term and the weight
-    generators, ``h_gate`` the (pre-dropout) one read by the blend gate;
-    they may be one tensor. Dropout is applied by the caller, which needs
-    both the pre and post dropout outputs (the next layer's gate reads the
-    pre-dropout one). Gradients reach every input that requires them.
+    ``sums`` is the k centers' ``bucket_sums`` table, [3k, d_in], whose
+    three blocks are read in place. ``h_centers`` is the centers'
+    representation read by the self term and the weight generators,
+    ``h_gate`` the (pre-dropout) one read by the blend gate; they may be
+    one tensor. Dropout is applied by the caller, which needs both the pre
+    and post dropout outputs (the next layer's gate reads the pre-dropout
+    one). Gradients reach every input that requires them.
     """
     p, T = params, sums.data
-    rows = np.asarray(rows, dtype=np.int64)
-    k = rows.size
-    if T.ndim != 2 or T.shape[0] % 3 or T.shape[1] != p.d_in:
-        raise nd.ShapeError(f"layer: sums must be [3m, {p.d_in}], got shape {T.shape}")
-    block = T.shape[0] // 3
-    if rows.ndim != 1 or (k and (rows.min() < 0 or rows.max() >= block)):
-        raise nd.ShapeError(f"layer: rows must be a 1-d list of indices below {block}")
+    if h_centers.data.ndim != 2 or h_centers.shape[1] != p.d_in:
+        raise nd.ShapeError(f"layer: h_centers must be [k, {p.d_in}], got shape {h_centers.shape}")
+    k = h_centers.shape[0]
+    if T.shape != (3 * k, p.d_in):
+        raise nd.ShapeError(f"layer: sums must be the {k} centers' [{3 * k}, {p.d_in}] table, got shape {T.shape}")
     adaptive, rs = variant.adaptive_combination_enabled, variant.root_specific_enabled
-    for name, h in (("h_centers", h_centers), ("h_gate", h_gate))[: 1 + adaptive]:
-        if h.shape != (k, p.d_in):
-            raise nd.ShapeError(f"layer: {name} must be [{k}, {p.d_in}], got shape {h.shape}")
+    if adaptive and h_gate.shape != (k, p.d_in):
+        raise nd.ShapeError(f"layer: h_gate must be [{k}, {p.d_in}], got shape {h_gate.shape}")
 
     hc, hg = h_centers.data, h_gate.data
     W_self, M_fr, B_fr, M_be, B_be, M_un, w_phi = (
         t.data for t in (p.W_self, p.M_fr, p.B_fr, p.M_be, p.B_be, p.M_un, p.w_phi)
     )
-    whole = k == block and np.array_equal(rows, np.arange(k))
-    if whole:
-        S_fr, S_be, S_un = T[:k], T[k : 2 * k], T[2 * k :]
-    else:
-        S_fr, S_be, S_un = (T[b * block + rows] for b in range(3))
+    S_fr, S_be, S_un = T[:k], T[k : 2 * k], T[2 * k :]
     pre = hc @ W_self
     pre += p.b_self.data
     a = a1 = m_fr = m_be = None
@@ -296,12 +287,7 @@ def layer_forward(
                         g_hc = g_hc + grads["h_gate"]
         grads["h_centers"] = g_hc
         if sums.requires_grad:
-            stacked = np.concatenate(g_S)
-            if whole:
-                grads["sums"] = stacked  # each table row is read once, in order
-            else:
-                ids = np.concatenate([rows, block + rows, 2 * block + rows])
-                grads["sums"] = nd._scatter_add_rows(stacked, ids, T.shape[0])
+            grads["sums"] = np.concatenate(g_S)  # each table row is read once, in order
         return tuple(grads.get(n) for n in names)
 
     return nd._make(out, "layer", parents, vjp)

@@ -19,9 +19,15 @@ from . import ndiff as nd
 from .graph import PartitionIndex, RelationalGraph
 from .layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
 
-__all__ = ["ModelConfig", "PmpModel", "layer_one_sums", "model_forward", "loss"]
+__all__ = ["ModelConfig", "PmpModel", "check_sizes", "layer_one_sums", "model_forward", "loss"]
 
 _MODEL_SIDECAR = "model.json"
+
+
+def check_sizes(**sizes):
+    """ValueError naming the first model size that is not a positive integer."""
+    for name, value in sizes.items():
+        nd.check_setting(name, value, numbers.Integral, lambda v: v >= 1, "a positive integer")
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,8 @@ class ModelConfig:
     variant: LayerVariant = field(default_factory=LayerVariant.full)
 
     def __post_init__(self):
-        for name in ("feature_dim", "hidden_dim", "num_layers", "num_relations"):
-            nd.check_setting(name, getattr(self, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
+        check_sizes(feature_dim=self.feature_dim, hidden_dim=self.hidden_dim, num_layers=self.num_layers,
+                    num_relations=self.num_relations)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,11 +159,12 @@ def model_forward(
 
     Representations are computed on demand for each layer's centers, so
     cost scales with the batch neighborhood, not the graph. Every layer
-    reads its centers' bucket sums from a ``bucket_sums`` table. Layer 1's
-    is ``sums``, the whole-graph tables of ``layer_one_sums`` for these
-    graph, partition and features, when the caller built them
-    once for a pass of many batches; layer 1 then lists no neighborhoods
-    and sums nothing, and only gathers its centers' rows. Without
+    reads its centers' bucket sums from a ``bucket_sums`` table of exactly
+    those centers. Layer 1's comes from ``sums``, the whole-graph tables of
+    ``layer_one_sums`` for these graph, partition and features, when the
+    caller built them once for a pass of many batches; layer 1 then lists
+    no neighborhoods and sums nothing, and only gathers its centers' row of
+    each block, whose adjoint adds back into the table. Without
     ``sums`` layer 1 sums its own centers' neighborhoods straight from the
     feature table, whose rows its members and centers index by node id; a
     column-major table, as ``NodeTable`` stores it, is summed without a
@@ -168,8 +175,8 @@ def model_forward(
     a node mask, and ids map to frontier rows through a dense lookup
     table, so neither step sorts. ``batch`` may be unsorted and repeat
     ids; score i belongs to batch[i]. ``features`` may be a
-    gradient-enabled tensor for sensitivity analysis; a shared table
-    carries no gradient back to it, so such callers pass no ``sums``.
+    gradient-enabled tensor for sensitivity analysis; layer 1's gradient
+    then reaches it through ``sums`` only if the tables were built from it.
     With ``training`` on and ``dropout_p`` > 0, dropout follows each
     layer; its masks are keyed by (seed, relation, layer, epoch,
     batch_index) and replay exactly.
@@ -191,7 +198,8 @@ def model_forward(
             raise ValueError(f"sums must be {cfg.num_relations} layer-one table(s) of shape {list(shape)}")
 
     # Row of each frontier node (layers 2 and up); entries outside the current frontier are stale.
-    row_of = np.empty(graph.num_nodes, dtype=np.int64)
+    n = graph.num_nodes
+    row_of = np.empty(n, dtype=np.int64)
     listed = 1 if sums is None else 2  # the lowest layer that lists its centers' neighborhoods
     per_relation = []
     for r in range(cfg.num_relations):
@@ -209,7 +217,7 @@ def model_forward(
         for l in range(1, cfg.num_layers + 1):
             centers = fronts[l]
             if l < listed:
-                table, rows = sums[r], centers
+                table = nd.gather_rows(sums[r], np.concatenate([centers, n + centers, 2 * n + centers]))
             else:
                 members, seg_ids = hoods[l]
                 bucket = partition.bucket[members]  # by node id, before the remap to rows
@@ -217,12 +225,10 @@ def model_forward(
                     row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
                     members, centers = row_of[members], row_of[centers]
                 table = bucket_sums(h, members, seg_ids, bucket, centers.size)
-                rows = np.arange(centers.size)
             act = layer_forward(
                 model.layers[r][l - 1],
                 cfg.variant,
                 table,
-                rows,
                 nd.gather_rows(h, centers),
                 nd.gather_rows(h_gate_src, centers),
                 use_relu=(l < cfg.num_layers),
@@ -251,9 +257,5 @@ def loss(probs: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None =
     if batch.size == 0:
         raise ValueError("empty batch")
     y = np.asarray(labels)[batch].astype(np.float64)
-    per_example = nd.binary_cross_entropy(probs, y)
-    if pos_weight is None:
-        return nd.mean(per_example)
-    w = np.where(y == 1, float(pos_weight), 1.0)
-    weighted = nd.mul(per_example, nd.Tensor(w))
-    return nd.affine(nd.mean(weighted), y.size / w.sum())
+    w = np.where(y == 1, 1.0 if pos_weight is None else float(pos_weight), 1.0)
+    return nd.binary_cross_entropy(probs, y, w)

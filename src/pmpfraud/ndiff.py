@@ -1,20 +1,20 @@
 """Dense tensors with reverse-mode differentiation over a fixed operator set.
 
 The operator set is deliberately small: exactly what the message passing
-model needs (matrix products, elementwise arithmetic, broadcast adds, the
-two activations, segment reductions, dropout, concatenation, mean, and a
-clamped cross-entropy). Each operator records its inputs and an adjoint
-rule on the output tensor; ``backward`` replays the recorded graph once in
-reverse topological order, accumulating gradients additively wherever a
-value fans out. The message passing layer is one operator of its own:
-``layer.layer_forward`` records it through ``_make`` with an adjoint
-written from the layer's equations.
+model needs (matrix products, broadcast adds, the two activations, row
+gathers and segment sums, dropout, concatenation, reshape, and a clamped
+cross-entropy that is the batch's weighted mean). Each operator records
+its inputs and an adjoint rule on the output tensor; ``backward`` replays
+the recorded graph once in reverse topological order, accumulating
+gradients additively wherever a value fans out. The message passing layer
+is one operator of its own: ``layer.layer_forward`` records it through
+``_make`` with an adjoint written from the layer's equations.
 
 The cross-entropy has one adjoint, taken in logit space: it is fed a
 recorded sigmoid output, records the sigmoid's input as its parent and
-sends sigma(z) - t straight to it. Scores saturated on the correct side then send back an
-exact zero rather than a subnormal, and the rest of the reverse pass runs
-on normal numbers.
+sends each example's weighted sigma(z) - t straight to it. Scores saturated
+on the correct side then send back an exact zero rather than a subnormal,
+and the rest of the reverse pass runs on normal numbers.
 
 Inside a ``no_grad()`` scope operators record nothing: read-only scoring
 keeps no reverse graph, and each intermediate is freed as soon as the next
@@ -42,16 +42,13 @@ __all__ = [
     "NonFiniteError",
     "backward",
     "matmul",
-    "mul",
     "add_rowvec",
-    "affine",
     "sigmoid",
     "relu",
     "gather_segment_sum",
     "gather_rows",
     "dropout",
     "concat",
-    "mean",
     "binary_cross_entropy",
     "reshape",
     "check_setting",
@@ -280,14 +277,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, "matmul", (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes differ, {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    return _make(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
-
-
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-d row vector to every row of an [n, d] matrix."""
     _require_2d(a, "add_rowvec")
@@ -298,12 +287,6 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return _make(a.data + v.data[None, :], "add_rowvec", (a, v), vjp)
-
-
-def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """Elementwise scale*x + shift with python-scalar coefficients."""
-    scale = float(scale)
-    return _make(scale * x.data + float(shift), "affine", (x,), lambda g: (scale * g,))
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
@@ -428,44 +411,41 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), "concat", tuple(tensors), vjp)
 
 
-def mean(x: Tensor) -> Tensor:
-    """Mean over all elements, as a 0-d tensor."""
-    if x.data.size == 0:
-        raise ShapeError("mean: empty input")
-    size = x.data.size
-    shape = x.data.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g) / size),)
-
-    return _make(np.asarray(np.mean(x.data)), "mean", (x,), vjp)
-
-
-def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Elementwise negated log likelihood of Bernoulli targets.
+def binary_cross_entropy(probs: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean negated log likelihood of Bernoulli targets, as a 0-d
+    tensor: sum_i w_i l_i / sum_i w_i with l_i the example's loss.
 
     The value clamps probabilities to [PROB_CLAMP, 1 - PROB_CLAMP] before
-    the logs, so it stays finite at 0 and 1.
+    the logs, so it stays finite at 0 and 1, and is computed as
+    (n / sum w) * mean(l * w), so unit weights give the plain mean bitwise.
 
     When ``probs`` is a recorded ``sigmoid`` output, the op takes the
-    sigmoid's input z as its parent and the adjoint is g * (sigma(z) - t),
-    with sigma the exact, unclamped logistic; the sigmoid itself drops out
-    of the reverse pass. A correctly saturated score (|z| past ~745, where
-    exp underflows) then contributes an exact 0 instead of the subnormal
-    g * tiny that the clamped sigmoid adjoint would emit, and a wrongly
-    saturated one still gets the full -+1 signal. A clip-style dead zone
-    here would stall training the moment any logit passes ~|28|.
+    sigmoid's input z as its parent and the adjoint is
+    (n / sum w) g / n * w * (sigma(z) - t), with sigma the exact, unclamped
+    logistic; the sigmoid itself drops out of the reverse pass. A correctly
+    saturated score (|z| past ~745, where exp underflows) then contributes
+    an exact 0 instead of the subnormal g * tiny that the clamped sigmoid
+    adjoint would emit, and a wrongly saturated one still gets the full
+    -+1 signal. A clip-style dead zone here would stall training the
+    moment any logit passes ~|28|.
 
     An input through which nothing is recorded (a constant, or any input
     inside ``no_grad()``) gets the value alone. While recording, any other
     gradient-carrying input raises ValueError.
     """
     t = np.asarray(targets, dtype=np.float64)
-    if t.shape != probs.data.shape:
-        raise ShapeError(f"binary_cross_entropy: target shape {t.shape} vs probs {probs.data.shape}")
+    w = np.asarray(weights, dtype=np.float64)
+    if t.shape != probs.data.shape or w.shape != t.shape:
+        raise ShapeError(
+            f"binary_cross_entropy: target shape {t.shape} and weight shape {w.shape} vs probs {probs.data.shape}"
+        )
+    if t.size == 0:
+        raise ShapeError("binary_cross_entropy: empty input")
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pc = np.clip(probs.data, lo, hi)
-    out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
+    per_example = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
+    n, scale = t.size, float(t.size / w.sum())
+    out = np.asarray(scale * np.mean(per_example * w) + 0.0)
 
     if not (probs.op == "sigmoid" and probs._parents):
         if _RECORDING.get() and probs.requires_grad:
@@ -476,7 +456,7 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     zd = logits.data
 
     def vjp(g):
-        return (g * (_logistic(zd) - t),)
+        return (np.full(t.shape, float(scale * g) / n) * w * (_logistic(zd) - t),)
 
     return _make(out, "binary_cross_entropy", (logits,), vjp)
 

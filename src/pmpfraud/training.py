@@ -156,8 +156,9 @@ def _pass_sums(model: PmpModel, graph: RelationalGraph, partition, features):
 
 
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,
-                   batch_size: int = EVAL_BATCH_SIZE, sums: list | None = None) -> np.ndarray:
-    """Deterministic probabilities for a node list, computed in chunks.
+                   sums: list | None = None) -> np.ndarray:
+    """Deterministic probabilities for a node list, computed in chunks of
+    ``EVAL_BATCH_SIZE`` nodes.
 
     Scoring runs under ``ndiff.no_grad()``: no chunk records a reverse graph.
     ``sums`` are layer 1's tables from ``layer_one_sums`` over the same
@@ -168,8 +169,8 @@ def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features,
     with nd.no_grad():
         if sums is None:
             sums = _pass_sums(model, graph, partition, features)
-        for start in range(0, ids.size, batch_size):
-            chunk = ids[start : start + batch_size]
+        for start in range(0, ids.size, EVAL_BATCH_SIZE):
+            chunk = ids[start : start + EVAL_BATCH_SIZE]
             z = model_forward(model, graph, partition, features, chunk, training=False, sums=sums)
             out[start : start + chunk.size] = z.data
     return out

@@ -3,12 +3,14 @@
 Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
 shares code with the production paths it checks. The exceptions are built
-on the differentiation engine. ``sub``, ``add`` and ``row_scale`` are
-operators the program no longer records, ``influence_linear_check`` and
-``grad_check`` (the central finite-difference checker) check the engine
-itself, and ``composed_layer_forward`` is the layer as the engine's small
-ops record it, node by node, which the one-op ``layer_forward`` must equal
-bitwise. ``frontier_model_forward`` checks only how ``model_forward``
+on the differentiation engine. ``sub``, ``add``, ``mul``, ``row_scale``,
+``affine``, ``mean`` and ``per_example_cross_entropy`` are operators the
+program no longer records, ``influence_linear_check`` and ``grad_check``
+(the central finite-difference checker) check the engine itself, and
+``composed_layer_forward`` and ``composed_loss`` are the layer and the
+loss as the engine's small ops record them, node by node, which the
+one-op ``layer_forward`` and ``binary_cross_entropy`` must equal bitwise.
+``frontier_model_forward`` checks only how ``model_forward``
 feeds its layers, so it runs the production layer on inputs it indexes
 its own way.
 """
@@ -215,7 +217,7 @@ def frontier_model_forward(model, graph, partition, features, batch):
             sums = bucket_sums(h, np.searchsorted(fronts[l - 1], members), seg_ids,
                                partition.bucket[members], pos.size)
             h = layer_forward(
-                model.layers[r][l - 1], cfg.variant, sums, np.arange(pos.size),
+                model.layers[r][l - 1], cfg.variant, sums,
                 nd.gather_rows(h, pos), nd.gather_rows(h, pos), use_relu=(l < cfg.num_layers),
             )
         per_relation.append(h)
@@ -235,6 +237,53 @@ def add(a, b):
     if a.data.shape != b.data.shape:
         raise nd.ShapeError(f"add: shapes differ, {a.data.shape} vs {b.data.shape}")
     return nd._make(a.data + b.data, "add", (a, b), lambda g: (g, g))
+
+
+def mul(a, b):
+    """Elementwise product of two same-shape tensors as an engine operator."""
+    if a.data.shape != b.data.shape:
+        raise nd.ShapeError(f"mul: shapes differ, {a.data.shape} vs {b.data.shape}")
+    ad, bd = a.data, b.data
+    return nd._make(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
+
+
+def affine(x, scale, shift=0.0):
+    """Elementwise scale * x + shift with python-scalar coefficients, as an
+    engine operator."""
+    scale = float(scale)
+    return nd._make(scale * x.data + float(shift), "affine", (x,), lambda g: (scale * g,))
+
+
+def mean(x):
+    """Mean over all elements, as a 0-d tensor from an engine operator."""
+    if x.data.size == 0:
+        raise nd.ShapeError("mean: empty input")
+    size, shape = x.data.size, x.data.shape
+    return nd._make(np.asarray(np.mean(x.data)), "mean", (x,), lambda g: (np.full(shape, float(g) / size),))
+
+
+def per_example_cross_entropy(probs, targets):
+    """Each example's clamped cross-entropy of a recorded sigmoid output as
+    an engine operator; its adjoint g * (sigma(z) - t) goes straight to the
+    logits z, as ``nd.binary_cross_entropy``'s does."""
+    t = np.asarray(targets, dtype=np.float64)
+    pc = np.clip(probs.data, nd.PROB_CLAMP, 1.0 - nd.PROB_CLAMP)
+    out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
+    (logits,) = probs._parents
+    zd = logits.data
+    return nd._make(out, "per_example_cross_entropy", (logits,), lambda g: (g * (nd._logistic(zd) - t),))
+
+
+def composed_loss(probs, labels, batch, pos_weight=None):
+    """``model.loss`` as a chain of small ops: the per-example cross-entropy
+    and its mean, or with ``pos_weight`` its weighted mean as
+    mean(l * w) scaled by n / sum(w)."""
+    y = np.asarray(labels)[np.asarray(batch, dtype=np.int64)].astype(np.float64)
+    per_example = per_example_cross_entropy(probs, y)
+    if pos_weight is None:
+        return mean(per_example)
+    w = np.where(y == 1, float(pos_weight), 1.0)
+    return affine(mean(mul(per_example, nd.Tensor(w))), y.size / w.sum())
 
 
 def row_scale(a, s):
@@ -261,22 +310,22 @@ def alpha_gate(params, h):
 
 def _bucket_term(S, h_centers, M, B, root_specific):
     if root_specific:
-        return add(nd.matmul(nd.mul(S, h_centers), M), nd.matmul(S, B))
+        return add(nd.matmul(mul(S, h_centers), M), nd.matmul(S, B))
     return nd.matmul(S, M)
 
 
-def aggregate_segments(params, variant, sums, rows, h_centers, h_gate):
+def aggregate_segments(params, variant, sums, h_centers, h_gate):
     """The neighbor aggregation of ``layer_forward``, one recorded op per
-    step: three row gathers, the gate, the blend, the two bucket terms."""
-    block = sums.shape[0] // 3
-    S_fr, S_be, S_un = (nd.gather_rows(sums, b * block + rows) for b in range(3))
+    step: three block gathers, the gate, the blend, the two bucket terms."""
+    k = h_centers.shape[0]
+    S_fr, S_be, S_un = (nd.gather_rows(sums, np.arange(b * k, (b + 1) * k)) for b in range(3))
     if not variant.partition_enabled:
         return nd.matmul(add(add(S_fr, S_be), S_un), params.M_fr)
     rs = variant.root_specific_enabled
     if variant.adaptive_combination_enabled:
         a = alpha_gate(params, h_gate)
         S_fr = add(S_fr, row_scale(S_un, a))
-        S_be = add(S_be, row_scale(S_un, nd.affine(a, -1.0, 1.0)))
+        S_be = add(S_be, row_scale(S_un, affine(a, -1.0, 1.0)))
     total = add(
         _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
         _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
@@ -284,11 +333,11 @@ def aggregate_segments(params, variant, sums, rows, h_centers, h_gate):
     return total if variant.adaptive_combination_enabled else add(total, nd.matmul(S_un, params.M_un))
 
 
-def composed_layer_forward(params, variant, sums, rows, h_centers, h_gate, use_relu=True):
+def composed_layer_forward(params, variant, sums, h_centers, h_gate, use_relu=True):
     """``layer_forward`` with each step its own recorded op (10 for the
     baseline, 25 for the full variant): self term, aggregation, ReLU."""
     self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
-    out = add(self_term, aggregate_segments(params, variant, sums, rows, h_centers, h_gate))
+    out = add(self_term, aggregate_segments(params, variant, sums, h_centers, h_gate))
     return nd.relu(out) if use_relu else out
 
 

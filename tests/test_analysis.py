@@ -21,7 +21,7 @@ from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, model_forward
 
-from .reference import grad_check, influence_linear_check, normalized_adjacency
+from .reference import grad_check, influence_linear_check, mean, normalized_adjacency
 
 
 def random_graph(rng, n, factor=3):
@@ -123,12 +123,11 @@ class TestMasks:
         K = k_matrix(F, B, 0.7)
         np.testing.assert_array_equal(K + (np.eye(5) - K), np.eye(5))
 
-    def test_alpha_validation(self):
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, float("nan")])
+    def test_alpha_validation(self, alpha):
         F, B = mask_matrices(partition_of([1, 0], [True, True]))
-        with pytest.raises(ValueError):
-            k_matrix(F, B, -0.1)
-        with pytest.raises(ValueError):
-            k_matrix(F, B, 1.1)
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+            k_matrix(F, B, alpha)
 
 
 class TestSpatialSpectral:
@@ -257,8 +256,8 @@ class TestInfluence:
         center = 0
         # a column-major copy, as NodeTable stores them
         feats = nd.Tensor(np.array(table.features, order="F"), requires_grad=True)
-        report = grad_check(lambda: nd.mean(model_forward(model, g, partition, feats, np.array([center]))),
-                               {"features": feats}, tolerance=1e-6)
+        report = grad_check(lambda: mean(model_forward(model, g, partition, feats, np.array([center]))),
+                            {"features": feats}, tolerance=1e-6)
         assert report.passed, str(report)
         assert np.count_nonzero(feats.grad) > 20
 
@@ -356,12 +355,17 @@ class TestInfluenceReport:
         assert len(report.bin_edges) == 8
         assert report.mean_diff() == pytest.approx(np.mean(diffs), abs=1e-15)
 
-    def test_non_positive_bins_raise_before_scoring(self, monkeypatch):
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(num_bins=0), "num_bins must be at least 1, got 0"),
+        (dict(split="bogus"), "unknown split 'bogus', expected one of train, val, test"),
+    ], ids=["bins", "split"])
+    def test_bad_settings_raise_before_scoring(self, monkeypatch, kwargs, message):
         rng = np.random.default_rng(12)
         g, table, model = self.dataset(rng)
         monkeypatch.setattr(analysis, "influence", lambda *a, **k: pytest.fail("scored a node"))
-        with pytest.raises(ValueError, match="num_bins must be at least 1, got 0"):
-            influence_report(model, g, table, num_bins=0)
+        monkeypatch.setattr(analysis.PartitionIndex, "from_table", lambda *a: pytest.fail("built the partition"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            influence_report(model, g, table, **kwargs)
 
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(11)

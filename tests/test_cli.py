@@ -338,6 +338,26 @@ class TestTrain:
         assert rejected(capsys, "train", bundle_dir, "--out", out, flag, "inf") == f"{rule}, got inf"
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, value, via_config", [
+        ("hidden_dim", 0, False), ("num_layers", 0, False), ("hidden_dim", 0, True), ("num_layers", -2, True),
+    ], ids=["hidden-dim-flag", "layers-flag", "hidden_dim-config", "num_layers-config"])
+    def test_bad_model_size_exits_2_before_reading_or_writing(self, bundle_dir, tmp_path, capsys, monkeypatch,
+                                                             setting, value, via_config):
+        def unread(path):
+            raise AssertionError(f"bundle {path} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        out = tmp_path / "run"
+        if via_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({setting: value}))
+            argv = ("--config", path)
+        else:
+            argv = ({"hidden_dim": "--hidden-dim", "num_layers": "--layers"}[setting], value)
+        error = rejected(capsys, "train", bundle_dir, "--out", out, *argv)
+        assert error == f"{setting} must be a positive integer, got {value}"
+        assert not out.exists()
+
     def test_divergence_exits_3(self, bundle_dir, tmp_path):
         proc = run_cli(
             "train", str(bundle_dir), "--out", str(tmp_path / "div"), "--max-epochs", "2",
@@ -440,9 +460,19 @@ class TestEvalAndInfluence:
         assert str(other) in error and str(run / "checkpoint") in error
         assert "feature_dim 6" in error and "feature_dim 4" in error
 
-    def test_unknown_split_exits_2_naming_it(self, run_dir, capsys):
-        error = rejected(capsys, "influence", run_dir, "--split", "bogus")
-        assert error == "unknown split 'bogus', expected one of train, val, test"
+    @pytest.mark.parametrize("argv, message", [
+        (("--split", "bogus"), "unknown split 'bogus', expected one of train, val, test"),
+        (("--bins", "0"), "num_bins must be at least 1, got 0"),
+    ], ids=["split", "bins"])
+    def test_bad_influence_setting_exits_2_before_reading(self, run_dir, capsys, monkeypatch, argv, message):
+        def unread(*args):
+            raise AssertionError(f"{args} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        monkeypatch.setattr(cli.PmpModel, "load", unread)
+        before = sorted(os.listdir(run_dir))
+        assert rejected(capsys, "influence", run_dir, *argv) == message
+        assert sorted(os.listdir(run_dir)) == before
 
     def test_truncated_blob_exits_2_naming_it(self, run_dir, tmp_path):
         def truncate(path):
@@ -526,6 +556,18 @@ class TestSpectral:
         out = tmp_path / "spec"
         error = rejected(capsys, "spectral", bundle_dir, "--max-dense-n", cap, "--out", out)
         assert error == f"max_dense_n must be a positive integer, got {cap}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.5", "nan"])
+    def test_alpha_outside_the_unit_interval_exits_2_before_reading_or_writing(self, capsys, monkeypatch,
+                                                                               bundle_dir, tmp_path, alpha):
+        def unread(path):
+            raise AssertionError(f"bundle {path} read before the settings were checked")
+
+        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
+        out = tmp_path / "spec"
+        error = rejected(capsys, "spectral", bundle_dir, "--alpha", alpha, "--out", out)
+        assert error == f"alpha must lie in [0, 1], got {float(alpha)}"
         assert not out.exists()
 
     def test_dense_cap_exits_4(self, tmp_path):

@@ -16,6 +16,7 @@ from .reference import (
     composed_layer_forward,
     fraud_neighbors,
     grad_check,
+    mean,
     unlabeled_neighbors,
 )
 
@@ -26,7 +27,7 @@ def _sigmoid(x):
 
 def _batch_sums(partition, relation, h, batch):
     members, seg_ids = partition.graph.neighbor_segments(relation, batch)
-    return bucket_sums(h, members, seg_ids, partition.bucket[members], batch.size), np.arange(batch.size)
+    return bucket_sums(h, members, seg_ids, partition.bucket[members], batch.size)
 
 
 def without_self_term(params):
@@ -46,8 +47,7 @@ def aggregate(params, variant, partition, relation, h, batch):
 def forward(params, variant, partition, relation, h, batch, use_relu=True):
     """Whole layer (self term, aggregation, activation) for ``batch``."""
     h_c = nd.gather_rows(h, batch)
-    sums, rows = _batch_sums(partition, relation, h, batch)
-    return layer_forward(params, variant, sums, rows, h_c, h_c, use_relu=use_relu)
+    return layer_forward(params, variant, _batch_sums(partition, relation, h, batch), h_c, h_c, use_relu=use_relu)
 
 
 def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):
@@ -172,8 +172,7 @@ def gate_values(params, h_gate):
     sums = np.zeros((3 * k, d_in))
     sums[2 * k :, 0] = 1.0
     h_centers = nd.Tensor(np.zeros((k, d_in)))
-    out = layer_forward(probe, LayerVariant(True, True, False), nd.Tensor(sums), np.arange(k), h_centers, h_gate,
-                        use_relu=False)
+    out = layer_forward(probe, LayerVariant(True, True, False), nd.Tensor(sums), h_centers, h_gate, use_relu=False)
     return out.data[:, 0]
 
 
@@ -422,7 +421,7 @@ class TestGradients:
         blocks = dict(params.tensors(), h=h)
 
         def fn():
-            return nd.mean(forward(params, LayerVariant.full(), idx, 0, h, batch))
+            return mean(forward(params, LayerVariant.full(), idx, 0, h, batch))
 
         report = grad_check(fn, blocks, tolerance=1e-6)
         assert report.passed, str(report)
@@ -438,7 +437,7 @@ class TestGradients:
         h = nd.Tensor(rng.normal(size=(3, 2)))
         tape = nd.GradientTape(params.tensors())
         out = aggregate(params, LayerVariant.full(), idx, 0, h, np.array([0]))
-        grads = tape.gradients(nd.mean(out))
+        grads = tape.gradients(mean(out))
         for name in ("M_fr", "B_fr", "w_phi", "b_phi", "M_un", "W_self", "b_self"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
         assert np.abs(grads["M_be"]).max() > 0
@@ -450,7 +449,7 @@ class TestOneRecordedOp:
     (``reference.composed_layer_forward``)."""
 
     @staticmethod
-    def run(fn, variant, use_relu, whole, shared_gate, seed):
+    def run(fn, variant, use_relu, shared_gate, seed):
         """Output and every gradient, as bytes, of one seeded reverse pass
         through ``fn``, on an instance where summation order changes the
         rounding."""
@@ -460,33 +459,23 @@ class TestOneRecordedOp:
         for t in params.tensors().values():
             t.data = rng.normal(size=t.data.shape)
         h = nd.Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
-        if whole:
-            # a layer that lists its own centers' neighborhoods reads rows 0..k-1
-            centers = rng.permutation(n)[:17]
-            members, seg_ids = g.neighbor_segments(0, centers)
-            sums = bucket_sums(h, members, seg_ids, idx.bucket[members], centers.size)
-            rows = np.arange(centers.size)
-        else:
-            # a whole-graph table read at unsorted, repeated rows
-            centers = rng.integers(0, n, size=23)
-            members = g.col_indices[0]
-            sums = bucket_sums(h, members, g.row_indices(0), idx.bucket[members], n)
-            rows = centers
+        centers = rng.integers(0, n, size=23)  # unsorted, repeated
+        members, seg_ids = g.neighbor_segments(0, centers)
+        sums = bucket_sums(h, members, seg_ids, idx.bucket[members], centers.size)
         h_c = nd.gather_rows(h, centers)
         h_g = h_c if shared_gate else nd.gather_rows(h, centers)
-        out = fn(params, variant, sums, rows, h_c, h_g, use_relu=use_relu)
+        out = fn(params, variant, sums, h_c, h_g, use_relu=use_relu)
         nd.backward(out, seed=rng.normal(size=out.shape))
         tensors = dict(params.tensors(), out=out, h=h, sums=sums, h_centers=h_c, h_gate=h_g)
         return {name: (t.data if name == "out" else t.grad) for name, t in tensors.items()}
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
     @pytest.mark.parametrize("use_relu", [True, False], ids=["relu", "linear"])
-    @pytest.mark.parametrize("whole", [False, True], ids=["gathered-rows", "whole-table"])
     @pytest.mark.parametrize("shared_gate", [False, True], ids=["own-gate-input", "gate-reads-centers"])
-    def test_output_and_every_gradient_bitwise_equal_to_the_composed_layer(self, variant, use_relu, whole, shared_gate):
+    def test_output_and_every_gradient_bitwise_equal_to_the_composed_layer(self, variant, use_relu, shared_gate):
         seed = 100 + ALL_VARIANTS.index(variant)
-        got = self.run(layer_forward, variant, use_relu, whole, shared_gate, seed)
-        want = self.run(composed_layer_forward, variant, use_relu, whole, shared_gate, seed)
+        got = self.run(layer_forward, variant, use_relu, shared_gate, seed)
+        want = self.run(composed_layer_forward, variant, use_relu, shared_gate, seed)
         assert got.keys() == want.keys()
         for name in want:
             if want[name] is None:
@@ -505,7 +494,7 @@ class TestOneRecordedOp:
         h.requires_grad = True
         batch = np.arange(g.num_nodes)
         trace = []
-        nd.backward(nd.mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
+        nd.backward(mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
         assert sorted(trace) == ["gather_rows", "gather_segment_sum", "layer", "mean"]
 
     def overflow_instance(self):
@@ -530,16 +519,27 @@ class TestOneRecordedOp:
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="^layer: non-finite pre-activation$"):
             forward(params, variant, idx, 0, h, batch, use_relu=True)
 
-    def test_shape_errors(self):
+    @pytest.mark.parametrize("sums_centers, num_centers, gate_rows, message", [
+        (None, 4, 4, "sums must be the 4 centers' \\[12, 3\\] table, got shape \\(5, 3\\)"),
+        # tables of 3m rows for m != k centers
+        (4, 3, 3, "sums must be the 3 centers' \\[9, 3\\] table, got shape \\(12, 3\\)"),
+        (5, 4, 4, "sums must be the 4 centers' \\[12, 3\\] table, got shape \\(15, 3\\)"),
+        (4, 4, 3, "h_gate must be \\[4, 3\\]"),
+    ], ids=["rows-not-3k", "fewer-centers", "more-table-rows", "gate-rows"])
+    def test_shape_errors(self, sums_centers, num_centers, gate_rows, message):
         rng = np.random.default_rng(32)
         g, idx, params, h = random_setup(rng)
-        sums, rows = _batch_sums(idx, 0, h, np.arange(4))
-        h_c = nd.gather_rows(h, np.arange(4))
-        cases = [
-            (nd.Tensor(np.ones((5, 3))), rows, h_c, "sums must be"),
-            (sums, rows + 1, h_c, "rows must be"),
-            (sums, rows, nd.gather_rows(h, np.arange(3)), "h_centers must be"),
-        ]
-        for s, r, hc, message in cases:
-            with pytest.raises(nd.ShapeError, match=message):
-                layer_forward(params, LayerVariant.full(), s, r, hc, hc)
+        if sums_centers is None:
+            sums = nd.Tensor(np.ones((5, 3)))
+        else:
+            sums = _batch_sums(idx, 0, h, np.arange(sums_centers))
+        h_c, h_g = nd.gather_rows(h, np.arange(num_centers)), nd.gather_rows(h, np.arange(gate_rows))
+        with pytest.raises(nd.ShapeError, match=f"^layer: {message}"):
+            layer_forward(params, LayerVariant.full(), sums, h_c, h_g)
+
+    def test_centers_of_the_wrong_width_are_rejected(self):
+        rng = np.random.default_rng(32)
+        g, idx, params, h = random_setup(rng)
+        h_c = nd.Tensor(np.ones((4, 2)))
+        with pytest.raises(nd.ShapeError, match=r"^layer: h_centers must be \[k, 3\], got shape \(4, 2\)$"):
+            layer_forward(params, LayerVariant.full(), _batch_sums(idx, 0, h, np.arange(4)), h_c, h_c)

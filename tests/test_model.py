@@ -12,7 +12,7 @@ from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward
 
-from .reference import composed_layer_forward, frontier_model_forward, grad_check, naive_model_forward
+from .reference import composed_layer_forward, composed_loss, frontier_model_forward, grad_check, naive_model_forward
 
 VARIANTS = [
     LayerVariant(False, False, False),
@@ -355,6 +355,31 @@ class TestLoss:
         np.testing.assert_allclose(raw.grad, want, rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("pos_weight", [None, 3.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_op_bitwise_equal_to_the_composed_chain(self, pos_weight, seed):
+        # n = 11 and weights of 3 make n / sum(w) and g / n inexact, so on
+        # some of the seeds a reordering of the arithmetic, such as
+        # sum(w * l) / sum(w) for the value, shows in the low bits
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=20)
+        batch = rng.integers(0, 20, size=11)
+        logits = 4.0 * rng.normal(size=11)
+        runs = []
+        for fn in (loss, composed_loss):
+            z = nd.Tensor(logits.copy(), requires_grad=True)
+            trace = []
+            out = fn(nd.sigmoid(z), labels, batch, pos_weight=pos_weight)
+            nd.backward(out, trace=trace)
+            runs.append((out, z.grad, trace))
+        (got, g_got, trace), (want, g_want, _) = runs
+        assert got.shape == want.shape == ()
+        assert got.data.tobytes() == want.data.tobytes()
+        assert g_got.tobytes() == g_want.tobytes()
+        assert np.abs(g_got).min() > 0
+        assert trace == ["binary_cross_entropy"]
+
+
 class TestGradientCheck:
     def test_full_model_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -386,10 +411,14 @@ class TestOneOpPerLayer:
         kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
 
         def run():
-            # the shared table as training reads it, then a gradient-enabled
-            # feature table as the influence analysis reads it
+            # the shared table as training reads it, a gradient-enabled
+            # feature table as the influence analysis reads it, and a shared
+            # table built from such features, whose rows layer 1 gathers
             out = []
-            for sums, feats in ((layer_one_sums(g, idx, x), x), (None, nd.Tensor(x, requires_grad=True))):
+            grad_feats = nd.Tensor(x, requires_grad=True), nd.Tensor(x, requires_grad=True)
+            cases = ((layer_one_sums(g, idx, x), x), (None, grad_feats[0]),
+                     (layer_one_sums(g, idx, grad_feats[1]), grad_feats[1]))
+            for sums, feats in cases:
                 tape = nd.GradientTape(model.parameters())
                 probs = model_forward(model, g, idx, feats, batch, sums=sums, **kw)
                 trace = []
@@ -409,6 +438,8 @@ class TestOneOpPerLayer:
                 assert g_got[name].tobytes() == g_want[name].tobytes(), name
             assert trace.count("layer") == num_relations * num_layers
         assert np.abs(fused[1][1]["features"]).max() > 0
+        assert np.abs(fused[2][1]["features"]).max() > 0
+        assert fused[2][2].count("gather_rows") >= num_relations  # the shared table's adjoint ran
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("num_layers", [1, 2])

@@ -13,7 +13,7 @@ import pytest
 
 from pmpfraud import ndiff as nd
 
-from .reference import add, add_at_rows, grad_check, row_scale, sub
+from .reference import add, add_at_rows, affine, grad_check, mean, mul, row_scale, sub
 
 
 def fd_tensor(rng, shape, low=0.2, high=1.5):
@@ -34,77 +34,79 @@ class TestOperatorGradients:
         rng = np.random.default_rng(1)
         a = fd_tensor(rng, (4, 3))
         b = fd_tensor(rng, (3, 5))
-        run_op_check({"a": a, "b": b}, lambda: nd.mean(nd.matmul(a, b)))
+        run_op_check({"a": a, "b": b}, lambda: mean(nd.matmul(a, b)))
 
     def test_add_sub_mul(self):
         rng = np.random.default_rng(2)
         a = fd_tensor(rng, (5, 4))
         b = fd_tensor(rng, (5, 4))
-        run_op_check({"a": a, "b": b}, lambda: nd.mean(add(a, b)))
-        run_op_check({"a": a, "b": b}, lambda: nd.mean(sub(a, b)))
-        run_op_check({"a": a, "b": b}, lambda: nd.mean(nd.mul(a, b)))
+        run_op_check({"a": a, "b": b}, lambda: mean(add(a, b)))
+        run_op_check({"a": a, "b": b}, lambda: mean(sub(a, b)))
+        run_op_check({"a": a, "b": b}, lambda: mean(mul(a, b)))
 
     def test_add_rowvec(self):
         rng = np.random.default_rng(3)
         a = fd_tensor(rng, (6, 3))
         v = fd_tensor(rng, (3,))
-        run_op_check({"a": a, "v": v}, lambda: nd.mean(nd.sigmoid(nd.add_rowvec(a, v))))
+        run_op_check({"a": a, "v": v}, lambda: mean(nd.sigmoid(nd.add_rowvec(a, v))))
 
     def test_row_scale(self):
         rng = np.random.default_rng(4)
         a = fd_tensor(rng, (6, 3))
         s = fd_tensor(rng, (6,))
-        run_op_check({"a": a, "s": s}, lambda: nd.mean(row_scale(a, s)))
+        run_op_check({"a": a, "s": s}, lambda: mean(row_scale(a, s)))
 
     def test_affine(self):
         rng = np.random.default_rng(5)
         a = fd_tensor(rng, (4, 4))
-        run_op_check({"a": a}, lambda: nd.mean(nd.affine(a, -1.7, 0.4)))
+        run_op_check({"a": a}, lambda: mean(affine(a, -1.7, 0.4)))
 
     def test_sigmoid(self):
         rng = np.random.default_rng(6)
         a = fd_tensor(rng, (5, 2))
-        run_op_check({"a": a}, lambda: nd.mean(nd.sigmoid(a)))
+        run_op_check({"a": a}, lambda: mean(nd.sigmoid(a)))
 
     def test_relu(self):
         rng = np.random.default_rng(7)
         a = fd_tensor(rng, (5, 5))
-        run_op_check({"a": a}, lambda: nd.mean(nd.relu(a)))
+        run_op_check({"a": a}, lambda: mean(nd.relu(a)))
 
     def test_segment_sum(self):
         rng = np.random.default_rng(8)
         x = fd_tensor(rng, (4, 3))
         rows = np.array([3, 0, 3, 1, 2, 0, 3])  # unsorted, repeated, across segments
         seg = np.array([2, 0, 0, 4, 2, 2, 1])  # segment 3 stays empty
-        run_op_check({"x": x}, lambda: nd.mean(nd.sigmoid(nd.gather_segment_sum(x, rows, seg, 5))))
+        run_op_check({"x": x}, lambda: mean(nd.sigmoid(nd.gather_segment_sum(x, rows, seg, 5))))
 
     def test_gather_rows(self):
         rng = np.random.default_rng(9)
         x = fd_tensor(rng, (6, 3))
         idx = np.array([5, 0, 0, 2, 4])
-        run_op_check({"x": x}, lambda: nd.mean(nd.sigmoid(nd.gather_rows(x, idx))))
+        run_op_check({"x": x}, lambda: mean(nd.sigmoid(nd.gather_rows(x, idx))))
 
     def test_dropout_fixed_key(self):
         rng = np.random.default_rng(10)
         x = fd_tensor(rng, (8, 4))
-        run_op_check({"x": x}, lambda: nd.mean(nd.dropout(x, 0.4, True, key=(3, 1, 0, 2))))
+        run_op_check({"x": x}, lambda: mean(nd.dropout(x, 0.4, True, key=(3, 1, 0, 2))))
 
     def test_concat(self):
         rng = np.random.default_rng(11)
         a = fd_tensor(rng, (3, 2))
         b = fd_tensor(rng, (3, 4))
-        run_op_check({"a": a, "b": b}, lambda: nd.mean(nd.sigmoid(nd.concat([a, b], axis=1))))
+        run_op_check({"a": a, "b": b}, lambda: mean(nd.sigmoid(nd.concat([a, b], axis=1))))
 
     def test_reshape(self):
         rng = np.random.default_rng(12)
         a = fd_tensor(rng, (4, 3))
-        run_op_check({"a": a}, lambda: nd.mean(nd.reshape(a, (12,))))
+        run_op_check({"a": a}, lambda: mean(nd.reshape(a, (12,))))
 
-    def test_binary_cross_entropy(self):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit-weights", "weighted"])
+    def test_binary_cross_entropy(self, weighted):
         rng = np.random.default_rng(13)
         raw = fd_tensor(rng, (10,))
         targets = rng.integers(0, 2, size=10).astype(np.float64)
-        run_op_check({"raw": raw}, lambda: nd.mean(nd.binary_cross_entropy(nd.sigmoid(raw), targets)))
+        weights = rng.uniform(0.5, 4.0, size=10) if weighted else np.ones(10)
+        run_op_check({"raw": raw}, lambda: nd.binary_cross_entropy(nd.sigmoid(raw), targets, weights))
 
     def test_composite_expression(self):
         rng = np.random.default_rng(14)
@@ -116,7 +118,7 @@ class TestOperatorGradients:
         def fn():
             hidden = nd.relu(nd.matmul(x, w1))
             probs = nd.sigmoid(nd.reshape(nd.matmul(hidden, w2), (6,)))
-            return nd.mean(nd.binary_cross_entropy(probs, y))
+            return nd.binary_cross_entropy(probs, y, np.ones(6))
 
         run_op_check({"w1": w1, "w2": w2}, fn)
 
@@ -128,14 +130,14 @@ class TestOperatorGradients:
         p = fd_tensor(rng, (3, 2))
         p.data = np.asarray(p.data, order=order)
         w = nd.Tensor(rng.normal(size=(2, 4)))
-        run_op_check({"p": p}, lambda: nd.mean(nd.matmul(nd.mul(p, p), w)))
+        run_op_check({"p": p}, lambda: mean(nd.matmul(mul(p, p), w)))
         assert p.data.flags.f_contiguous == (order == "F")
 
 
 class TestOperatorValues:
     def test_identity_loss_gradient_is_exactly_one(self):
         p = nd.Tensor(np.array([1.7]), requires_grad=True)
-        out = nd.mean(p)
+        out = mean(p)
         nd.backward(out)
         assert p.grad[0] == 1.0
 
@@ -143,7 +145,7 @@ class TestOperatorValues:
         x = nd.Tensor(np.array([0.0]), requires_grad=True)
         y = nd.sigmoid(x)
         assert y.data[0] == 0.5
-        nd.backward(nd.mean(y))
+        nd.backward(mean(y))
         assert x.grad[0] == 0.25
 
     def test_sigmoid_open_interval_under_saturation(self):
@@ -162,16 +164,23 @@ class TestOperatorValues:
         nd.backward(out, seed=np.array([[5.0], [7.0], [11.0]]))
         np.testing.assert_array_equal(x.grad, [[5.0], [16.0], [11.0]])
 
-    def test_bce_at_half_is_ln2(self):
+    @pytest.mark.parametrize("weights", [[1.0, 1.0], [3.0, 1.0]])
+    def test_bce_at_half_is_ln2(self, weights):
         probs = nd.Tensor(np.array([0.5, 0.5]))
-        out = nd.binary_cross_entropy(probs, np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [math.log(2.0), math.log(2.0)])
+        out = nd.binary_cross_entropy(probs, np.array([1.0, 0.0]), np.array(weights))
+        assert out.shape == ()
+        assert out.data == math.log(2.0)
 
     def test_bce_clamps_certain_predictions(self):
         probs = nd.Tensor(np.array([1.0, 0.0]))
-        out = nd.binary_cross_entropy(probs, np.array([1.0, 0.0]))
-        assert np.all(out.data > 0.0)
-        assert np.all(out.data < 2e-12)
+        out = nd.binary_cross_entropy(probs, np.array([1.0, 0.0]), np.ones(2))
+        assert 0.0 < out.data < 2e-12
+
+    def test_bce_is_the_weighted_mean(self):
+        p, t, w = np.array([0.7, 0.2, 0.9]), np.array([1.0, 0.0, 0.0]), np.array([3.0, 1.0, 0.5])
+        out = nd.binary_cross_entropy(nd.Tensor(p), t, w)
+        per_example = -np.array([math.log(0.7), math.log(0.8), math.log(0.1)])
+        assert abs(out.data - (w * per_example).sum() / w.sum()) < 1e-15
 
     @pytest.mark.parametrize("target", [0.0, 1.0])
     def test_bce_of_sigmoid_takes_adjoint_in_logit_space(self, target):
@@ -179,7 +188,7 @@ class TestOperatorValues:
         t = np.full(z.size, target)
         n = z.size
         trace = []
-        nd.backward(nd.mean(nd.binary_cross_entropy(nd.sigmoid(z), t)), trace=trace)
+        nd.backward(nd.binary_cross_entropy(nd.sigmoid(z), t, np.ones(n)), trace=trace)
         assert "sigmoid" not in trace
         exact = np.exp(-np.logaddexp(0.0, -z.data))
         eps = np.finfo(np.float64).eps
@@ -225,7 +234,7 @@ class TestOperatorValues:
 
     def test_mean_value(self):
         x = nd.Tensor(np.array([[1.0, 2.0], [3.0, 6.0]]))
-        assert nd.mean(x).data == 3.0
+        assert mean(x).data == 3.0
 
 
 class TestScatterMatchesAddAt:
@@ -278,9 +287,9 @@ class TestScatterMatchesAddAt:
 class TestReversePass:
     def test_fanout_accumulates_additively(self):
         x = nd.Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
-        a = nd.affine(x, 2.0)
-        b = nd.affine(x, 3.0)
-        out = nd.mean(add(a, b))
+        a = affine(x, 2.0)
+        b = affine(x, 3.0)
+        out = mean(add(a, b))
         nd.backward(out)
         np.testing.assert_array_equal(x.grad, np.full(4, 5.0 / 4.0))
 
@@ -288,7 +297,7 @@ class TestReversePass:
         x = nd.Tensor(np.array([0.3, -0.2]), requires_grad=True)
         a = nd.sigmoid(x)
         b = nd.relu(x)
-        out = nd.mean(add(a, b))
+        out = mean(add(a, b))
         trace = []
         nd.backward(out, trace=trace)
         assert sorted(trace) == ["add", "mean", "relu", "sigmoid"]
@@ -300,15 +309,15 @@ class TestReversePass:
         tape = nd.GradientTape({"w": w})
 
         def f():
-            return nd.mean(nd.sigmoid(nd.matmul(x, w)))
+            return mean(nd.sigmoid(nd.matmul(x, w)))
 
         def g():
-            return nd.mean(nd.relu(nd.matmul(x, w)))
+            return mean(nd.relu(nd.matmul(x, w)))
 
         a, b = 2.5, -0.75
         grad_f = tape.gradients(f())["w"]
         grad_g = tape.gradients(g())["w"]
-        combined = tape.gradients(add(nd.affine(f(), a), nd.affine(g(), b)))["w"]
+        combined = tape.gradients(add(affine(f(), a), affine(g(), b)))["w"]
         np.testing.assert_allclose(combined, a * grad_f + b * grad_g, rtol=0, atol=1e-12)
 
     def test_matmul_skips_adjoint_of_non_grad_operand(self):
@@ -322,7 +331,7 @@ class TestReversePass:
             out = nd.matmul(x, w)
             gx, gw = out._vjp(g)
             assert (gx is None) == (not x_grad)
-            nd.backward(nd.mean(nd.sigmoid(out)))
+            nd.backward(mean(nd.sigmoid(out)))
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
         x = nd.Tensor(x_data, requires_grad=True)
@@ -334,7 +343,7 @@ class TestReversePass:
         used = nd.Tensor(np.array([[1.0]]), requires_grad=True)
         unused = nd.Tensor(np.array([[2.0]]), requires_grad=True)
         tape = nd.GradientTape({"used": used, "unused": unused})
-        grads = tape.gradients(nd.mean(used))
+        grads = tape.gradients(mean(used))
         np.testing.assert_array_equal(grads["unused"], [[0.0]])
         assert grads["unused"].dtype == np.float64
 
@@ -346,7 +355,7 @@ class TestReversePass:
     def test_backward_without_grad_graph_raises(self):
         x = nd.Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            nd.backward(nd.mean(nd.relu(x)))
+            nd.backward(mean(nd.relu(x)))
 
 
 class TestNoGrad:
@@ -355,7 +364,7 @@ class TestNoGrad:
         with nd.no_grad():
             out = nd.relu(nd.matmul(nd.Tensor(np.ones((3, 1))), w))
             with pytest.raises(nd.NonFiniteError):
-                nd.affine(w, np.inf)
+                affine(w, np.inf)
         assert not out.requires_grad and out._parents == () and out._vjp is None
         np.testing.assert_array_equal(out.data, np.maximum(np.ones((3, 1)) @ w.data, 0.0))
         assert nd.relu(w)._parents == (w,)
@@ -363,7 +372,7 @@ class TestNoGrad:
     def test_backward_from_a_no_grad_output_raises(self):
         w = nd.Tensor(np.array([0.5, 1.5]), requires_grad=True)
         with nd.no_grad():
-            out = nd.mean(nd.sigmoid(w))
+            out = mean(nd.sigmoid(w))
         with pytest.raises(ValueError, match="does not depend on any gradient-enabled tensor"):
             nd.backward(out)
 
@@ -371,7 +380,7 @@ class TestNoGrad:
         w = nd.Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(nd.NonFiniteError):
             with nd.no_grad():
-                nd.affine(w, np.nan)
+                affine(w, np.nan)
         assert nd.relu(w).requires_grad
         with nd.no_grad():
             with nd.no_grad():
@@ -438,7 +447,7 @@ class TestErrors:
     def test_non_finite_result_raises_with_op_name(self):
         big = nd.Tensor(np.array([[1e308]]))
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="affine"):
-            nd.affine(big, 10.0)
+            affine(big, 10.0)
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda p: nd.Tensor(p, requires_grad=True), id="leaf"),
@@ -447,13 +456,19 @@ class TestErrors:
     def test_bce_of_a_gradient_carrying_non_sigmoid_raises(self, make):
         # The only adjoint is the logit-space one; outside no_grad() such an
         # input has no logit to send it to. Inside, it still gets its value.
-        p, t = np.array([0.2, 0.7]), np.array([1.0, 0.0])
+        p, t, w = np.array([0.2, 0.7]), np.array([1.0, 0.0]), np.ones(2)
         with pytest.raises(ValueError, match="binary_cross_entropy"):
-            nd.binary_cross_entropy(make(p), t)
+            nd.binary_cross_entropy(make(p), t, w)
         with nd.no_grad():
-            out = nd.binary_cross_entropy(make(p), t)
-        assert np.array_equal(out.data, nd.binary_cross_entropy(nd.Tensor(p), t).data)
+            out = nd.binary_cross_entropy(make(p), t, w)
+        assert np.array_equal(out.data, nd.binary_cross_entropy(nd.Tensor(p), t, w).data)
         assert not out.requires_grad
+
+    @pytest.mark.parametrize("n_probs, n_targets, n_weights", [(3, 3, 2), (3, 2, 2), (0, 0, 0)],
+                             ids=["weights", "targets", "empty"])
+    def test_bce_shape_errors(self, n_probs, n_targets, n_weights):
+        with pytest.raises(nd.ShapeError, match="binary_cross_entropy"):
+            nd.binary_cross_entropy(nd.Tensor(np.full(n_probs, 0.5)), np.ones(n_targets), np.ones(n_weights))
 
     def test_dropout_p_validation(self):
         x = nd.Tensor(np.ones(3))

@@ -296,7 +296,8 @@ class TestSharedLayerOneSums:
         model = PmpModel(ModelConfig(feature_dim=table.feature_dim, hidden_dim=6, num_layers=2), seed=15)
         partition = PartitionIndex.from_table(g, table)
         builds, received = self.counting(monkeypatch)
-        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes), batch_size=7)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
+        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes))
         assert len(builds) == 1 and len(received) == -(-g.num_nodes // 7)
         assert all(sums is builds[0] for sums in received)
 
@@ -306,7 +307,8 @@ class TestSharedLayerOneSums:
         partition = PartitionIndex.from_table(g, table)
         builds, received = self.counting(monkeypatch)
         train(model, g, table, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=16))
-        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes), batch_size=7)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
+        forward_scores(model, g, partition, table.features, np.arange(g.num_nodes))
         evaluate(model, g, table, "test")
         assert builds == [] and received and all(sums is None for sums in received)
 
@@ -387,19 +389,22 @@ class TestEvaluate:
             return outputs[-1]
 
         monkeypatch.setattr(training, "model_forward", spy)
-        scores = forward_scores(model, g, partition, table.features, ids, batch_size=7)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
+        scores = forward_scores(model, g, partition, table.features, ids)
         np.testing.assert_array_equal(scores, np.concatenate([z.data for z in taped]))
         assert len(outputs) == len(taped)
         assert not any(z.requires_grad or z._parents or z._vjp for z in outputs)
         assert model_forward(model, g, partition, table.features, ids[:3]).requires_grad
 
-    def test_chunked_scores_match_single_pass(self):
+    def test_chunked_scores_match_single_pass(self, monkeypatch):
         g, table = small_dataset(seed=12)
         model = small_model(table, seed=12)
         partition = PartitionIndex.from_table(g, table)
         ids = np.arange(g.num_nodes)
-        a = forward_scores(model, g, partition, table.features, ids, batch_size=7)
-        b = forward_scores(model, g, partition, table.features, ids, batch_size=1000)
+        b = forward_scores(model, g, partition, table.features, ids)
+        assert ids.size <= training.EVAL_BATCH_SIZE  # one chunk
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
+        a = forward_scores(model, g, partition, table.features, ids)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
