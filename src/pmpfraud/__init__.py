@@ -11,7 +11,7 @@ from .graph import (
 )
 from .bundle import BundleError, load_bundle, write_bundle
 from .layer import LayerVariant, PmpLayerParams
-from .model import ModelConfig, PmpModel, loss, model_forward
+from .model import ModelConfig, PmpModel, loss, model_forward, model_logits
 from .synth import generate_ba_graph, generate_features, make_splits
 from .training import Adam, History, TrainConfig, TrainingDiverged, evaluate, train
 
@@ -31,6 +31,7 @@ __all__ = [
     "PmpModel",
     "loss",
     "model_forward",
+    "model_logits",
     "generate_ba_graph",
     "generate_features",
     "make_splits",

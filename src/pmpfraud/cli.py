@@ -196,6 +196,7 @@ def cmd_spectral(args) -> int:
     for name in ("signal_dim", "max_dense_n"):
         nd.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
     analysis.check_alpha(args.alpha)
+    nd.check_setting("seed", args.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)

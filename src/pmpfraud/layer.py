@@ -235,8 +235,11 @@ def layer_forward(
 
     # Inputs in the order the composed layer's reverse pass reaches them, so
     # a value feeding several of them (the previous layer's output) adds
-    # their adjoints in the same order.
-    names = ["h_centers", "sums"] + (["h_gate"] if adaptive and h_gate is not h_centers else [])
+    # their adjoints in the same order. ``sums`` is listed only when it needs
+    # a gradient, so a constant table is freed after the forward.
+    sums_grad = sums.requires_grad
+    names = ["h_centers"] + (["sums"] if sums_grad else [])
+    names += ["h_gate"] if adaptive and h_gate is not h_centers else []
     names += PmpLayerParams.FIELDS  # a parameter the variant does not read gets None
     inputs = {"h_centers": h_centers, "sums": sums, "h_gate": h_gate}
     parents = tuple(inputs[n] if n in inputs else getattr(p, n) for n in names)
@@ -248,7 +251,7 @@ def layer_forward(
         if use_relu:
             g = g * mask
         grads = {"W_self": hc.T @ g, "b_self": g.sum(axis=0)}
-        need_S = sums.requires_grad or adaptive  # the gate's adjoint reads dP_fr and dP_be
+        need_S = sums_grad or adaptive  # the gate's adjoint reads dP_fr and dP_be
         g_hc = g @ W_self.T if h_centers.requires_grad else None
         g_S = [None, None, None]
         if not variant.partition_enabled:
@@ -275,7 +278,7 @@ def layer_forward(
                 if need_S:
                     g_S[2] = g @ M_un.T
             else:
-                if sums.requires_grad:
+                if sums_grad:
                     g_S[2] = g_S[0] * a[:, None] + g_S[1] * a1[:, None]
                 g_a = (g_S[0] * S_un).sum(axis=1) + -1.0 * (g_S[1] * S_un).sum(axis=1)
                 g_z = (g_a * a * (1.0 - a)).reshape(k, 1)
@@ -286,9 +289,12 @@ def layer_forward(
                     if h_gate is h_centers:
                         g_hc = g_hc + grads["h_gate"]
         grads["h_centers"] = g_hc
-        if sums.requires_grad:
+        if sums_grad:
             grads["sums"] = np.concatenate(g_S)  # each table row is read once, in order
         return tuple(grads.get(n) for n in names)
 
-    return nd._make(out, "layer", parents, vjp)
+    out = nd._make(out, "layer", parents, vjp)
+    if adaptive and out.requires_grad and not sums_grad:
+        S_un = S_un.copy()  # the adjoint reads it through its closure; a copy lets the table go
+    return out
 

@@ -2,9 +2,12 @@
 
 Each relation runs its own stack of layers over the same input features;
 the per-relation outputs are concatenated, passed through one hidden
-readout layer with ReLU, and mapped to a fraud probability by a sigmoid
-head. Hidden layers use ReLU, the last message passing layer is linear,
-and dropout follows each layer's activation during training.
+readout layer with ReLU, and mapped to a fraud logit by a linear head.
+Hidden layers use ReLU, the last message passing layer is linear, and
+dropout follows each layer's activation during training. Each layer call
+is one recorded op (``layer.layer_forward``) and so is the head
+(``readout``). Training reads the logits (``model_logits``), which the
+loss takes directly; scoring reads their logistic (``model_forward``).
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ from . import ndiff as nd
 from .graph import PartitionIndex, RelationalGraph
 from .layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
 
-__all__ = ["ModelConfig", "PmpModel", "check_sizes", "layer_one_sums", "model_forward", "loss"]
+__all__ = ["ModelConfig", "PmpModel", "check_sizes", "layer_one_sums", "model_logits", "model_forward", "readout",
+           "loss"]
 
 _MODEL_SIDECAR = "model.json"
 
@@ -57,7 +61,7 @@ class ModelConfig:
 
 
 class PmpModel:
-    """Per-relation layer stacks, concat readout, sigmoid head."""
+    """Per-relation layer stacks, concat readout, logit head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -142,7 +146,7 @@ def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features) 
     return tables
 
 
-def model_forward(
+def model_logits(
     model: PmpModel,
     graph: RelationalGraph,
     partition: PartitionIndex,
@@ -155,7 +159,7 @@ def model_forward(
     dropout_p: float = 0.0,
     sums: list | None = None,
 ) -> nd.Tensor:
-    """Fraud probabilities for ``batch``, strictly inside (0, 1).
+    """Fraud logits for ``batch``, one per id, from the ``readout`` op.
 
     Representations are computed on demand for each layer's centers, so
     cost scales with the batch neighborhood, not the graph. Every layer
@@ -168,13 +172,13 @@ def model_forward(
     ``sums`` layer 1 sums its own centers' neighborhoods straight from the
     feature table, whose rows its members and centers index by node id; a
     column-major table, as ``NodeTable`` stores it, is summed without a
-    transposed copy. Both give bitwise the same scores. Each layer l >= 2
+    transposed copy. Both give bitwise the same logits. Each layer l >= 2
     sums layer l - 1's output over the one-hop frontier of its centers.
     Neighborhoods are listed once per layer: the same members mark the
     frontier and feed the aggregation. Frontiers come from marking ids in
     a node mask, and ids map to frontier rows through a dense lookup
     table, so neither step sorts. ``batch`` may be unsorted and repeat
-    ids; score i belongs to batch[i]. ``features`` may be a
+    ids; logit i belongs to batch[i]. ``features`` may be a
     gradient-enabled tensor for sensitivity analysis; layer 1's gradient
     then reaches it through ``sums`` only if the tables were built from it.
     With ``training`` on and ``dropout_p`` > 0, dropout follows each
@@ -241,14 +245,63 @@ def model_forward(
             h_gate_src = act
         per_relation.append(h)
 
-    cat = per_relation[0] if len(per_relation) == 1 else nd.concat(per_relation, axis=1)
-    hidden = nd.relu(nd.add_rowvec(nd.matmul(cat, model.readout_W), model.readout_b))
-    logits = nd.add_rowvec(nd.matmul(hidden, model.head_w), model.head_b)
-    return nd.sigmoid(nd.reshape(logits, (batch.size,)))
+    return readout(model, per_relation)
 
 
-def loss(probs: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None = None) -> nd.Tensor:
-    """Mean negated Bernoulli log likelihood of the batch labels.
+def model_forward(*args, **kwargs) -> nd.Tensor:
+    """Fraud probabilities for ``batch``, strictly inside (0, 1): the
+    clamped logistic of ``model_logits``, which takes the same arguments."""
+    return nd.sigmoid(model_logits(*args, **kwargs))
+
+
+def readout(model: PmpModel, per_relation: list) -> nd.Tensor:
+    """The batch's [b] logits from its [b, hidden] per-relation outputs,
+    recorded as one op named ``readout``.
+
+    With X the outputs side by side, W, b the readout layer and w, c the
+    head:
+
+        pre = X @ W + b,  hidden = relu(pre),  z = hidden @ w + c
+
+    and with g the logits' upstream gradient as a column and
+    G = (g w^T) * [pre > 0], the adjoint is
+
+        dc = sum of g,  dw = hidden^T g,  db = column sums of G,
+        dW = X^T G,  dX = G W^T, split back into the relations' blocks.
+
+    The forward runs the arithmetic of the head composed of the engine's
+    small ops (concat, matmul, add_rowvec, relu, matmul, add_rowvec,
+    reshape) in their order, and so does the adjoint; no value fans out,
+    so both are bitwise equal to that composition. A non-finite
+    pre-activation raises, because ReLU would hide a NaN; every other
+    intermediate reaches the logits, which ``ndiff`` checks.
+    """
+    params = (model.readout_W, model.readout_b, model.head_w, model.head_b)
+    W, b, w, c = (t.data for t in params)
+    X = per_relation[0].data if len(per_relation) == 1 else np.concatenate([t.data for t in per_relation], axis=1)
+    k = X.shape[0]
+    pre = X @ W
+    pre += b
+    if not np.all(np.isfinite(pre)):
+        raise nd.NonFiniteError("readout: non-finite pre-activation")
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    z = hidden @ w
+    z += c
+    cuts = np.cumsum([t.shape[1] for t in per_relation])[:-1]
+
+    def vjp(g):
+        g = g.reshape(k, 1)
+        g_pre = (g @ w.T) * mask
+        g_X = np.split(g_pre @ W.T, cuts, axis=1)
+        return (*g_X, X.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
+
+    return nd._make(z.reshape(k), "readout", (*per_relation, *params), vjp)
+
+
+def loss(logits: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None = None) -> nd.Tensor:
+    """Mean negated Bernoulli log likelihood of the batch labels, read from
+    the batch's logits (``model_logits``).
 
     ``pos_weight``, when set, reweights fraud examples by that factor
     (weighted mean); by default every example counts equally.
@@ -258,4 +311,4 @@ def loss(probs: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None =
         raise ValueError("empty batch")
     y = np.asarray(labels)[batch].astype(np.float64)
     w = np.where(y == 1, 1.0 if pos_weight is None else float(pos_weight), 1.0)
-    return nd.binary_cross_entropy(probs, y, w)
+    return nd.binary_cross_entropy(logits, y, w)

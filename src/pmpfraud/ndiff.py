@@ -1,20 +1,19 @@
 """Dense tensors with reverse-mode differentiation over a fixed operator set.
 
 The operator set is deliberately small: exactly what the message passing
-model needs (matrix products, broadcast adds, the two activations, row
-gathers and segment sums, dropout, concatenation, reshape, and a clamped
-cross-entropy that is the batch's weighted mean). Each operator records
-its inputs and an adjoint rule on the output tensor; ``backward`` replays
-the recorded graph once in reverse topological order, accumulating
-gradients additively wherever a value fans out. The message passing layer
-is one operator of its own: ``layer.layer_forward`` records it through
-``_make`` with an adjoint written from the layer's equations.
+model records itself (the clamped logistic, row gathers and segment sums,
+dropout, and a clamped cross-entropy on logits that is the batch's
+weighted mean). Each operator records its inputs and an adjoint rule on
+the output tensor; ``backward`` replays the recorded graph once in reverse
+topological order, accumulating gradients additively wherever a value fans
+out. The message passing layer and the readout head are one operator
+each: ``layer.layer_forward`` and ``model.readout`` record them through
+``_make`` with adjoints written from their equations.
 
-The cross-entropy has one adjoint, taken in logit space: it is fed a
-recorded sigmoid output, records the sigmoid's input as its parent and
-sends each example's weighted sigma(z) - t straight to it. Scores saturated
-on the correct side then send back an exact zero rather than a subnormal,
-and the rest of the reverse pass runs on normal numbers.
+The cross-entropy takes logits and has one adjoint, taken in logit space:
+each example's weighted sigma(z) - t. Scores saturated on the correct side
+then send back an exact zero rather than a subnormal, and the rest of the
+reverse pass runs on normal numbers.
 
 Inside a ``no_grad()`` scope operators record nothing: read-only scoring
 keeps no reverse graph, and each intermediate is freed as soon as the next
@@ -41,16 +40,11 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "backward",
-    "matmul",
-    "add_rowvec",
     "sigmoid",
-    "relu",
     "gather_segment_sum",
     "gather_rows",
     "dropout",
-    "concat",
     "binary_cross_entropy",
-    "reshape",
     "check_setting",
     "read_json_object",
     "write_file_atomic",
@@ -264,31 +258,6 @@ class GradientTape:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return (g @ bd.T if a.requires_grad else None), (ad.T @ g if b.requires_grad else None)
-
-    return _make(ad @ bd, "matmul", (a, b), vjp)
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-d row vector to every row of an [n, d] matrix."""
-    _require_2d(a, "add_rowvec")
-    if v.data.ndim != 1 or v.data.shape[0] != a.data.shape[1]:
-        raise ShapeError(f"add_rowvec: vector shape {v.data.shape} does not match {a.data.shape}")
-
-    def vjp(g):
-        return g, g.sum(axis=0)
-
-    return _make(a.data + v.data[None, :], "add_rowvec", (a, v), vjp)
-
-
 def _logistic(xd: np.ndarray) -> np.ndarray:
     """Numerically stable, unclamped logistic: exactly 0 or 1 once exp underflows."""
     out = np.empty_like(xd)
@@ -313,11 +282,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _make(out, "sigmoid", (x,), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
 
 
 def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
@@ -393,77 +357,42 @@ def dropout(x: Tensor, p: float, training: bool, key) -> Tensor:
     return _make(x.data * factor, "dropout", (x,), lambda g: (g * factor,))
 
 
-def concat(tensors, axis: int) -> Tensor:
-    """Concatenate along ``axis``; the adjoint splits the gradient back."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    ndim = tensors[0].data.ndim
-    for t in tensors:
-        if t.data.ndim != ndim:
-            raise ShapeError("concat: rank mismatch")
-    sizes = [t.data.shape[axis] for t in tensors]
-    cuts = np.cumsum(sizes)[:-1]
+def binary_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean negated log likelihood of Bernoulli targets under the
+    probabilities sigma(z) of ``logits`` z, as a 0-d tensor:
+    sum_i w_i l_i / sum_i w_i with l_i the example's loss.
 
-    def vjp(g):
-        return tuple(np.split(g, cuts, axis=axis))
+    The value takes the clamped logistic (``sigmoid``'s output), clamps it
+    to [PROB_CLAMP, 1 - PROB_CLAMP] before the logs, so it stays finite at
+    0 and 1, and is computed as (n / sum w) * mean(l * w), so unit weights
+    give the plain mean bitwise.
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), "concat", tuple(tensors), vjp)
-
-
-def binary_cross_entropy(probs: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean negated log likelihood of Bernoulli targets, as a 0-d
-    tensor: sum_i w_i l_i / sum_i w_i with l_i the example's loss.
-
-    The value clamps probabilities to [PROB_CLAMP, 1 - PROB_CLAMP] before
-    the logs, so it stays finite at 0 and 1, and is computed as
-    (n / sum w) * mean(l * w), so unit weights give the plain mean bitwise.
-
-    When ``probs`` is a recorded ``sigmoid`` output, the op takes the
-    sigmoid's input z as its parent and the adjoint is
-    (n / sum w) g / n * w * (sigma(z) - t), with sigma the exact, unclamped
-    logistic; the sigmoid itself drops out of the reverse pass. A correctly
-    saturated score (|z| past ~745, where exp underflows) then contributes
-    an exact 0 instead of the subnormal g * tiny that the clamped sigmoid
-    adjoint would emit, and a wrongly saturated one still gets the full
-    -+1 signal. A clip-style dead zone here would stall training the
-    moment any logit passes ~|28|.
-
-    An input through which nothing is recorded (a constant, or any input
-    inside ``no_grad()``) gets the value alone. While recording, any other
-    gradient-carrying input raises ValueError.
+    The adjoint is taken in logit space, (n / sum w) g / n * w * (sigma(z) - t)
+    with sigma the exact, unclamped logistic. A correctly saturated score
+    (|z| past ~745, where exp underflows) then contributes an exact 0
+    instead of the subnormal g * tiny that a clamped sigmoid's adjoint
+    would emit, and a wrongly saturated one still gets the full -+1
+    signal. A clip-style dead zone here would stall training the moment
+    any logit passes ~|28|.
     """
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if t.shape != probs.data.shape or w.shape != t.shape:
+    zd = logits.data
+    if t.shape != zd.shape or w.shape != t.shape:
         raise ShapeError(
-            f"binary_cross_entropy: target shape {t.shape} and weight shape {w.shape} vs probs {probs.data.shape}"
+            f"binary_cross_entropy: target shape {t.shape} and weight shape {w.shape} vs logits {zd.shape}"
         )
     if t.size == 0:
         raise ShapeError("binary_cross_entropy: empty input")
-    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    pc = np.clip(probs.data, lo, hi)
+    pc = np.clip(_clamped_logistic(zd), PROB_CLAMP, 1.0 - PROB_CLAMP)
     per_example = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
     n, scale = t.size, float(t.size / w.sum())
     out = np.asarray(scale * np.mean(per_example * w) + 0.0)
-
-    if not (probs.op == "sigmoid" and probs._parents):
-        if _RECORDING.get() and probs.requires_grad:
-            raise ValueError(f"binary_cross_entropy: input must be a recorded sigmoid output, got op {probs.op!r}")
-        return _make(out, "binary_cross_entropy", (), None)
-
-    (logits,) = probs._parents
-    zd = logits.data
 
     def vjp(g):
         return (np.full(t.shape, float(scale * g) / n) * w * (_logistic(zd) - t),)
 
     return _make(out, "binary_cross_entropy", (logits,), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
-    return _make(np.reshape(x.data, shape).copy(), "reshape", (x,), lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
         raise ValueError("need 1 <= m_attach < n")
     if not 0.0 < fraud_fraction < 1.0:
         raise ValueError("fraud_fraction must be in (0, 1)")
+    check_setting("seed", seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
     rng = np.random.default_rng(seed)
     edges = np.empty((m_attach * (n - m_attach), 2), dtype=np.int64)
     # One entry per edge endpoint; sampling an index uniformly from this

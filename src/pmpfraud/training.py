@@ -8,7 +8,8 @@ the same way, one O(n) pass over the node table. At inference time only
 training labels are known, so val and test nodes stay in the unlabeled
 bucket.
 
-Training batches record a reverse graph for the Adam step. Scoring
+Training batches record a reverse graph for the Adam step, from the
+batch's logits through the loss. Scoring
 (``forward_scores``, which serves the per-epoch validation pass and
 ``evaluate``) needs no gradients and runs under ``ndiff.no_grad()``, so it
 records none; the scores are bitwise those of a recorded forward.
@@ -37,7 +38,7 @@ from . import graph as graph_mod
 from . import metrics as metrics_mod
 from . import ndiff as nd
 from .graph import NodeTable, RelationalGraph
-from .model import PmpModel, layer_one_sums, loss as loss_fn, model_forward
+from .model import PmpModel, layer_one_sums, loss as loss_fn, model_forward, model_logits
 from .ndiff import check_setting
 
 __all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "train", "evaluate", "forward_scores"]
@@ -190,21 +191,22 @@ def _run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTa
     """One epoch of ``train``: a pass over ``perm`` in batches of
     ``config.batch_size``, one Adam step per batch; returns the
     example-weighted mean train loss. Every batch reads layer 1 from
-    ``sums`` when given (see ``model_forward``).
+    ``sums`` when given (see ``model_logits``) and feeds its logits to the
+    loss.
 
-    ``model_forward`` and ``loss_fn`` are looked up as globals of this
-    module, so a wrapper set on it (``perfbench/tracing.py``) sees every
-    training batch, whoever calls ``train``.
+    ``model_logits`` and ``loss_fn`` are looked up as globals of this
+    module, so a wrapper set on it sees every training batch, whoever
+    calls ``train``.
     """
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, perm.size, config.batch_size)):
         batch = perm[start : start + config.batch_size]
         try:
-            probs = model_forward(
+            logits = model_logits(
                 model, graph, partition, table.features, batch, training=True,
                 seed=config.seed, epoch=epoch, batch_index=batch_index, dropout_p=config.dropout_p, sums=sums,
             )
-            batch_loss = loss_fn(probs, table.labels, batch, pos_weight=config.pos_weight)
+            batch_loss = loss_fn(logits, table.labels, batch, pos_weight=config.pos_weight)
             opt.step(tape.gradients(batch_loss))
         except nd.NonFiniteError as err:
             raise TrainingDiverged(epoch, batch_index, str(err)) from err

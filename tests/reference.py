@@ -3,16 +3,17 @@
 Everything here is deliberately naive: per-node Python loops, materialized
 per-center weight matrices, O(P*N) pairwise metric counts. None of it
 shares code with the production paths it checks. The exceptions are built
-on the differentiation engine. ``sub``, ``add``, ``mul``, ``row_scale``,
+on the differentiation engine. ``matmul``, ``add_rowvec``, ``relu``,
+``concat``, ``reshape``, ``sub``, ``add``, ``mul``, ``row_scale``,
 ``affine``, ``mean`` and ``per_example_cross_entropy`` are operators the
 program no longer records, ``influence_linear_check`` and ``grad_check``
 (the central finite-difference checker) check the engine itself, and
-``composed_layer_forward`` and ``composed_loss`` are the layer and the
-loss as the engine's small ops record them, node by node, which the
-one-op ``layer_forward`` and ``binary_cross_entropy`` must equal bitwise.
-``frontier_model_forward`` checks only how ``model_forward``
-feeds its layers, so it runs the production layer on inputs it indexes
-its own way.
+``composed_layer_forward``, ``composed_readout`` and ``composed_loss`` are
+the layer, the readout head and the loss as the engine's small ops record
+them, node by node, which the one-op ``layer_forward``, ``readout`` and
+``binary_cross_entropy`` must equal bitwise. ``frontier_model_forward``
+checks only how ``model_forward`` feeds its layers, so it runs the
+production layer and readout on inputs it indexes its own way.
 """
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 
 from pmpfraud import ndiff as nd
 from pmpfraud.layer import bucket_sums, layer_forward
+from pmpfraud.model import readout
 
 
 def reference_csr(num_nodes, edge_lists):
@@ -221,10 +223,60 @@ def frontier_model_forward(model, graph, partition, features, batch):
                 nd.gather_rows(h, pos), nd.gather_rows(h, pos), use_relu=(l < cfg.num_layers),
             )
         per_relation.append(h)
-    cat = nd.concat(per_relation, axis=1)
-    hidden = nd.relu(nd.add_rowvec(nd.matmul(cat, model.readout_W), model.readout_b))
-    logits = nd.add_rowvec(nd.matmul(hidden, model.head_w), model.head_b)
-    return nd.sigmoid(nd.reshape(logits, (batch.size,)))
+    return nd.sigmoid(readout(model, per_relation))
+
+
+def matmul(a, b):
+    """Matrix product of two 2-d tensors as an engine operator."""
+    for x in (a, b):
+        if x.data.ndim != 2:
+            raise nd.ShapeError(f"matmul: expected 2-d operand, got shape {x.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise nd.ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        return (g @ bd.T if a.requires_grad else None), (ad.T @ g if b.requires_grad else None)
+
+    return nd._make(ad @ bd, "matmul", (a, b), vjp)
+
+
+def add_rowvec(a, v):
+    """A length-d row vector added to every row of an [n, d] tensor, as an
+    engine operator."""
+    if a.data.ndim != 2 or v.data.ndim != 1 or v.data.shape[0] != a.data.shape[1]:
+        raise nd.ShapeError(f"add_rowvec: vector shape {v.data.shape} does not match {a.data.shape}")
+    return nd._make(a.data + v.data[None, :], "add_rowvec", (a, v), lambda g: (g, g.sum(axis=0)))
+
+
+def relu(x):
+    """max(x, 0) as an engine operator."""
+    mask = x.data > 0
+    return nd._make(np.where(mask, x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
+
+
+def concat(tensors, axis):
+    """Concatenation along ``axis`` as an engine operator; the adjoint
+    splits the gradient back."""
+    tensors = list(tensors)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    return nd._make(out, "concat", tuple(tensors), lambda g: tuple(np.split(g, cuts, axis=axis)))
+
+
+def reshape(x, shape):
+    """A reshaped copy as an engine operator."""
+    old = x.data.shape
+    return nd._make(np.reshape(x.data, shape).copy(), "reshape", (x,), lambda g: (g.reshape(old),))
+
+
+def composed_readout(model, per_relation):
+    """``model.readout`` with each step its own recorded op: concat (for two
+    or more relations), the hidden layer, ReLU, the head, reshape."""
+    cat = per_relation[0] if len(per_relation) == 1 else concat(per_relation, axis=1)
+    hidden = relu(add_rowvec(matmul(cat, model.readout_W), model.readout_b))
+    logits = add_rowvec(matmul(hidden, model.head_w), model.head_b)
+    return reshape(logits, (cat.shape[0],))
 
 
 def sub(a, b):
@@ -262,24 +314,23 @@ def mean(x):
     return nd._make(np.asarray(np.mean(x.data)), "mean", (x,), lambda g: (np.full(shape, float(g) / size),))
 
 
-def per_example_cross_entropy(probs, targets):
-    """Each example's clamped cross-entropy of a recorded sigmoid output as
-    an engine operator; its adjoint g * (sigma(z) - t) goes straight to the
-    logits z, as ``nd.binary_cross_entropy``'s does."""
+def per_example_cross_entropy(logits, targets):
+    """Each example's clamped cross-entropy under the logistic of
+    ``logits`` as an engine operator; its adjoint g * (sigma(z) - t) is the
+    one ``nd.binary_cross_entropy`` takes in logit space."""
     t = np.asarray(targets, dtype=np.float64)
-    pc = np.clip(probs.data, nd.PROB_CLAMP, 1.0 - nd.PROB_CLAMP)
-    out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
-    (logits,) = probs._parents
     zd = logits.data
+    pc = np.clip(nd._clamped_logistic(zd), nd.PROB_CLAMP, 1.0 - nd.PROB_CLAMP)
+    out = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
     return nd._make(out, "per_example_cross_entropy", (logits,), lambda g: (g * (nd._logistic(zd) - t),))
 
 
-def composed_loss(probs, labels, batch, pos_weight=None):
+def composed_loss(logits, labels, batch, pos_weight=None):
     """``model.loss`` as a chain of small ops: the per-example cross-entropy
     and its mean, or with ``pos_weight`` its weighted mean as
     mean(l * w) scaled by n / sum(w)."""
     y = np.asarray(labels)[np.asarray(batch, dtype=np.int64)].astype(np.float64)
-    per_example = per_example_cross_entropy(probs, y)
+    per_example = per_example_cross_entropy(logits, y)
     if pos_weight is None:
         return mean(per_example)
     w = np.where(y == 1, float(pos_weight), 1.0)
@@ -304,14 +355,14 @@ def row_scale(a, s):
 def alpha_gate(params, h):
     """Per-center blend coefficient in (0, 1) from an [k, d_in] batch, as
     four recorded ops."""
-    z = nd.add_rowvec(nd.matmul(h, params.w_phi), params.b_phi)
-    return nd.sigmoid(nd.reshape(z, (h.shape[0],)))
+    z = add_rowvec(matmul(h, params.w_phi), params.b_phi)
+    return nd.sigmoid(reshape(z, (h.shape[0],)))
 
 
 def _bucket_term(S, h_centers, M, B, root_specific):
     if root_specific:
-        return add(nd.matmul(mul(S, h_centers), M), nd.matmul(S, B))
-    return nd.matmul(S, M)
+        return add(matmul(mul(S, h_centers), M), matmul(S, B))
+    return matmul(S, M)
 
 
 def aggregate_segments(params, variant, sums, h_centers, h_gate):
@@ -320,7 +371,7 @@ def aggregate_segments(params, variant, sums, h_centers, h_gate):
     k = h_centers.shape[0]
     S_fr, S_be, S_un = (nd.gather_rows(sums, np.arange(b * k, (b + 1) * k)) for b in range(3))
     if not variant.partition_enabled:
-        return nd.matmul(add(add(S_fr, S_be), S_un), params.M_fr)
+        return matmul(add(add(S_fr, S_be), S_un), params.M_fr)
     rs = variant.root_specific_enabled
     if variant.adaptive_combination_enabled:
         a = alpha_gate(params, h_gate)
@@ -330,15 +381,15 @@ def aggregate_segments(params, variant, sums, h_centers, h_gate):
         _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
         _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
     )
-    return total if variant.adaptive_combination_enabled else add(total, nd.matmul(S_un, params.M_un))
+    return total if variant.adaptive_combination_enabled else add(total, matmul(S_un, params.M_un))
 
 
 def composed_layer_forward(params, variant, sums, h_centers, h_gate, use_relu=True):
     """``layer_forward`` with each step its own recorded op (10 for the
     baseline, 25 for the full variant): self term, aggregation, ReLU."""
-    self_term = nd.add_rowvec(nd.matmul(h_centers, params.W_self), params.b_self)
+    self_term = add_rowvec(matmul(h_centers, params.W_self), params.b_self)
     out = add(self_term, aggregate_segments(params, variant, sums, h_centers, h_gate))
-    return nd.relu(out) if use_relu else out
+    return relu(out) if use_relu else out
 
 
 @dataclass
@@ -441,8 +492,8 @@ def influence_linear_check(adjacency_norm, W, k, i, j):
         # Fresh graph per column; reverse passes must not share adjoints.
         H = X
         for _ in range(k):
-            H = nd.matmul(A_t, H)
-        H = nd.matmul(H, W_t)
+            H = matmul(A_t, H)
+        H = matmul(H, W_t)
         X.grad = None
         seed = np.zeros((n, d_out))
         seed[i, q] = 1.0

@@ -24,7 +24,7 @@ from pmpfraud.cli import run_bench
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph, homophily_score
 from pmpfraud.layer import LayerVariant, PmpLayerParams
 from pmpfraud.metrics import auc, compute_report
-from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward
+from pmpfraud.model import ModelConfig, PmpModel, loss, model_forward, model_logits
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
 from pmpfraud.training import TrainConfig, evaluate, train
 
@@ -101,8 +101,8 @@ def test_c01_full_model_gradients_match_finite_differences():
             batch = rng.choice(n, size=min(8, n), replace=False)
 
             def objective():
-                probs = model_forward(model, g, partition, table.features, batch, training=False)
-                return loss(probs, table.labels, batch)
+                logits = model_logits(model, g, partition, table.features, batch, training=False)
+                return loss(logits, table.labels, batch)
 
             margins = []
             probs = naive_model_forward(model, g, partition, table.features, batch,

@@ -124,6 +124,7 @@ class TestSynthAndValidate:
         (["--sigma", "nan"], "sigma must be a finite number >= 0, got nan"),
         (["--mu-fraud", "inf"], "mu_fraud must be a finite number, got inf"),
         (["--mu-benign=-inf"], "mu_benign must be a finite number, got -inf"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_feature_setting_exits_2_before_writing(self, capsys, tmp_path, argv, error):
         out = tmp_path / "bundle"
@@ -546,28 +547,22 @@ class TestSpectral:
         assert error == f"signal_dim must be a positive integer, got {signal_dim}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_non_positive_max_dense_n_exits_2_before_reading_or_writing(self, capsys, monkeypatch, bundle_dir,
-                                                                        tmp_path, cap):
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--max-dense-n", "0", "max_dense_n must be a positive integer, got 0"),
+        ("--max-dense-n", "-1", "max_dense_n must be a positive integer, got -1"),
+        ("--alpha", "1.5", "alpha must lie in [0, 1], got 1.5"),
+        ("--alpha", "-0.5", "alpha must lie in [0, 1], got -0.5"),
+        ("--alpha", "nan", "alpha must lie in [0, 1], got nan"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ])
+    def test_bad_setting_exits_2_before_reading_or_writing(self, capsys, monkeypatch, bundle_dir, tmp_path, flag,
+                                                          value, error):
         def unread(path):
             raise AssertionError(f"bundle {path} read before the settings were checked")
 
         monkeypatch.setattr(cli.bundle, "load_bundle", unread)
         out = tmp_path / "spec"
-        error = rejected(capsys, "spectral", bundle_dir, "--max-dense-n", cap, "--out", out)
-        assert error == f"max_dense_n must be a positive integer, got {cap}"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("alpha", ["1.5", "-0.5", "nan"])
-    def test_alpha_outside_the_unit_interval_exits_2_before_reading_or_writing(self, capsys, monkeypatch,
-                                                                               bundle_dir, tmp_path, alpha):
-        def unread(path):
-            raise AssertionError(f"bundle {path} read before the settings were checked")
-
-        monkeypatch.setattr(cli.bundle, "load_bundle", unread)
-        out = tmp_path / "spec"
-        error = rejected(capsys, "spectral", bundle_dir, "--alpha", alpha, "--out", out)
-        assert error == f"alpha must lie in [0, 1], got {float(alpha)}"
+        assert rejected(capsys, "spectral", bundle_dir, flag, value, "--out", out) == error
         assert not out.exists()
 
     def test_dense_cap_exits_4(self, tmp_path):

@@ -2,6 +2,7 @@
 the one recorded op against the layer composed of the engine's small ops."""
 import copy
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -496,6 +497,22 @@ class TestOneRecordedOp:
         trace = []
         nd.backward(mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
         assert sorted(trace) == ["gather_rows", "gather_segment_sum", "layer", "mean"]
+
+    @pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS if v.adaptive_combination_enabled], ids=variant_id)
+    def test_a_table_without_gradient_is_freed_after_the_forward(self, variant):
+        # layer 1's shared table in training: the recorded op keeps a copy of
+        # the unlabeled block its gate adjoint reads, not the whole table
+        rng = np.random.default_rng(33)
+        g, idx, params, h = random_setup(rng)
+        centers = np.arange(g.num_nodes)
+        sums = _batch_sums(idx, 0, h, centers)
+        table = weakref.ref(sums.data)
+        h_c = nd.gather_rows(h, centers)
+        out = layer_forward(params, variant, sums, h_c, h_c)
+        del sums
+        assert out.requires_grad and table() is None
+        nd.backward(out, seed=np.ones(out.shape))
+        assert np.abs(params.w_phi.grad).max() > 0
 
     def overflow_instance(self):
         rng = np.random.default_rng(31)

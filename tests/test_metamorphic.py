@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pmpfraud import ndiff as nd
+from pmpfraud import model as model_module
 from pmpfraud.analysis import spatial_spectral_check
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph, neighborhood_label_ratio
 from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums
@@ -205,10 +205,15 @@ def test_permuting_relations_with_their_stacks_and_readout_rows_keeps_every_scor
     model, edge_lists, features, labels, splits = trained_multirel
     R, H = model.config.num_relations, model.config.hidden_dim
     cats = []
-    real_concat = nd.concat
-    monkeypatch.setattr(nd, "concat", lambda parts, axis: cats.append(real_concat(parts, axis)) or cats[-1])
+    real_readout = model_module.readout
+
+    def recording_readout(model, per_relation):
+        cats.append(np.concatenate([t.data for t in per_relation], axis=1))
+        return real_readout(model, per_relation)
+
+    monkeypatch.setattr(model_module, "readout", recording_readout)
     before = scores(model, *instance(edge_lists, features, labels, splits))
-    cat = cats[-1].data
+    cat = cats[-1]
     terms = np.abs(cat) @ np.abs(model.readout_W.data) + np.abs(model.readout_b.data)
     eps = np.finfo(np.float64).eps
     bound = 2 * (R * H + 1) * eps * terms.max() * np.abs(model.head_w.data).sum() / 4
@@ -216,5 +221,5 @@ def test_permuting_relations_with_their_stacks_and_readout_rows_keeps_every_scor
         after = scores(relations_permuted(model, perm), *instance([edge_lists[r] for r in perm], features, labels,
                                                                    splits))
         blocks = np.concatenate([cat[:, r * H : (r + 1) * H] for r in perm], axis=1)
-        assert np.array_equal(cats[-1].data, blocks)
+        assert np.array_equal(cats[-1], blocks)
         np.testing.assert_allclose(after, before, rtol=0.0, atol=4 * bound)

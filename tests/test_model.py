@@ -1,4 +1,5 @@
 """Stacked model against a per-node naive reference and exact identities."""
+import contextlib
 import json
 import math
 import re
@@ -10,9 +11,11 @@ from pmpfraud import model as model_module
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
-from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward
+from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward, model_logits
 
-from .reference import composed_layer_forward, composed_loss, frontier_model_forward, grad_check, naive_model_forward
+from .reference import (
+    composed_layer_forward, composed_loss, composed_readout, frontier_model_forward, grad_check, naive_model_forward,
+)
 
 VARIANTS = [
     LayerVariant(False, False, False),
@@ -217,8 +220,8 @@ class TestLayerOneSums:
         kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
         runs = []
         for sums in (None, layer_one_sums(g, idx, x)):
-            probs = model_forward(model, g, idx, x, batch, sums=sums, **kw)
-            runs.append((probs.data, tape.gradients(loss(probs, labels, batch))))
+            logits = model_logits(model, g, idx, x, batch, sums=sums, **kw)
+            runs.append((logits.data, tape.gradients(loss(logits, labels, batch))))
         (p_own, g_own), (p_shared, g_shared) = runs
         np.testing.assert_array_equal(p_shared, p_own)
         for name in g_own:
@@ -316,39 +319,35 @@ class TestDropout:
 
 class TestLoss:
     def test_half_probabilities_cost_ln2(self):
-        probs = nd.Tensor(np.full(4, 0.5))
-        out = loss(probs, np.array([0, 1, 1, 0]), np.arange(4))
+        out = loss(nd.Tensor(np.zeros(4)), np.array([0, 1, 1, 0]), np.arange(4))
         assert out.data == math.log(2.0)
 
     def test_perfect_confident_predictions_cost_almost_zero(self):
-        probs = nd.Tensor(np.array([1.0, 0.0]))
-        out = loss(probs, np.array([1, 0]), np.arange(2))
+        out = loss(nd.Tensor(np.array([1e4, -1e4])), np.array([1, 0]), np.arange(2))
         assert 0.0 < out.data < 2e-12
 
     def test_matches_hand_formula(self):
-        p = np.array([0.7, 0.2, 0.9])
+        z = np.array([0.8, -1.4, 2.2])
         y = np.array([1, 0, 0])
-        out = loss(nd.Tensor(p), y, np.arange(3))
-        want = -(math.log(0.7) + math.log(0.8) + math.log(0.1)) / 3.0
+        out = loss(nd.Tensor(z), y, np.arange(3))
+        want = (math.log1p(math.exp(-0.8)) + math.log1p(math.exp(-1.4)) + math.log1p(math.exp(2.2))) / 3.0
         assert abs(out.data - want) < 1e-15
 
     def test_pos_weight_reweights_fraud_terms(self):
-        p = np.array([0.7, 0.2])
+        z = np.array([0.8, -1.4])
         y = np.array([1, 0])
-        out = loss(nd.Tensor(p), y, np.arange(2), pos_weight=3.0)
-        want = (3.0 * -math.log(0.7) + -math.log(0.8)) / 4.0
+        out = loss(nd.Tensor(z), y, np.arange(2), pos_weight=3.0)
+        want = (3.0 * math.log1p(math.exp(-0.8)) + math.log1p(math.exp(-1.4))) / 4.0
         assert abs(out.data - want) < 1e-15
 
     def test_labels_indexed_by_batch(self):
-        p = np.array([0.9])
         labels = np.array([0, 1, 0])
-        out = loss(nd.Tensor(p), labels, np.array([1]))
-        assert abs(out.data - (-math.log(0.9))) < 1e-15
+        out = loss(nd.Tensor(np.array([2.2])), labels, np.array([1]))
+        assert abs(out.data - math.log1p(math.exp(-2.2))) < 1e-15
 
-    def test_gradient_flows_to_probabilities(self):
+    def test_gradient_flows_to_logits(self):
         raw = nd.Tensor(np.array([0.1, -0.4, 0.3]), requires_grad=True)
-        probs = nd.sigmoid(raw)
-        out = loss(probs, np.array([1, 0, 1]), np.arange(3))
+        out = loss(raw, np.array([1, 0, 1]), np.arange(3))
         nd.backward(out)
         # d/dz mean(bce(sigmoid(z), y)) = (sigmoid(z) - y) / n
         want = (1.0 / (1.0 + np.exp(-raw.data)) - np.array([1.0, 0.0, 1.0])) / 3.0
@@ -369,7 +368,7 @@ class TestLoss:
         for fn in (loss, composed_loss):
             z = nd.Tensor(logits.copy(), requires_grad=True)
             trace = []
-            out = fn(nd.sigmoid(z), labels, batch, pos_weight=pos_weight)
+            out = fn(z, labels, batch, pos_weight=pos_weight)
             nd.backward(out, trace=trace)
             runs.append((out, z.grad, trace))
         (got, g_got, trace), (want, g_want, _) = runs
@@ -387,16 +386,16 @@ class TestGradientCheck:
         batch = np.arange(g.num_nodes)
 
         def fn():
-            probs = model_forward(model, g, idx, x, batch)
-            return loss(probs, labels, batch)
+            return loss(model_logits(model, g, idx, x, batch), labels, batch)
 
         report = grad_check(fn, model.parameters(), tolerance=1e-6)
         assert report.passed, str(report)
 
 
 class TestOneOpPerLayer:
-    """Every layer call records one op, and the model's scores and
-    gradients are bitwise those of the layer composed of small ops."""
+    """Every layer call and the readout record one op each, and the model's
+    logits, scores and gradients are bitwise those of the model composed of
+    small ops."""
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("num_relations", [1, 2])
@@ -420,26 +419,44 @@ class TestOneOpPerLayer:
                      (layer_one_sums(g, idx, grad_feats[1]), grad_feats[1]))
             for sums, feats in cases:
                 tape = nd.GradientTape(model.parameters())
+                logits = model_logits(model, g, idx, feats, batch, sums=sums, **kw)
                 probs = model_forward(model, g, idx, feats, batch, sums=sums, **kw)
                 trace = []
-                grads = tape.gradients(loss(probs, labels, batch), trace=trace)
+                grads = tape.gradients(loss(logits, labels, batch), trace=trace)
                 if isinstance(feats, nd.Tensor):
                     grads["features"] = feats.grad
-                out.append((probs.data, grads, trace))
+                out.append((logits.data, probs.data, grads, trace))
             return out
 
         fused = run()
+        monkeypatch.setattr(model_module, "readout", composed_readout)
+        composed_head = run()
         monkeypatch.setattr(model_module, "layer_forward", composed_layer_forward)
         composed = run()
-        for (p_got, g_got, trace), (p_want, g_want, _) in zip(fused, composed):
-            assert p_got.tobytes() == p_want.tobytes()
-            assert g_got.keys() == g_want.keys()
-            for name in g_want:
-                assert g_got[name].tobytes() == g_want[name].tobytes(), name
-            assert trace.count("layer") == num_relations * num_layers
-        assert np.abs(fused[1][1]["features"]).max() > 0
-        assert np.abs(fused[2][1]["features"]).max() > 0
-        assert fused[2][2].count("gather_rows") >= num_relations  # the shared table's adjoint ran
+        for other in (composed_head, composed):
+            for (z_got, p_got, g_got, trace), (z_want, p_want, g_want, _) in zip(fused, other):
+                assert z_got.tobytes() == z_want.tobytes()
+                assert p_got.tobytes() == p_want.tobytes()
+                assert g_got.keys() == g_want.keys()
+                for name in g_want:
+                    assert g_got[name].tobytes() == g_want[name].tobytes(), name
+                assert trace.count("layer") == num_relations * num_layers
+                assert trace.count("readout") == 1
+        assert all("readout" not in trace and "layer" not in trace for *_, trace in composed)
+        assert np.abs(fused[1][2]["features"]).max() > 0
+        assert np.abs(fused[2][2]["features"]).max() > 0
+        assert fused[2][3].count("gather_rows") >= num_relations  # the shared table's adjoint ran
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_non_finite_readout_weight_raises(self, recording):
+        rng = np.random.default_rng(42)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2)
+        model.readout_W.data[0, 0] = np.nan
+        with contextlib.ExitStack() as scope:
+            if not recording:
+                scope.enter_context(nd.no_grad())
+            with pytest.raises(nd.NonFiniteError, match="readout"):
+                model_forward(model, g, idx, x, np.arange(g.num_nodes))
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("num_layers", [1, 2])
@@ -455,7 +472,7 @@ class TestOneOpPerLayer:
         kw = dict(training=True, seed=7, epoch=0, batch_index=0, dropout_p=dropout_p)
 
         def fn():
-            return loss(model_forward(model, g, idx, x, batch, **kw), labels, batch)
+            return loss(model_logits(model, g, idx, x, batch, **kw), labels, batch)
 
         probs = model_forward(model, g, idx, x, batch, **kw).data
         assert np.all((probs > 1e-4) & (probs < 1.0 - 1e-4))

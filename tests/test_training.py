@@ -265,20 +265,25 @@ class TestSharedLayerOneSums:
     @staticmethod
     def counting(monkeypatch):
         """Count ``layer_one_sums`` builds and record the ``sums`` every
-        ``model_forward`` call receives."""
+        ``model_logits`` (training batch) and ``model_forward`` (scoring
+        chunk) call receives."""
         builds, received = [], []
-        build, forward = training.layer_one_sums, training.model_forward
+        build = training.layer_one_sums
 
         def counting_build(*args, **kwargs):
             builds.append(build(*args, **kwargs))
             return builds[-1]
 
-        def recording_forward(*args, sums=None, **kwargs):
-            received.append(sums)
-            return forward(*args, sums=sums, **kwargs)
+        def recording(forward):
+            def recording_forward(*args, sums=None, **kwargs):
+                received.append(sums)
+                return forward(*args, sums=sums, **kwargs)
+
+            return recording_forward
 
         monkeypatch.setattr(training, "layer_one_sums", counting_build)
-        monkeypatch.setattr(training, "model_forward", recording_forward)
+        for name in ("model_logits", "model_forward"):
+            monkeypatch.setattr(training, name, recording(getattr(training, name)))
         return builds, received
 
     def test_train_builds_one_table_and_every_batch_and_val_pass_reads_it(self, monkeypatch):
