@@ -76,10 +76,9 @@ def eigendecompose(laplacian: np.ndarray):
 
 
 def mask_matrices(partition: PartitionIndex):
-    """Diagonal indicators (F, B) of buckets 0 (train-fraud) and 1 (train-benign)."""
-    F = np.diag((partition.bucket == 0).astype(np.float64))
-    B = np.diag((partition.bucket == 1).astype(np.float64))
-    return F, B
+    """The diagonals (f, b) of the indicator masks F and B of buckets 0
+    (train-fraud) and 1 (train-benign), as vectors."""
+    return (partition.bucket == 0).astype(np.float64), (partition.bucket == 1).astype(np.float64)
 
 
 def check_alpha(alpha: float):
@@ -88,16 +87,15 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def k_matrix(F: np.ndarray, B: np.ndarray, alpha: float) -> np.ndarray:
-    """Diagonal blend mask K = F + alpha * (I - F - B).
+def k_matrix(f: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """The diagonal k of the blend mask K = F + alpha * (I - F - B), from
+    the diagonals f and b of ``mask_matrices``.
 
     Entries: 1 on train-fraud nodes, 0 on train-benign nodes, alpha
     elsewhere. K + (I - K) = I holds exactly.
     """
     check_alpha(alpha)
-    n = F.shape[0]
-    eye = np.eye(n)
-    return F + alpha * eye - alpha * F - alpha * B
+    return f + alpha - alpha * f - alpha * b
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,8 @@ def spatial_spectral_check(
     The report carries the max abs deviation of that identity, the
     Laplacian eigendecomposition residual, and per-node two-channel
     responses (1 - lambda_j) K_jj and (1 - lambda_j) (1 - K_jj). F and B
-    come from ``partition``, the model's own train-label buckets.
+    come from ``partition``, the model's own train-label buckets, as their
+    diagonals: the check costs O(n d), and only the eigendecomposition is dense.
     """
     n = graph.num_nodes
     _check_cap(n, cap)
@@ -156,17 +155,16 @@ def spatial_spectral_check(
     if X.shape[0] != n:
         raise ValueError("X must have one row per node")
     L = normalized_laplacian(graph, relation, cap)
-    F, B = mask_matrices(partition)
-    K = k_matrix(F, B, alpha)
-    eye = np.eye(n)
-    lhs = F @ X @ W_fr + B @ X @ W_be + (eye - F - B) @ X @ (alpha * W_fr + (1.0 - alpha) * W_be)
-    rhs = K @ X @ W_fr + (eye - K) @ X @ W_be
+    f, b = mask_matrices(partition)
+    k_diag = k_matrix(f, b, alpha)
+    lhs = (f[:, None] * X) @ W_fr + (b[:, None] * X) @ W_be
+    lhs += ((1.0 - f - b)[:, None] * X) @ (alpha * W_fr + (1.0 - alpha) * W_be)
+    rhs = (k_diag[:, None] * X) @ W_fr + ((1.0 - k_diag)[:, None] * X) @ W_be
     identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
     U, lam = eigendecompose(L)
-    reconstruction = float(np.max(np.abs(U @ np.diag(lam) @ U.T - L)))
+    reconstruction = float(np.max(np.abs((U * lam) @ U.T - L)))
 
-    k_diag = np.diag(K)
     order = np.argsort(lam, kind="stable")
     rows = np.column_stack(
         [
@@ -213,7 +211,7 @@ def influence(
     if partition is None:
         partition = PartitionIndex.from_table(graph, table)
     feats = nd.Tensor(table.features, requires_grad=True)
-    z = model_forward(model, graph, partition, feats, np.array([center]), training=False)
+    z = model_forward(model, graph, partition, feats, np.array([center]))
     nd.backward(z)
     grad = feats.grad
     fraud_nb = neighbors[table.labels[neighbors] == 1]

@@ -117,7 +117,7 @@ def load_bundle(path: str):
             raise BundleError(f"{f32_path}: row-count mismatch, expected {n * d} values, got {raw.size}")
         features = raw.reshape(n, d)  # NodeTable widens it to float64 in its own copy
     else:
-        raise BundleError(f"missing file: {csv_path} (or features.f32)")
+        raise BundleError(f"missing file: {csv_path} (or {f32_path})")
     if not np.all(np.isfinite(features)):
         raise BundleError(f"{csv_path if os.path.exists(csv_path) else f32_path}: non-finite feature value")
 

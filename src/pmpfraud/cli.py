@@ -54,11 +54,11 @@ def _write_json(path: str, payload: dict):
     nd.write_file_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _parse_ratios(text: str):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("ratios must be three comma-separated numbers")
-    return tuple(parts)
+def _floats(name: str, text: str) -> tuple:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated numbers, got {text!r}") from None
 
 
 def _ablated_by_args(args) -> dict:
@@ -91,7 +91,7 @@ def cmd_synth(args) -> int:
     features = synth.generate_features(
         labels, args.d, args.mu_benign, args.mu_fraud, args.sigma, seed=args.seed + 1
     )
-    splits = synth.make_splits(args.n, _parse_ratios(args.ratios), seed=args.seed + 2, stratify_labels=labels)
+    splits = synth.make_splits(args.n, _floats("ratios", args.ratios), seed=args.seed + 2, stratify_labels=labels)
     table = graph_mod.NodeTable(features, labels, splits)
     bundle.write_bundle(args.out, g, table, features_format=args.features_format)
     config = _args_config(args)
@@ -248,8 +248,8 @@ def cmd_ratio_hist(args) -> int:
     return EXIT_OK
 
 
-def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10,
-              batch_size: int = 1024, epochs: int = 2, seed: int = 0) -> dict:
+def run_bench(edge_targets, *, d: int, hidden_dim: int, m_attach: int, batch_size: int, epochs: int,
+              seed: int) -> dict:
     """Measure per-epoch train time against edge count and fit a line.
 
     Node count grows proportionally with edges (fixed attachment m), so a
@@ -259,7 +259,7 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
     validation split, so ``train`` scores nothing between epochs.
 
     Every setting is checked before the first graph is built: a bad one
-    raises ValueError naming it.
+    raises ValueError naming it. The ``bench`` parser holds the defaults.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
@@ -306,9 +306,8 @@ def run_bench(edge_targets, d: int = 8, hidden_dim: int = 16, m_attach: int = 10
 
 
 def cmd_bench(args) -> int:
-    targets = [float(x) for x in args.edges.split(",")]
-    result = run_bench(targets, d=args.d, hidden_dim=args.hidden_dim, m_attach=args.m_attach,
-                       batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
+    result = run_bench(_floats("edges", args.edges), d=args.d, hidden_dim=args.hidden_dim,
+                       m_attach=args.m_attach, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     payload = {**_stamp(_args_config(args), args.seed), **result}
     print(json.dumps(payload, indent=2))
     if args.out:

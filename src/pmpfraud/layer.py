@@ -205,6 +205,7 @@ def layer_forward(
         S_all = S_fr + S_be
         S_all += S_un
         pre += S_all @ M_fr
+        S_fr = S_be = S_un = None  # views of the table, which the adjoint does not read
     else:
         if adaptive:
             z = hg @ w_phi

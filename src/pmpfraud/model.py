@@ -152,7 +152,6 @@ def model_logits(
     partition: PartitionIndex,
     features,
     batch,
-    training: bool = False,
     seed: int = 0,
     epoch: int = 0,
     batch_index: int = 0,
@@ -181,9 +180,9 @@ def model_logits(
     ids; logit i belongs to batch[i]. ``features`` may be a
     gradient-enabled tensor for sensitivity analysis; layer 1's gradient
     then reaches it through ``sums`` only if the tables were built from it.
-    With ``training`` on and ``dropout_p`` > 0, dropout follows each
-    layer; its masks are keyed by (seed, relation, layer, epoch,
-    batch_index) and replay exactly.
+    With ``dropout_p`` > 0, dropout follows each layer; its masks are
+    keyed by (seed, relation, layer, epoch, batch_index) and replay
+    exactly.
     """
     cfg = model.config
     if graph.num_relations != cfg.num_relations:
@@ -239,7 +238,7 @@ def model_logits(
             )
             if dropout_p > 0.0:
                 key = np.random.SeedSequence(entropy=seed, spawn_key=(r, l, epoch, batch_index))
-                h = nd.dropout(act, dropout_p, training, key)
+                h = nd.dropout(act, dropout_p, key)
             else:
                 h = act
             h_gate_src = act

@@ -29,6 +29,7 @@ import contextvars
 import ctypes
 import hashlib
 import json
+import operator
 import os
 
 import numpy as np
@@ -338,18 +339,18 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     return _make(x.data[idx], "gather_rows", (x,), vjp)
 
 
-def dropout(x: Tensor, p: float, training: bool, key) -> Tensor:
+def dropout(x: Tensor, p: float, key) -> Tensor:
     """Inverted dropout with a counter-based mask.
 
     The mask is a pure function of ``key``, any seed ``np.random.Philox``
     takes (an int, a sequence of ints or a SeedSequence), so replaying the
     same key reproduces the same mask and finite differencing across a
-    fixed key stays valid. With training off or p == 0 the input tensor is
-    returned unchanged, which is the identity map with identity adjoint.
+    fixed key stays valid. With p == 0 the input tensor is returned
+    unchanged, which is the identity map with identity adjoint.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     rng = np.random.Generator(np.random.Philox(key))
     keep = rng.random(x.data.shape) >= p
@@ -405,7 +406,8 @@ _BLOB_NAME = "params.bin"
 
 def check_setting(name: str, value, kind: type, ok, rule: str):
     """Raise ValueError naming ``name`` and ``value`` unless ``value`` is an
-    instance of the ``numbers`` class ``kind``, not a bool, and ``ok(value)``."""
+    instance of ``kind`` (a ``numbers`` class or a container type), not a
+    bool, and ``ok(value)``."""
     if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -470,7 +472,8 @@ def load_checkpoint(directory: str) -> dict:
     blob_path = os.path.join(directory, _BLOB_NAME)
     manifest = read_json_object(manifest_path)
     try:
-        entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in manifest["params"]]
+        # operator.index refuses a float or a string where int() would round or parse it
+        entries = [(e["name"], tuple(map(operator.index, e["shape"]))) for e in manifest["params"]]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{manifest_path}: malformed checkpoint manifest ({err!r})") from err
     try:

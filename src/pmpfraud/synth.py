@@ -22,10 +22,9 @@ def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
     edges. Returns (graph, labels) with round(n * fraud_fraction) fraud
     nodes chosen uniformly.
     """
-    if not 1 <= m_attach < n:
-        raise ValueError("need 1 <= m_attach < n")
-    if not 0.0 < fraud_fraction < 1.0:
-        raise ValueError("fraud_fraction must be in (0, 1)")
+    check_setting("n", n, numbers.Integral, lambda v: v >= 2, "an integer >= 2")
+    check_setting("m_attach", m_attach, numbers.Integral, lambda v: 1 <= v < n, f"an integer in [1, n) = [1, {n})")
+    check_setting("fraud_fraction", fraud_fraction, numbers.Real, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
     check_setting("seed", seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
     rng = np.random.default_rng(seed)
     edges = np.empty((m_attach * (n - m_attach), 2), dtype=np.int64)
@@ -82,8 +81,8 @@ def make_splits(n: int, ratios, seed: int = 0, stratify_labels=None) -> np.ndarr
     exact stratification.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three non-negative values summing to 1")
+    check_setting("ratios", ratios, tuple, lambda r: len(r) == 3 and min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-9,
+                  "three non-negative numbers summing to 1")
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.int8)
     if stratify_labels is None:

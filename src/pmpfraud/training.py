@@ -172,7 +172,7 @@ def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features,
             sums = _pass_sums(model, graph, partition, features)
         for start in range(0, ids.size, EVAL_BATCH_SIZE):
             chunk = ids[start : start + EVAL_BATCH_SIZE]
-            z = model_forward(model, graph, partition, features, chunk, training=False, sums=sums)
+            z = model_forward(model, graph, partition, features, chunk, sums=sums)
             out[start : start + chunk.size] = z.data
     return out
 
@@ -203,8 +203,8 @@ def _run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTa
         batch = perm[start : start + config.batch_size]
         try:
             logits = model_logits(
-                model, graph, partition, table.features, batch, training=True,
-                seed=config.seed, epoch=epoch, batch_index=batch_index, dropout_p=config.dropout_p, sums=sums,
+                model, graph, partition, table.features, batch, seed=config.seed, epoch=epoch,
+                batch_index=batch_index, dropout_p=config.dropout_p, sums=sums,
             )
             batch_loss = loss_fn(logits, table.labels, batch, pos_weight=config.pos_weight)
             opt.step(tape.gradients(batch_loss))

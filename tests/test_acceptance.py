@@ -20,7 +20,7 @@ from pmpfraud.analysis import (
     spatial_spectral_check,
 )
 from pmpfraud.bundle import load_bundle
-from pmpfraud.cli import run_bench
+from pmpfraud.cli import build_parser, run_bench
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph, homophily_score
 from pmpfraud.layer import LayerVariant, PmpLayerParams
 from pmpfraud.metrics import auc, compute_report
@@ -101,7 +101,7 @@ def test_c01_full_model_gradients_match_finite_differences():
             batch = rng.choice(n, size=min(8, n), replace=False)
 
             def objective():
-                logits = model_logits(model, g, partition, table.features, batch, training=False)
+                logits = model_logits(model, g, partition, table.features, batch)
                 return loss(logits, table.labels, batch)
 
             margins = []
@@ -144,8 +144,8 @@ def test_c02_partition_with_equal_matrices_collapses_to_baseline():
             ModelConfig(variant=LayerVariant.baseline(), **cfg), seed=trial)
         baseline.load_state(partitioned.state())
         batch = rng.choice(n, size=min(10, n), replace=False)
-        a = model_forward(partitioned, g, partition, table.features, batch, training=False)
-        b = model_forward(baseline, g, partition, table.features, batch, training=False)
+        a = model_forward(partitioned, g, partition, table.features, batch)
+        b = model_forward(baseline, g, partition, table.features, batch)
         worst = max(worst, float(np.max(np.abs(a.data - b.data))))
     assert worst <= 1e-12, worst
     print(f"PASS C2: equal-matrix partition == shared-weight baseline on 20 "
@@ -385,7 +385,9 @@ def test_c10_homophily_exact_and_dataset_values():
 
 
 def test_c11_epoch_time_scales_linearly_with_edges():
-    result = run_bench([10_000, 100_000, 1_000_000])
+    args = build_parser().parse_args(["bench"])  # the bench subcommand's defaults
+    result = run_bench([10_000, 100_000, 1_000_000], d=args.d, hidden_dim=args.hidden_dim, m_attach=args.m_attach,
+                       batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     times = ", ".join(
         f"{e['edges']:.0e}: {e['seconds_per_epoch'] * 1e3:.1f}ms" for e in result["entries"])
     assert result["r_squared"] >= 0.9, result

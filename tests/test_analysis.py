@@ -88,46 +88,42 @@ class TestMasks:
     def test_indicators(self):
         labels = np.array([1, 0, 1, 0])
         train = np.array([True, True, False, False])
-        F, B = mask_matrices(partition_of(labels, train))
-        np.testing.assert_array_equal(np.diag(F), [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(np.diag(B), [0.0, 1.0, 0.0, 0.0])
-        assert not (F @ B).any()
-        assert F.trace() == 1.0 and B.trace() == 1.0
+        f, b = mask_matrices(partition_of(labels, train))
+        np.testing.assert_array_equal(f, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(b, [0.0, 1.0, 0.0, 0.0])
 
     def test_indicators_are_the_partitions_buckets(self):
         # F and B read buckets 0 and 1 as given; no label is consulted
         g = RelationalGraph.from_edge_lists(4, [[]])
-        F, B = mask_matrices(PartitionIndex(g, [2, 1, 0, 1]))
-        np.testing.assert_array_equal(np.diag(F), [0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(np.diag(B), [0.0, 1.0, 0.0, 1.0])
+        f, b = mask_matrices(PartitionIndex(g, [2, 1, 0, 1]))
+        np.testing.assert_array_equal(f, [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(b, [0.0, 1.0, 0.0, 1.0])
 
     def test_k_matrix_entries(self):
         labels = np.array([1, 0, 1])
         train = np.array([True, True, False])
-        F, B = mask_matrices(partition_of(labels, train))
-        K = k_matrix(F, B, 0.3)
-        np.testing.assert_array_equal(np.diag(K), [1.0, 0.0, 0.3])
-        assert not (K - np.diag(np.diag(K))).any()
+        f, b = mask_matrices(partition_of(labels, train))
+        np.testing.assert_array_equal(k_matrix(f, b, 0.3), [1.0, 0.0, 0.3])
 
     def test_k_boundaries(self):
         labels = np.array([1, 0, 1])
         train = np.array([True, True, False])
-        F, B = mask_matrices(partition_of(labels, train))
-        np.testing.assert_array_equal(k_matrix(F, B, 0.0), F)
-        np.testing.assert_array_equal(k_matrix(F, B, 1.0), np.eye(3) - B)
+        f, b = mask_matrices(partition_of(labels, train))
+        np.testing.assert_array_equal(k_matrix(f, b, 0.0), f)
+        np.testing.assert_array_equal(k_matrix(f, b, 1.0), 1.0 - b)
 
     def test_k_complement_is_exact(self):
         labels = np.array([1, 0, 1, 0, 1])
         train = np.array([True] * 3 + [False] * 2)
-        F, B = mask_matrices(partition_of(labels, train))
-        K = k_matrix(F, B, 0.7)
-        np.testing.assert_array_equal(K + (np.eye(5) - K), np.eye(5))
+        f, b = mask_matrices(partition_of(labels, train))
+        k = k_matrix(f, b, 0.7)
+        np.testing.assert_array_equal(k + (1.0 - k), np.ones(5))
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, float("nan")])
     def test_alpha_validation(self, alpha):
-        F, B = mask_matrices(partition_of([1, 0], [True, True]))
+        f, b = mask_matrices(partition_of([1, 0], [True, True]))
         with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
-            k_matrix(F, B, alpha)
+            k_matrix(f, b, alpha)
 
 
 class TestSpatialSpectral:
@@ -166,8 +162,7 @@ class TestSpatialSpectral:
             g, partition, rng.normal(size=(n, 2)),
             rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.25,
         )
-        F, B = mask_matrices(partition)
-        k_diag = np.diag(k_matrix(F, B, 0.25))
+        k_diag = k_matrix(*mask_matrices(partition), 0.25)
         lam = report.eigenvalues
         assert report.filter_responses.shape == (n, 4)
         for j, lam_j, g_fr, g_be in report.filter_responses:

@@ -498,10 +498,12 @@ class TestOneRecordedOp:
         nd.backward(mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
         assert sorted(trace) == ["gather_rows", "gather_segment_sum", "layer", "mean"]
 
-    @pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS if v.adaptive_combination_enabled], ids=variant_id)
+    @pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS
+                                         if v.adaptive_combination_enabled or not v.partition_enabled], ids=variant_id)
     def test_a_table_without_gradient_is_freed_after_the_forward(self, variant):
         # layer 1's shared table in training: the recorded op keeps a copy of
-        # the unlabeled block its gate adjoint reads, not the whole table
+        # the unlabeled block its gate adjoint reads, or the baseline's summed
+        # block, not the whole table
         rng = np.random.default_rng(33)
         g, idx, params, h = random_setup(rng)
         centers = np.arange(g.num_nodes)
@@ -512,7 +514,9 @@ class TestOneRecordedOp:
         del sums
         assert out.requires_grad and table() is None
         nd.backward(out, seed=np.ones(out.shape))
-        assert np.abs(params.w_phi.grad).max() > 0
+        assert np.abs(params.M_fr.grad).max() > 0
+        if variant.adaptive_combination_enabled:
+            assert np.abs(params.w_phi.grad).max() > 0
 
     def overflow_instance(self):
         rng = np.random.default_rng(31)

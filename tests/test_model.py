@@ -217,7 +217,7 @@ class TestLayerOneSums:
         g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2, variant=variant)
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
         tape = nd.GradientTape(model.parameters())
-        kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
+        kw = dict(seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
         runs = []
         for sums in (None, layer_one_sums(g, idx, x)):
             logits = model_logits(model, g, idx, x, batch, sums=sums, **kw)
@@ -284,36 +284,26 @@ class TestDropout:
         g, idx, labels, model, x = random_instance(rng, num_layers=2, hidden=8)
         return g, idx, model, x
 
-    def test_eval_mode_ignores_dropout(self):
-        g, idx, model, x = self.setup_instance()
-        batch = np.arange(g.num_nodes)
-        a = model_forward(model, g, idx, x, batch, training=False, dropout_p=0.5)
-        b = model_forward(model, g, idx, x, batch)
-        np.testing.assert_array_equal(a.data, b.data)
-        # the same call in training mode does drop units
-        c = model_forward(model, g, idx, x, batch, training=True, dropout_p=0.5)
-        assert not np.array_equal(c.data, b.data)
-
     def test_training_masks_replay_exactly(self):
         g, idx, model, x = self.setup_instance()
         batch = np.arange(g.num_nodes)
-        kw = dict(training=True, seed=3, epoch=2, batch_index=1, dropout_p=0.5)
+        kw = dict(seed=3, epoch=2, batch_index=1, dropout_p=0.5)
         a = model_forward(model, g, idx, x, batch, **kw)
         b = model_forward(model, g, idx, x, batch, **kw)
         np.testing.assert_array_equal(a.data, b.data)
-        plain = model_forward(model, g, idx, x, batch, training=True)
+        plain = model_forward(model, g, idx, x, batch)
         assert not np.array_equal(a.data, plain.data)
 
     def test_key_components_vary_masks(self):
         g, idx, model, x = self.setup_instance()
         batch = np.arange(g.num_nodes)
-        base = model_forward(model, g, idx, x, batch, training=True, seed=3, epoch=2, batch_index=1, dropout_p=0.5)
+        base = model_forward(model, g, idx, x, batch, seed=3, epoch=2, batch_index=1, dropout_p=0.5)
         for kw in (
             dict(seed=4, epoch=2, batch_index=1),
             dict(seed=3, epoch=3, batch_index=1),
             dict(seed=3, epoch=2, batch_index=2),
         ):
-            other = model_forward(model, g, idx, x, batch, training=True, dropout_p=0.5, **kw)
+            other = model_forward(model, g, idx, x, batch, dropout_p=0.5, **kw)
             assert not np.array_equal(other.data, base.data)
 
 
@@ -407,7 +397,7 @@ class TestOneOpPerLayer:
             rng, num_relations=num_relations, num_layers=num_layers, variant=variant
         )
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
-        kw = dict(training=True, seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
+        kw = dict(seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
 
         def run():
             # the shared table as training reads it, a gradient-enabled
@@ -469,7 +459,7 @@ class TestOneOpPerLayer:
         # not; half the scale keeps every probability clear of it.
         x = 0.5 * x
         batch = np.arange(g.num_nodes)
-        kw = dict(training=True, seed=7, epoch=0, batch_index=0, dropout_p=dropout_p)
+        kw = dict(seed=7, epoch=0, batch_index=0, dropout_p=dropout_p)
 
         def fn():
             return loss(model_logits(model, g, idx, x, batch, **kw), labels, batch)

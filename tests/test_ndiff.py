@@ -91,7 +91,7 @@ class TestOperatorGradients:
     def test_dropout_fixed_key(self):
         rng = np.random.default_rng(10)
         x = fd_tensor(rng, (8, 4))
-        run_op_check({"x": x}, lambda: mean(nd.dropout(x, 0.4, True, key=(3, 1, 0, 2))))
+        run_op_check({"x": x}, lambda: mean(nd.dropout(x, 0.4, key=(3, 1, 0, 2))))
 
     def test_concat(self):
         rng = np.random.default_rng(11)
@@ -203,16 +203,15 @@ class TestOperatorValues:
         magnitude = np.abs(z.grad[far])
         assert not ((magnitude > 0) & (magnitude < np.finfo(np.float64).tiny)).any()
 
-    def test_dropout_eval_mode_is_identity(self):
+    def test_dropout_at_zero_rate_is_identity(self):
         x = nd.Tensor(np.ones((4, 4)), requires_grad=True)
-        assert nd.dropout(x, 0.5, False, key=0) is x
-        assert nd.dropout(x, 0.0, True, key=0) is x
+        assert nd.dropout(x, 0.0, key=0) is x
 
     def test_dropout_mask_replays_by_key(self):
         x = nd.Tensor(np.ones((16, 16)))
-        a = nd.dropout(x, 0.5, True, key=(7, 2, 1, 0))
-        b = nd.dropout(x, 0.5, True, key=(7, 2, 1, 0))
-        c = nd.dropout(x, 0.5, True, key=(7, 2, 1, 1))
+        a = nd.dropout(x, 0.5, key=(7, 2, 1, 0))
+        b = nd.dropout(x, 0.5, key=(7, 2, 1, 0))
+        c = nd.dropout(x, 0.5, key=(7, 2, 1, 1))
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
         kept = a.data[a.data != 0]
@@ -230,7 +229,7 @@ class TestOperatorValues:
         # Every key form draws the mask Philox draws from its SeedSequence,
         # so reruns with any of them stay byte-identical.
         keep = np.random.Generator(np.random.Philox(seq)).random((16, 16)) >= 0.25
-        out = nd.dropout(nd.Tensor(np.ones((16, 16))), 0.25, True, key=key)
+        out = nd.dropout(nd.Tensor(np.ones((16, 16))), 0.25, key=key)
         np.testing.assert_array_equal(out.data, keep / 0.75)
 
     def test_mean_value(self):
@@ -459,7 +458,7 @@ class TestErrors:
     def test_dropout_p_validation(self):
         x = nd.Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            nd.dropout(x, 1.0, True, key=0)
+            nd.dropout(x, 1.0, key=0)
 
     def test_tape_rejects_non_grad_parameter(self):
         with pytest.raises(ValueError):
