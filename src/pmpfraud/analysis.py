@@ -66,7 +66,13 @@ def normalized_laplacian(graph: RelationalGraph, relation: int = 0, cap: int = D
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    return np.eye(n) - inv_sqrt[:, None] * adj * inv_sqrt[None, :]
+    # One n x n array, scaled and negated in place. 0.0 - x, not -x, so
+    # unconnected entries stay +0.0 as in I - D^{-1/2} A D^{-1/2}.
+    adj *= inv_sqrt[:, None]
+    adj *= inv_sqrt[None, :]
+    np.subtract(0.0, adj, out=adj)
+    adj.flat[:: n + 1] += 1.0
+    return adj
 
 
 def eigendecompose(laplacian: np.ndarray):
@@ -163,7 +169,9 @@ def spatial_spectral_check(
     identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
     U, lam = eigendecompose(L)
-    reconstruction = float(np.max(np.abs((U * lam) @ U.T - L)))
+    residual = (U * lam) @ U.T
+    residual -= L
+    reconstruction = float(np.max(np.abs(residual, out=residual)))
 
     order = np.argsort(lam, kind="stable")
     rows = np.column_stack(

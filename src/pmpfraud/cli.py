@@ -87,11 +87,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # checked before the graph, whose generator loops over every node in Python
+    ratios = synth.check_ratios(_floats("ratios", args.ratios))
+    synth.check_feature_settings(args.d, args.mu_benign, args.mu_fraud, args.sigma)
     g, labels = synth.generate_ba_graph(args.n, args.m_attach, args.fraud_fraction, args.seed)
     features = synth.generate_features(
         labels, args.d, args.mu_benign, args.mu_fraud, args.sigma, seed=args.seed + 1
     )
-    splits = synth.make_splits(args.n, _floats("ratios", args.ratios), seed=args.seed + 2, stratify_labels=labels)
+    splits = synth.make_splits(args.n, ratios, seed=args.seed + 2, stratify_labels=labels)
     table = graph_mod.NodeTable(features, labels, splits)
     bundle.write_bundle(args.out, g, table, features_format=args.features_format)
     config = _args_config(args)

@@ -11,6 +11,7 @@ loss takes directly; scoring reads their logistic (``model_forward``).
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import numbers
 import os
@@ -25,7 +26,8 @@ from .layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
 __all__ = ["ModelConfig", "PmpModel", "check_sizes", "layer_one_sums", "model_logits", "model_forward", "readout",
            "loss"]
 
-_MODEL_SIDECAR = "model.json"
+_MODEL_JSON = "model.json"
+_PARAMS_BIN = "params.bin"
 
 
 def check_sizes(**sizes):
@@ -106,23 +108,51 @@ class PmpModel:
             p.data = arr.copy()
 
     def save(self, directory: str):
-        nd.save_checkpoint(directory, self.parameters())
-        sidecar = json.dumps(self.config.to_dict(), indent=2).encode()
-        nd.write_file_atomic(os.path.join(directory, _MODEL_SIDECAR), sidecar)
+        """Write the checkpoint: ``params.bin``, every parameter as
+        little-endian f64, row-major, in ``parameters()`` order, then
+        ``model.json``, the config plus the blob's sha256. The config fixes
+        every parameter's name, shape and order, so nothing else is stored.
+        Each file is replaced atomically, ``model.json`` last."""
+        os.makedirs(directory, exist_ok=True)
+        blob = b"".join(np.asarray(p.data, dtype="<f8").tobytes() for p in self.parameters().values())
+        nd.write_file_atomic(os.path.join(directory, _PARAMS_BIN), blob)
+        sidecar = dict(self.config.to_dict(), sha256=hashlib.sha256(blob).hexdigest())
+        nd.write_file_atomic(os.path.join(directory, _MODEL_JSON), json.dumps(sidecar, indent=2).encode())
 
     @classmethod
     def load(cls, directory: str) -> "PmpModel":
-        path = os.path.join(directory, _MODEL_SIDECAR)
+        """The model ``save`` wrote to ``directory``, bit-exact. Raises
+        ValueError naming the file at fault: a ``model.json`` that is not a
+        model config or holds no sha256, or a ``params.bin`` that is missing,
+        unreadable, of another length than the config implies or whose
+        sha256 differs."""
+        path = os.path.join(directory, _MODEL_JSON)
         sidecar = nd.read_json_object(path)
         try:
             model = cls(ModelConfig.from_dict(sidecar), seed=0)
         except (KeyError, ValueError) as err:
             raise ValueError(f"{path}: malformed model config ({err!r})") from err
-        state = nd.load_checkpoint(directory)
+        if "sha256" not in sidecar:
+            raise ValueError(f"{path}: no sha256 of {_PARAMS_BIN}, so the checkpoint cannot be checked")
+        blob_path = os.path.join(directory, _PARAMS_BIN)
         try:
-            model.load_state(state)
-        except ValueError as err:
-            raise ValueError(f"{directory}: {err}") from err
+            with open(blob_path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            raise ValueError(f"{blob_path}: file is missing") from None
+        except OSError as err:
+            raise ValueError(f"{blob_path}: cannot read: {err}") from None
+        params = model.parameters().values()
+        expected = 8 * sum(p.size for p in params)
+        if len(raw) != expected:
+            raise ValueError(f"{blob_path}: has {len(raw)} bytes, {path} expects {expected}")
+        if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
+            raise ValueError(f"{blob_path}: sha256 does not match {path}, the file is corrupted")
+        blob = np.frombuffer(raw, dtype="<f8")
+        pos = 0
+        for p in params:
+            p.data = blob[pos : pos + p.size].reshape(p.shape).astype(np.float64)
+            pos += p.size
         return model
 
 
@@ -228,14 +258,12 @@ def model_logits(
                     row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
                     members, centers = row_of[members], row_of[centers]
                 table = bucket_sums(h, members, seg_ids, bucket, centers.size)
-            act = layer_forward(
-                model.layers[r][l - 1],
-                cfg.variant,
-                table,
-                nd.gather_rows(h, centers),
-                nd.gather_rows(h_gate_src, centers),
-                use_relu=(l < cfg.num_layers),
-            )
+            h_centers = nd.gather_rows(h, centers)
+            # One gather serves both reads of one tensor; with a gradient, two keep the adjoint's order of sums.
+            shared = h is h_gate_src and not h.requires_grad
+            h_gate = h_centers if shared else nd.gather_rows(h_gate_src, centers)
+            act = layer_forward(model.layers[r][l - 1], cfg.variant, table, h_centers, h_gate,
+                                use_relu=(l < cfg.num_layers))
             if dropout_p > 0.0:
                 key = np.random.SeedSequence(entropy=seed, spawn_key=(r, l, epoch, batch_index))
                 h = nd.dropout(act, dropout_p, key)

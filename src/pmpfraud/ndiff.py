@@ -27,9 +27,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
-import hashlib
 import json
-import operator
 import os
 
 import numpy as np
@@ -50,8 +48,6 @@ __all__ = [
     "read_json_object",
     "write_file_atomic",
     "write_csv_atomic",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 # Probabilities are clamped into this closed interval before any log.
@@ -397,11 +393,8 @@ def binary_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Settings, files and parameter checkpoints
+# Settings and files
 # ---------------------------------------------------------------------------
-
-_MANIFEST_NAME = "manifest.json"
-_BLOB_NAME = "params.bin"
 
 
 def check_setting(name: str, value, kind: type, ok, rule: str):
@@ -444,56 +437,3 @@ def write_csv_atomic(path: str, header: str, rows, meta_line: str = "") -> None:
     lines = ([f"# {meta_line}"] if meta_line else []) + [header, *rows]
     write_file_atomic(path, ("\n".join(lines) + "\n").encode())
 
-
-def save_checkpoint(directory: str, params: dict) -> None:
-    """Write a little-endian f64 blob and a JSON manifest (names, shapes and
-    the blob's sha256).
-
-    The blob holds every parameter flattened row-major, concatenated in
-    manifest order. Each file is replaced atomically, the manifest last.
-    """
-    os.makedirs(directory, exist_ok=True)
-    blob = np.concatenate([np.asarray(v.data, dtype="<f8").reshape(-1) for v in params.values()]).tobytes()
-    manifest = {
-        "params": [{"name": k, "shape": list(v.data.shape)} for k, v in params.items()],
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    write_file_atomic(os.path.join(directory, _BLOB_NAME), blob)
-    write_file_atomic(os.path.join(directory, _MANIFEST_NAME), json.dumps(manifest, indent=2).encode())
-
-
-def load_checkpoint(directory: str) -> dict:
-    """Read a checkpoint back as {name: float64 array} in manifest order.
-
-    A missing, malformed, truncated or corrupted file raises ValueError
-    naming it. Manifests written without a sha256 still load.
-    """
-    manifest_path = os.path.join(directory, _MANIFEST_NAME)
-    blob_path = os.path.join(directory, _BLOB_NAME)
-    manifest = read_json_object(manifest_path)
-    try:
-        # operator.index refuses a float or a string where int() would round or parse it
-        entries = [(e["name"], tuple(map(operator.index, e["shape"]))) for e in manifest["params"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{manifest_path}: malformed checkpoint manifest ({err!r})") from err
-    try:
-        with open(blob_path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise ValueError(f"{blob_path}: file is missing") from None
-    except OSError as err:
-        raise ValueError(f"{blob_path}: cannot read: {err}") from None
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in entries)
-    if len(raw) != expected:
-        raise ValueError(f"{blob_path}: has {len(raw)} bytes, manifest expects {expected}")
-    digest = manifest.get("sha256")
-    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
-        raise ValueError(f"{blob_path}: sha256 does not match the manifest, the file is corrupted")
-    blob = np.frombuffer(raw, dtype="<f8")
-    out = {}
-    pos = 0
-    for name, shape in entries:
-        size = int(np.prod(shape))
-        out[name] = blob[pos : pos + size].reshape(shape).astype(np.float64)
-        pos += size
-    return out

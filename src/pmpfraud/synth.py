@@ -9,7 +9,7 @@ import numpy as np
 from .graph import RelationalGraph
 from .ndiff import check_setting
 
-__all__ = ["generate_ba_graph", "generate_features", "make_splits"]
+__all__ = ["generate_ba_graph", "check_feature_settings", "generate_features", "check_ratios", "make_splits"]
 
 
 def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
@@ -52,6 +52,15 @@ def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
     return graph, labels
 
 
+def check_feature_settings(feature_dim, mu_benign, mu_fraud, sigma):
+    """ValueError naming the setting unless ``feature_dim`` is a positive
+    integer, ``sigma`` a finite number >= 0 and both means finite numbers."""
+    check_setting("feature_dim", feature_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
+    check_setting("sigma", sigma, numbers.Real, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+    for name, mu in (("mu_benign", mu_benign), ("mu_fraud", mu_fraud)):
+        check_setting(name, mu, numbers.Real, math.isfinite, "a finite number")
+
+
 def generate_features(
     labels: np.ndarray,
     feature_dim: int = 8,
@@ -60,17 +69,22 @@ def generate_features(
     sigma: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Class-conditional Gaussian features, i.i.d. per dimension. Raises
-    ValueError naming the setting unless ``feature_dim`` is a positive
-    integer, ``sigma`` a finite number >= 0 and both means finite numbers."""
-    check_setting("feature_dim", feature_dim, numbers.Integral, lambda v: v >= 1, "a positive integer")
-    check_setting("sigma", sigma, numbers.Real, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-    for name, mu in (("mu_benign", mu_benign), ("mu_fraud", mu_fraud)):
-        check_setting(name, mu, numbers.Real, math.isfinite, "a finite number")
+    """Class-conditional Gaussian features, i.i.d. per dimension, with
+    settings as ``check_feature_settings`` requires them."""
+    check_feature_settings(feature_dim, mu_benign, mu_fraud, sigma)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     means = np.where(labels == 1, mu_fraud, mu_benign).astype(np.float64)
     return rng.normal(size=(labels.size, feature_dim)) * sigma + means[:, None]
+
+
+def check_ratios(ratios) -> tuple:
+    """``ratios`` as a tuple of floats; ValueError naming them unless they
+    are three non-negative numbers summing to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    check_setting("ratios", ratios, tuple, lambda r: len(r) == 3 and min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-9,
+                  "three non-negative numbers summing to 1")
+    return ratios
 
 
 def make_splits(n: int, ratios, seed: int = 0, stratify_labels=None) -> np.ndarray:
@@ -80,9 +94,7 @@ def make_splits(n: int, ratios, seed: int = 0, stratify_labels=None) -> np.ndarr
     separately, so class proportions per split land within one node of
     exact stratification.
     """
-    ratios = tuple(float(r) for r in ratios)
-    check_setting("ratios", ratios, tuple, lambda r: len(r) == 3 and min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-9,
-                  "three non-negative numbers summing to 1")
+    ratios = check_ratios(ratios)
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.int8)
     if stratify_labels is None:

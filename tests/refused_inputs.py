@@ -89,14 +89,14 @@ SETTINGS = [
     Setting(("synth", "--n", "0", "--out", "{out}"), "n", "0"),
     Setting(("synth", "--n", "5", "--m-attach", "5", "--out", "{out}"), "m_attach", "5"),
     Setting(_synth("--fraud-fraction", "2"), "fraud_fraction", "2.0"),
-    Setting(_synth("--ratios", "a,b,c"), "ratios", "'a,b,c'"),
-    Setting(_synth("--ratios", "0.5,0.5"), "ratios", "(0.5, 0.5)"),
-    Setting(_synth("--d", "0"), "feature_dim", "0"),
-    Setting(_synth("--d", "-1"), "feature_dim", "-1"),
-    Setting(_synth("--sigma", "-1"), "sigma", "-1.0"),
-    Setting(_synth("--sigma", "nan"), "sigma", "nan"),
-    Setting(_synth("--mu-fraud", "inf"), "mu_fraud", "inf"),
-    Setting(_synth("--mu-benign=-inf"), "mu_benign", "-inf"),
+    Setting(_synth("--ratios", "a,b,c"), "ratios", "'a,b,c'", True),
+    Setting(_synth("--ratios", "0.5,0.5"), "ratios", "(0.5, 0.5)", True),
+    Setting(_synth("--d", "0"), "feature_dim", "0", True),
+    Setting(_synth("--d", "-1"), "feature_dim", "-1", True),
+    Setting(_synth("--sigma", "-1"), "sigma", "-1.0", True),
+    Setting(_synth("--sigma", "nan"), "sigma", "nan", True),
+    Setting(_synth("--mu-fraud", "inf"), "mu_fraud", "inf", True),
+    Setting(_synth("--mu-benign=-inf"), "mu_benign", "-inf", True),
     Setting(_synth("--seed", "-1"), "seed", "-1"),
     Setting(("validate", "{out}"), "{out}/meta.json", "missing"),
     Setting(_train("--batch-size", "0"), "batch_size", "0", True),
@@ -227,19 +227,25 @@ def _out_of_range_id(path):
         _field(0, str(json.load(fh)["num_nodes"]))(path)
 
 
-def _set_json(*keys_and_value):
-    *keys, value = keys_and_value
-
+def _edit_json(edit):
     def how(path):
         with open(path) as fh:
             doc = json.load(fh)
-        target = doc
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
+        edit(doc)
         _write(path, json.dumps(doc).encode())
 
     return how
+
+
+def _set_json(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return _edit_json(edit)
 
 
 def _bit_flip(path):
@@ -332,15 +338,12 @@ DAMAGED_FILES = [
         ("missing", _missing, "file is missing"),
         ("a directory", _directory, "cannot read"),
         ("empty", _empty, "has 0 bytes"),
-        ("truncated", _truncated, "manifest expects"),
-        ("one bit flipped", _bit_flip, "sha256"),
-    ),
-    *_json_file(
-        "checkpoint/manifest.json",
-        ("shape 4.5", _set_json("params", 0, "shape", [4.5, 8]), "malformed checkpoint manifest"),
+        ("truncated", _truncated, "model.json expects"),
+        ("one bit flipped", _bit_flip, "sha256 does not match"),
     ),
     *_json_file(
         "checkpoint/model.json",
+        ("no sha256", _edit_json(lambda doc: doc.pop("sha256")), "no sha256"),
         ("hidden_dim 8.5", _set_json("hidden_dim", 8.5), "malformed model config"),
         ('partition_enabled "false"', _set_json("variant", "partition_enabled", "false"), "malformed model config"),
     ),

@@ -64,6 +64,18 @@ class TestLaplacian:
             np.testing.assert_allclose(U @ np.diag(lam) @ U.T, L, rtol=0, atol=1e-8)
             np.testing.assert_allclose(U.T @ U, np.eye(L.shape[0]), rtol=0, atol=1e-10)
 
+    def test_bytes_of_identity_minus_scaled_adjacency(self):
+        # signs of zero included: a -0.0 would change spectral.csv
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 30, factor=1)
+        adj = np.zeros((30, 30))
+        adj[g.row_indices(0), g.col_indices[0]] = 1.0
+        deg = adj.sum(axis=1)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+        want = np.eye(30) - inv_sqrt[:, None] * adj * inv_sqrt[None, :]
+        assert (deg == 0).any()
+        assert normalized_laplacian(g).tobytes() == want.tobytes()
+
     def test_adjacency_complement(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 20)

@@ -1,5 +1,6 @@
 """Stacked model against a per-node naive reference and exact identities."""
 import contextlib
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from pmpfraud import model as model_module
 from pmpfraud import ndiff as nd
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
-from pmpfraud.layer import LayerVariant
+from pmpfraud.layer import LayerVariant, layer_forward
 from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward, model_logits
 
 from .reference import (
@@ -438,6 +439,31 @@ class TestOneOpPerLayer:
         assert fused[2][3].count("gather_rows") >= num_relations  # the shared table's adjoint ran
 
     @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_one_gather_serves_both_reads_of_a_tensor_without_gradient(self, monkeypatch, recording, dropout_p):
+        rng = np.random.default_rng(43)
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=3)
+        shared = []
+
+        def layer(params, variant, sums, h_centers, h_gate, use_relu=True):
+            shared.append(h_centers is h_gate)
+            return layer_forward(params, variant, sums, h_centers, h_gate, use_relu=use_relu)
+
+        monkeypatch.setattr(model_module, "layer_forward", layer)
+        with contextlib.ExitStack() as scope:
+            if not recording:
+                scope.enter_context(nd.no_grad())
+            for feats in (x, nd.Tensor(x, requires_grad=True)):
+                model_logits(model, g, idx, feats, np.array([9, 2, 9, 14]), seed=1, dropout_p=dropout_p)
+        # layer 1 reads the features; a deeper layer reads the last one's
+        # output, which carries a gradient while recording and differs from
+        # the gate's input after dropout
+        assert shared == [
+            not grad if l == 1 else dropout_p == 0.0 and not recording
+            for grad in (False, True) for _ in range(2) for l in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("recording", [True, False])
     def test_non_finite_readout_weight_raises(self, recording):
         rng = np.random.default_rng(42)
         g, idx, labels, model, x = random_instance(rng, num_relations=2)
@@ -523,6 +549,62 @@ class TestStateAndCheckpoint:
         a = model_forward(model, g, idx, x, batch)
         b = model_forward(loaded, g, idx, x, batch)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestCheckpoint:
+    def saved(self, tmp_path, **kw):
+        rng = np.random.default_rng(33)
+        _, _, _, model, _ = random_instance(rng, **kw)
+        for p in model.parameters().values():
+            p.data = rng.normal(size=p.shape)
+        model.save(str(tmp_path))
+        return model
+
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        model = self.saved(tmp_path, num_relations=2, num_layers=2)
+        loaded = PmpModel.load(str(tmp_path))
+        assert loaded.config == model.config
+        want = model.state()
+        got = loaded.state()
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_blob_is_little_endian_f64_in_parameters_order(self, tmp_path):
+        model = self.saved(tmp_path)
+        blob = np.fromfile(tmp_path / "params.bin", dtype="<f8")
+        np.testing.assert_array_equal(blob, np.concatenate([v.ravel() for v in model.state().values()]))
+
+    def test_model_json_is_the_config_and_the_blobs_digest(self, tmp_path):
+        model = self.saved(tmp_path)
+        digest = hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()
+        assert json.loads((tmp_path / "model.json").read_text()) == {**model.config.to_dict(), "sha256": digest}
+
+    def test_directory_holds_the_two_files_and_no_temp_file(self, tmp_path):
+        model = self.saved(tmp_path)
+        model.save(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "params.bin"]
+
+    def test_model_json_without_a_digest_is_refused_naming_it(self, tmp_path):
+        self.saved(tmp_path)
+        sidecar = tmp_path / "model.json"
+        config = json.loads(sidecar.read_text())
+        del config["sha256"]
+        sidecar.write_text(json.dumps(config))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sidecar))}: no sha256 of params.bin"):
+            PmpModel.load(str(tmp_path))
+
+    @pytest.mark.parametrize("change", [{"hidden_dim": 5}, {"num_layers": 2}], ids=["hidden_dim", "num_layers"])
+    def test_model_json_of_another_parameter_count_is_refused_naming_it(self, tmp_path, change):
+        self.saved(tmp_path)
+        sidecar = tmp_path / "model.json"
+        config = dict(json.loads(sidecar.read_text()), **change)
+        sidecar.write_text(json.dumps(config))
+        size = 8 * sum(p.size for p in PmpModel(ModelConfig.from_dict(config)).parameters().values())
+        blob = tmp_path / "params.bin"
+        with pytest.raises(ValueError) as err:
+            PmpModel.load(str(tmp_path))
+        assert str(err.value) == f"{blob}: has {blob.stat().st_size} bytes, {sidecar} expects {size}"
 
 
 class TestConfig:

@@ -2,7 +2,6 @@
 differences, plus the structural guarantees of the reverse pass."""
 import ast
 import glob
-import json
 import math
 import os
 import platform
@@ -502,52 +501,6 @@ def test_freed_arrays_stay_in_the_heap():
     out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert int(out) < 256
-
-
-class TestCheckpoint:
-    def test_roundtrip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(33)
-        params = {
-            "layer.W": nd.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-            "layer.b": nd.Tensor(rng.normal(size=3), requires_grad=True),
-            "head.w": nd.Tensor(rng.normal(size=(3, 1)), requires_grad=True),
-        }
-        nd.save_checkpoint(str(tmp_path), params)
-        loaded = nd.load_checkpoint(str(tmp_path))
-        assert list(loaded) == list(params)
-        for name, p in params.items():
-            np.testing.assert_array_equal(loaded[name], p.data)
-
-    def test_blob_is_little_endian_f64_in_manifest_order(self, tmp_path):
-        params = {
-            "a": nd.Tensor(np.array([[1.0, 2.0]]), requires_grad=True),
-            "b": nd.Tensor(np.array([3.0]), requires_grad=True),
-        }
-        nd.save_checkpoint(str(tmp_path), params)
-        blob = np.fromfile(tmp_path / "params.bin", dtype="<f8")
-        np.testing.assert_array_equal(blob, [1.0, 2.0, 3.0])
-
-    def test_manifest_without_digest_still_loads(self, tmp_path):
-        params = {"a": nd.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)}
-        nd.save_checkpoint(str(tmp_path), params)
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["sha256"]
-        manifest_path.write_text(json.dumps(manifest))
-        np.testing.assert_array_equal(nd.load_checkpoint(str(tmp_path))["a"], [[1.0, 2.0]])
-
-    def test_malformed_manifest_names_the_file(self, tmp_path):
-        params = {"a": nd.Tensor(np.array([1.0]), requires_grad=True)}
-        nd.save_checkpoint(str(tmp_path), params)
-        (tmp_path / "manifest.json").write_text('{"params": [{"name": "a"}]}')
-        with pytest.raises(ValueError, match="manifest.json"):
-            nd.load_checkpoint(str(tmp_path))
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        params = {"a": nd.Tensor(np.array([1.0]), requires_grad=True)}
-        nd.save_checkpoint(str(tmp_path), params)
-        nd.save_checkpoint(str(tmp_path), params)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]
 
 
 def _ndiff_names_used_by_the_program():
