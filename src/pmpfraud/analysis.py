@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 2000
+_RESIDUAL_ROWS = 256  # rows of U U^T per block of the reconstruction residual
 
 
 class DenseCapExceeded(RuntimeError):
@@ -169,9 +170,11 @@ def spatial_spectral_check(
     identity_error = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
     U, lam = eigendecompose(L)
-    residual = (U * lam) @ U.T
-    residual -= L
-    reconstruction = float(np.max(np.abs(residual, out=residual)))
+    reconstruction = 0.0
+    for i in range(0, n, _RESIDUAL_ROWS):  # by row blocks: no second n x n array beside U and L
+        residual = (U[i : i + _RESIDUAL_ROWS] * lam) @ U.T
+        residual -= L[i : i + _RESIDUAL_ROWS]
+        reconstruction = max(reconstruction, float(np.max(np.abs(residual, out=residual))))
 
     order = np.argsort(lam, kind="stable")
     rows = np.column_stack(

@@ -25,6 +25,7 @@ import io
 import json
 import numbers
 import os
+import re
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def _load_csv(path: str, columns: int, header: bool = True, dtype=np.int64, conv
     except OSError as err:
         raise BundleError(f"{path}: cannot read: {err}") from None
     except ValueError as err:
-        raise BundleError(f"{path}: {err}" + (f" ({err.__cause__})" if err.__cause__ else "")) from err
+        # A converter's error is the reason; numpy's text around it names a dtype the converter chose, not the file.
+        where = re.search(r"at (row \d+, column \d+)", str(err)) if err.__cause__ else None
+        raise BundleError(f"{path}: {where[1]}: {err.__cause__}" if where else f"{path}: {err}") from err
     if not has_header:
         raise BundleError(f"{path}: empty file, expected a header line")
     if data.shape[1] != columns:

@@ -63,7 +63,9 @@ class ModelConfig:
 
 
 class PmpModel:
-    """Per-relation layer stacks, concat readout, logit head."""
+    """Per-relation layer stacks, concat readout, logit head. The weights
+    are one float64 array, ``flat``, in ``parameters()`` order; every
+    parameter's ``data`` is a view of it, so write weights in place."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -82,6 +84,10 @@ class PmpModel:
         bound = np.sqrt(6.0 / (config.hidden_dim + 1))
         self.head_w = nd.Tensor(rng.uniform(-bound, bound, (config.hidden_dim, 1)), requires_grad=True)
         self.head_b = nd.Tensor(np.zeros(1), requires_grad=True)
+        params = self.parameters().values()
+        self.flat = np.concatenate([p.data for p in params], axis=None)
+        for p, part in zip(params, np.split(self.flat, np.cumsum([p.size for p in params])[:-1])):
+            p.data = part.reshape(p.shape)
 
     def parameters(self) -> dict:
         out = {}
@@ -98,23 +104,13 @@ class PmpModel:
         """Copies of all parameter arrays, keyed like parameters()."""
         return {k: v.data.copy() for k, v in self.parameters().items()}
 
-    def load_state(self, state: dict):
-        for k, p in self.parameters().items():
-            if k not in state:
-                raise ValueError(f"parameter {k}: missing")
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"parameter {k}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
-
     def save(self, directory: str):
-        """Write the checkpoint: ``params.bin``, every parameter as
-        little-endian f64, row-major, in ``parameters()`` order, then
-        ``model.json``, the config plus the blob's sha256. The config fixes
-        every parameter's name, shape and order, so nothing else is stored.
-        Each file is replaced atomically, ``model.json`` last."""
+        """Write the checkpoint: ``params.bin``, ``flat`` as little-endian
+        f64, then ``model.json``, the config (which fixes every parameter's
+        name, shape and order) plus the blob's sha256. Each file is
+        replaced atomically, ``model.json`` last."""
         os.makedirs(directory, exist_ok=True)
-        blob = b"".join(np.asarray(p.data, dtype="<f8").tobytes() for p in self.parameters().values())
+        blob = np.asarray(self.flat, dtype="<f8").tobytes()
         nd.write_file_atomic(os.path.join(directory, _PARAMS_BIN), blob)
         sidecar = dict(self.config.to_dict(), sha256=hashlib.sha256(blob).hexdigest())
         nd.write_file_atomic(os.path.join(directory, _MODEL_JSON), json.dumps(sidecar, indent=2).encode())
@@ -142,17 +138,12 @@ class PmpModel:
             raise ValueError(f"{blob_path}: file is missing") from None
         except OSError as err:
             raise ValueError(f"{blob_path}: cannot read: {err}") from None
-        params = model.parameters().values()
-        expected = 8 * sum(p.size for p in params)
+        expected = 8 * model.flat.size
         if len(raw) != expected:
             raise ValueError(f"{blob_path}: has {len(raw)} bytes, {path} expects {expected}")
         if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
             raise ValueError(f"{blob_path}: sha256 does not match {path}, the file is corrupted")
-        blob = np.frombuffer(raw, dtype="<f8")
-        pos = 0
-        for p in params:
-            p.data = blob[pos : pos + p.size].reshape(p.shape).astype(np.float64)
-            pos += p.size
+        model.flat[...] = np.frombuffer(raw, dtype="<f8")
         return model
 
 

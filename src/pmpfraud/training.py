@@ -9,7 +9,9 @@ training labels are known, so val and test nodes stay in the unlabeled
 bucket.
 
 Training batches record a reverse graph for the Adam step, from the
-batch's logits through the loss. Scoring
+batch's logits through the loss. Adam joins a step's gradients into one
+array and updates ``PmpModel.flat``, the weights, with whole-array
+operations; the best epoch is a copy of ``flat``. Scoring
 (``forward_scores``, which serves the per-epoch validation pass and
 ``evaluate``) needs no gradients and runs under ``ndiff.no_grad()``, so it
 records none; the scores are bitwise those of a recorded forward.
@@ -89,45 +91,45 @@ class TrainingDiverged(ArithmeticError):
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, updating one flat array in place.
 
     update = lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta),
     so with zero gradient a parameter shrinks by the factor
-    (1 - lr * weight_decay) per step.
+    (1 - lr * weight_decay) per step. Every operation is elementwise, so
+    each entry moves exactly as it would in an array of its own.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0):
+    def __init__(self, flat: np.ndarray, learning_rate: float, weight_decay: float = 0.0):
         _check_rates(learning_rate=learning_rate, weight_decay=weight_decay)
-        self.params = dict(params)
+        self.flat = flat
         self.lr = float(learning_rate)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
     def step(self, grads: dict):
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise nd.NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        """One update from ``grads``, name to gradient in ``flat``'s order as
+        the tape returns them; a non-finite one raises naming its parameter."""
+        g = np.concatenate(list(grads.values()), axis=None)
+        if not np.isfinite(g).all():
+            name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+            raise nd.NonFiniteError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * g
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
+        if self.weight_decay:
+            update += self.weight_decay * self.flat
+        self.flat -= self.lr * update
 
 
 @dataclass
@@ -224,13 +226,12 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
     """
     partition = graph_mod.PartitionIndex.from_table(graph, table)
     sums = _pass_sums(model, graph, partition, table.features)
-    params = model.parameters()
-    opt = Adam(params, config.learning_rate, config.weight_decay)
-    tape = nd.GradientTape(params)
+    opt = Adam(model.flat, config.learning_rate, config.weight_decay)
+    tape = nd.GradientTape(model.parameters())
     rng = np.random.default_rng(config.seed)
     train_ids = table.split_ids("train")
     history = History()
-    best_state = model.state()
+    best = model.flat.copy()
     best_auc = -math.inf
     stale = 0
 
@@ -244,7 +245,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
         history.append(epoch, train_loss, val_auc)
         if math.isnan(val_auc):
             # No usable validation signal; keep the latest weights.
-            best_state = model.state()
+            best[...] = model.flat
             history.best_epoch = epoch
             continue
         if val_auc >= best_auc:
@@ -253,7 +254,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
             # Only a strict improvement resets the patience counter.
             stale = 0 if val_auc > best_auc else stale + 1
             best_auc = val_auc
-            best_state = model.state()
+            best[...] = model.flat
             history.best_epoch = epoch
             history.best_val_auc = val_auc
         else:
@@ -261,7 +262,7 @@ def train(model: PmpModel, graph: RelationalGraph, table: NodeTable, config: Tra
         if stale >= config.patience:
             break
 
-    model.load_state(best_state)
+    model.flat[...] = best
     return model, history
 
 

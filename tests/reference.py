@@ -11,7 +11,9 @@ program no longer records, ``influence_linear_check`` and ``grad_check``
 ``composed_layer_forward``, ``composed_readout`` and ``composed_loss`` are
 the layer, the readout head and the loss as the engine's small ops record
 them, node by node, which the one-op ``layer_forward``, ``readout`` and
-``binary_cross_entropy`` must equal bitwise. ``frontier_model_forward``
+``binary_cross_entropy`` must equal bitwise. ``PerArrayAdam`` is the
+optimizer one parameter array at a time, which the flat ``Adam`` must
+equal bitwise. ``frontier_model_forward``
 checks only how ``model_forward`` feeds its layers, so it runs the
 production layer and readout on inputs it indexes its own way.
 """
@@ -500,3 +502,45 @@ def influence_linear_check(adjacency_norm, W, k, i, j):
         nd.backward(H, seed=seed)
         block[:, q] = X.grad[j]
     return float(np.max(np.abs(block - expected)))
+
+
+class PerArrayAdam:
+    """Adam with decoupled weight decay, one parameter array at a time: the
+    optimizer as it stood before the weights became one flat array, kept
+    as the oracle that the flat ``training.Adam`` must equal bitwise.
+
+    ``params`` maps names to gradient-enabled tensors; each step rebinds
+    their ``data``, so give it tensors that are not views of a model.
+    """
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict, learning_rate: float, weight_decay: float = 0.0):
+        self.params = dict(params)
+        self.lr = float(learning_rate)
+        self.weight_decay = float(weight_decay)
+        self.t = 0
+        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, grads: dict):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise nd.NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        self.t += 1
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data = p.data - self.lr * update

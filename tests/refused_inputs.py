@@ -276,14 +276,16 @@ def _json_file(file, *rows):
     )
 
 
-def _node_csv(file, *rows):
+def _node_csv(file, truncated, *rows):
+    """The damages of a "node,value" CSV; ``truncated`` is what a row cut
+    off after its comma must be refused with."""
     return _damages(
         file,
         ("missing", _missing, "missing file"),
         ("a directory", _directory, "cannot read"),
         ("empty", _empty, "expected a header line"),
         ("header only", _first_line_only, "rows, got 0"),
-        ("truncated", _truncated, "could not convert string ''"),
+        ("truncated", _truncated, truncated),
         ("extra column", _extra_column, "expected 2 columns, got 3"),
         ("non-integer id", _field(0, "x7"), "'x7'"),
         ("out-of-range id", _out_of_range_id, "node column must cover"),
@@ -326,8 +328,10 @@ DAMAGED_FILES = [
         ("empty", _empty, "values, got 0"),
         ("truncated", _truncated, "row-count mismatch"),
     ),
-    *_node_csv("labels.csv", ("label 2", _field(1, "2"), "label outside {0, 1}")),
-    *_node_csv("splits.csv", ("split bogus", _field(1, "bogus"), "unknown split 'bogus'")),
+    *_node_csv("labels.csv", "could not convert string '' to int64",
+               ("label 2", _field(1, "2"), "label outside {0, 1}")),
+    *_node_csv("splits.csv", "column 2: unknown split '', expected one of",
+               ("split bogus", _field(1, "bogus"), "column 2: unknown split 'bogus'")),
     *_json_file(
         "config.json",
         ("no resolved object", _lines(lambda lines: ["{}"]), 'expected a "resolved" object'),

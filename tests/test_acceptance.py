@@ -68,7 +68,7 @@ def _random_table(rng, g, d, fraud_p=0.3, unlabeled_p=0.3):
 def _nudge(model, rng, scale=0.3):
     # Zero-initialized blocks would hide wiring bugs from the checks.
     for p in model.parameters().values():
-        p.data = p.data + scale * rng.normal(size=p.data.shape)
+        p.data += scale * rng.normal(size=p.data.shape)
 
 
 def test_c01_full_model_gradients_match_finite_differences():
@@ -138,11 +138,11 @@ def test_c02_partition_with_equal_matrices_collapses_to_baseline():
         _nudge(partitioned, rng)
         for stack in partitioned.layers:
             for p in stack:
-                p.M_be.data = p.M_fr.data.copy()
-                p.M_un.data = p.M_fr.data.copy()
+                p.M_be.data[...] = p.M_fr.data
+                p.M_un.data[...] = p.M_fr.data
         baseline = PmpModel(
             ModelConfig(variant=LayerVariant.baseline(), **cfg), seed=trial)
-        baseline.load_state(partitioned.state())
+        baseline.flat[...] = partitioned.flat
         batch = rng.choice(n, size=min(10, n), replace=False)
         a = model_forward(partitioned, g, partition, table.features, batch)
         b = model_forward(baseline, g, partition, table.features, batch)

@@ -155,6 +155,22 @@ class TestSpatialSpectral:
             assert report.spatial_identity_error <= 1e-10
             assert report.reconstruction_error <= 1e-8
 
+    def test_reconstruction_error_reads_every_row_block(self, monkeypatch):
+        # Decompose L plus 1e-3 at one diagonal entry of the last, partial
+        # row block: the residual is that entry alone, and the check must
+        # reach it, although it takes the residual block by block.
+        n = analysis._RESIDUAL_ROWS + 44
+        eigendecompose = analysis.eigendecompose
+
+        def shifted(L):
+            L = L.copy()
+            L[n - 1, n - 1] += 1e-3
+            return eigendecompose(L)
+
+        monkeypatch.setattr(analysis, "eigendecompose", shifted)
+        report = self.run_check(np.random.default_rng(8), n=n)
+        assert abs(report.reconstruction_error - 1e-3) < 1e-12
+
     def test_identity_is_exact_at_alpha_endpoints(self):
         # at alpha 0 or 1 the blended matrix is bitwise one of the two
         # weight matrices, so both sides run the same arithmetic
@@ -209,16 +225,16 @@ def hand_model(values):
     cfg = ModelConfig(feature_dim=1, hidden_dim=1, variant=LayerVariant.full())
     model = PmpModel(cfg, seed=0)
     p = model.layers[0][0]
-    p.W_self.data = np.array([[values["a"]]])
-    p.b_self.data = np.array([values["c"]])
-    p.M_fr.data = np.array([[values["mf"]]])
-    p.B_fr.data = np.array([[values["bf"]]])
-    p.M_be.data = np.array([[values["mb"]]])
-    p.B_be.data = np.array([[values["bb"]]])
-    model.readout_W.data = np.array([[values["wr"]]])
-    model.readout_b.data = np.array([values["br"]])
-    model.head_w.data = np.array([[values["wh"]]])
-    model.head_b.data = np.array([values["bh"]])
+    p.W_self.data[...] = values["a"]
+    p.b_self.data[...] = values["c"]
+    p.M_fr.data[...] = values["mf"]
+    p.B_fr.data[...] = values["bf"]
+    p.M_be.data[...] = values["mb"]
+    p.B_be.data[...] = values["bb"]
+    model.readout_W.data[...] = values["wr"]
+    model.readout_b.data[...] = values["br"]
+    model.head_w.data[...] = values["wh"]
+    model.head_b.data[...] = values["bh"]
     return model
 
 
@@ -258,7 +274,7 @@ class TestInfluence:
         table = NodeTable(0.5 * rng.normal(size=(n, 3)), labels, np.zeros(n, dtype=np.int64))
         model = PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=2, num_relations=2), seed=8)
         for p in model.parameters().values():
-            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+            p.data += 0.1 * rng.normal(size=p.data.shape)
         partition = PartitionIndex.from_table(g, table)
         center = 0
         # a column-major copy, as NodeTable stores them
@@ -282,7 +298,7 @@ class TestInfluence:
 
     def test_zero_model_has_zero_influence(self):
         g, table, model, _ = self.chain_fixture()
-        model.load_state({k: np.zeros_like(p) for k, p in model.state().items()})
+        model.flat[...] = 0.0
         assert influence(model, g, table, 0) == (0.0, 0.0)
 
     def test_neighbors_union_over_relations(self):

@@ -183,7 +183,8 @@ def relations_permuted(model, perm):
                 new[f"rel{j}." + key[len(f"rel{r}."):]] = value
     new["readout.W"] = np.concatenate([old["readout.W"][r * H : (r + 1) * H] for r in perm])
     out = PmpModel(model.config, seed=0)
-    out.load_state(new)
+    for key, p in out.parameters().items():
+        p.data[...] = new[key]
     return out
 
 

@@ -13,6 +13,7 @@ from pmpfraud import ndiff as nd
 from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant, layer_forward
 from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_forward, model_logits
+from pmpfraud.training import TrainConfig, train
 
 from .reference import (
     composed_layer_forward, composed_loss, composed_readout, frontier_model_forward, grad_check, naive_model_forward,
@@ -50,7 +51,7 @@ def random_instance(rng, n=16, num_relations=1, num_layers=1, variant=None, d=3,
     # comparison exercises every term
     for name, p in model.parameters().items():
         if not p.data.any():
-            p.data = 0.3 * rng.normal(size=p.data.shape)
+            p.data[...] = 0.3 * rng.normal(size=p.data.shape)
     x = rng.normal(size=(n, d))
     return g, idx, labels, model, x
 
@@ -59,7 +60,7 @@ class TestForward:
     def test_zero_parameters_give_exactly_half(self):
         rng = np.random.default_rng(0)
         g, idx, labels, model, x = random_instance(rng)
-        model.load_state({k: np.zeros_like(v) for k, v in model.state().items()})
+        model.flat[...] = 0.0
         probs = model_forward(model, g, idx, x, np.arange(g.num_nodes))
         np.testing.assert_array_equal(probs.data, np.full(g.num_nodes, 0.5))
 
@@ -159,17 +160,15 @@ class TestForward:
             variant=model1.config.variant,
         )
         model2 = PmpModel(cfg2, seed=0)
-        state1 = model1.state()
-        state2 = {}
-        for k, v in state1.items():
+        params2 = model2.parameters()
+        for k, p in model1.parameters().items():
             if k.startswith("rel0."):
-                state2[k] = v
-                state2["rel1." + k[len("rel0.") :]] = v
+                params2[k].data[...] = p.data
+                params2["rel1." + k[len("rel0.") :]].data[...] = p.data
             elif k == "readout.W":
-                state2[k] = np.concatenate([v, v]) / 2.0
+                params2[k].data[...] = np.concatenate([p.data, p.data]) / 2.0
             else:
-                state2[k] = v
-        model2.load_state(state2)
+                params2[k].data[...] = p.data
         batch = np.arange(g1.num_nodes)
         a = model_forward(model1, g1, idx1, x, batch)
         b = model_forward(model2, g2, idx2, x, batch)
@@ -496,13 +495,38 @@ class TestOneOpPerLayer:
         assert report.passed, str(report)
 
 
+def assert_views_of_flat(model):
+    """Every parameter's data is a view of ``model.flat``, in ``parameters()`` order, back to back."""
+    start = model.flat.__array_interface__["data"][0]
+    pos = 0
+    for name, p in model.parameters().items():
+        assert p.data.base is model.flat, name
+        assert p.data.__array_interface__["data"][0] == start + 8 * pos, name
+        pos += p.size
+    assert pos == model.flat.size and model.flat.dtype == np.float64
+
+
 class TestStateAndCheckpoint:
+    def test_parameters_stay_views_of_flat(self, tmp_path):
+        rng = np.random.default_rng(15)
+        g, _, labels, model, x = random_instance(rng, num_relations=2, num_layers=2)
+        assert_views_of_flat(model)
+        table = NodeTable(x, labels, np.where(np.arange(g.num_nodes) % 4 == 3, 1, 0))
+        trained, _ = train(model, g, table, TrainConfig(batch_size=4, max_epochs=3, patience=3, weight_decay=0.01))
+        assert trained is model
+        assert_views_of_flat(model)
+        model.save(str(tmp_path))
+        loaded = PmpModel.load(str(tmp_path))
+        assert_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
     def test_state_roundtrip(self):
         rng = np.random.default_rng(10)
         _, _, _, model, _ = random_instance(rng)
         state = model.state()
         other = PmpModel(model.config, seed=99)
-        other.load_state(state)
+        other.flat[...] = model.flat
+        assert list(other.state()) == list(state)
         for k, v in other.state().items():
             np.testing.assert_array_equal(v, state[k])
 
@@ -512,14 +536,6 @@ class TestStateAndCheckpoint:
         state = model.state()
         state["head.w"][:] = 123.0
         assert not np.array_equal(model.head_w.data, state["head.w"])
-
-    def test_load_state_validates_shapes(self):
-        rng = np.random.default_rng(12)
-        _, _, _, model, _ = random_instance(rng)
-        state = model.state()
-        state["head.w"] = np.zeros((7, 7))
-        with pytest.raises(ValueError, match="head.w"):
-            model.load_state(state)
 
     def test_model_json_with_dropout_p_still_loads(self, tmp_path):
         # model.json files written before the dropout rate moved to
@@ -556,7 +572,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(33)
         _, _, _, model, _ = random_instance(rng, **kw)
         for p in model.parameters().values():
-            p.data = rng.normal(size=p.shape)
+            p.data[...] = rng.normal(size=p.shape)
         model.save(str(tmp_path))
         return model
 

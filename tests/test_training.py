@@ -19,7 +19,7 @@ from pmpfraud.training import (
     train,
 )
 
-from .reference import counted_metrics
+from .reference import PerArrayAdam, counted_metrics
 
 
 def small_dataset(seed=0, n=60):
@@ -40,50 +40,88 @@ def small_model(table, hidden=8, seed=0, variant=None):
 
 class TestAdam:
     def test_single_step_closed_form(self):
-        theta = nd.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam({"w": theta}, learning_rate=0.1)
+        theta = np.array([1.0, -2.0])
+        opt = Adam(theta, learning_rate=0.1)
         g = np.array([0.5, -3.0])
         opt.step({"w": g})
         # bias corrections cancel at t=1: update = g / (|g| + eps)
         want = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_array_equal(theta.data, want)
+        np.testing.assert_array_equal(theta, want)
 
     def test_zero_gradient_with_decay_shrinks_multiplicatively(self):
-        theta = nd.Tensor(np.array([4.0, -8.0]), requires_grad=True)
-        opt = Adam({"w": theta}, learning_rate=0.05, weight_decay=0.1)
+        theta = np.array([4.0, -8.0])
+        opt = Adam(theta, learning_rate=0.05, weight_decay=0.1)
         for step in range(3):
             opt.step({"w": np.zeros(2)})
         want = np.array([4.0, -8.0]) * (1.0 - 0.05 * 0.1) ** 3
-        np.testing.assert_allclose(theta.data, want, rtol=1e-14)
+        np.testing.assert_allclose(theta, want, rtol=1e-14)
 
     def test_zero_learning_rate_is_identity(self):
-        theta = nd.Tensor(np.array([3.0]), requires_grad=True)
-        opt = Adam({"w": theta}, learning_rate=0.0, weight_decay=0.5)
+        theta = np.array([3.0])
+        opt = Adam(theta, learning_rate=0.0, weight_decay=0.5)
         opt.step({"w": np.array([7.0])})
-        np.testing.assert_array_equal(theta.data, [3.0])
+        np.testing.assert_array_equal(theta, [3.0])
 
     def test_non_finite_gradient_raises(self):
-        theta = nd.Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam({"w": theta}, learning_rate=0.1)
+        theta = np.array([1.0])
+        opt = Adam(theta, learning_rate=0.1)
         with pytest.raises(nd.NonFiniteError, match="w"):
             opt.step({"w": np.array([np.nan])})
+
+    def test_non_finite_gradient_names_the_first_parameter_holding_one(self):
+        theta = np.zeros(6)
+        opt = Adam(theta, learning_rate=0.1)
+        grads = {"a": np.ones((2, 1)), "b": np.array([1.0, np.inf]), "c": np.array([np.nan, 1.0])}
+        with pytest.raises(nd.NonFiniteError, match="^non-finite gradient for parameter 'b'$"):
+            opt.step(grads)
+        assert opt.t == 0 and not theta.any() and not opt.m.any() and not opt.v.any()
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", -1.0), ("learning_rate", math.inf), ("learning_rate", math.nan),
         ("weight_decay", -1e-3), ("weight_decay", math.inf),
     ])
     def test_hyperparameter_validation(self, name, value):
-        theta = nd.Tensor(np.array([1.0]), requires_grad=True)
+        theta = np.array([1.0])
         rates = {"learning_rate": 0.1, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be a finite, non-negative number, got {value!r}$"):
-            Adam({"w": theta}, **rates)
+            Adam(theta, **rates)
 
     def test_steps_follow_sign_of_gradient(self):
-        theta = nd.Tensor(np.array([0.0]), requires_grad=True)
-        opt = Adam({"w": theta}, learning_rate=0.01)
+        theta = np.array([0.0])
+        opt = Adam(theta, learning_rate=0.01)
         for step in range(5):
             opt.step({"w": np.array([2.0])})
-        assert theta.data[0] < 0.0
+        assert theta[0] < 0.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_flat_steps_equal_the_per_array_oracle_bitwise(self, weight_decay):
+        # A model's flat array and its parameter views, against the
+        # per-array optimizer over copies. The gradients hold exact zeros,
+        # subnormals and entries that flip sign from step to step, so the
+        # moments pass through zero, the subnormal range and cancellation.
+        model = PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=2, num_relations=2), seed=1)
+        params = model.parameters()
+        copies = {name: nd.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+        opt = Adam(model.flat, learning_rate=0.01, weight_decay=weight_decay)
+        oracle = PerArrayAdam(copies, learning_rate=0.01, weight_decay=weight_decay)
+        rng = np.random.default_rng(2)
+        tiny = np.finfo(np.float64).tiny
+        signs = {name: rng.choice([-1.0, 1.0], size=p.shape) for name, p in params.items()}
+        for step in range(20):
+            grads = {}
+            for name, p in params.items():
+                g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3, size=p.shape)
+                kind = rng.integers(0, 4, size=p.shape)
+                g[kind == 0] = 0.0
+                g[kind == 1] = tiny * rng.random(size=int((kind == 1).sum()))
+                signs[name] = np.where(kind == 2, -signs[name], signs[name])
+                grads[name] = signs[name] * g
+            opt.step(grads)
+            oracle.step({name: g.copy() for name, g in grads.items()})
+            for name, p in params.items():
+                assert p.data.tobytes() == copies[name].data.tobytes(), (step, name)
+        entries = np.concatenate([g.ravel() for g in grads.values()])
+        assert (entries == 0).any() and ((entries != 0) & (np.abs(entries) < tiny)).any()
 
 
 class TestTrainConfig:
@@ -194,6 +232,41 @@ class TestTrainLoop:
             train(model, g, table, cfg)
         assert info.value.epoch >= 0
         assert info.value.batch_index >= -1
+
+    @pytest.mark.parametrize("aucs, best_epoch", [([0.6, 0.9, 0.7, 0.8], 1), ([0.9, 0.9, 0.5], 1)])
+    def test_returns_the_best_epochs_weights(self, monkeypatch, aucs, best_epoch):
+        # Scripted validation AUCs; patience 2 stops after the last one,
+        # with epoch 1 the best (a tie keeps the later epoch). The returned
+        # weights are bitwise those the best epoch's validation pass read.
+        seen = []
+
+        def scripted(model, *args):
+            seen.append(model.flat.copy())
+            return aucs[len(seen) - 1]
+
+        monkeypatch.setattr(training, "_val_auc", scripted)
+        _, _, model, history = self.run(seed=4, max_epochs=4, patience=2)
+        assert history.best_epoch == best_epoch and len(seen) == len(aucs)
+        assert model.flat.tobytes() == seen[best_epoch].tobytes()
+        assert not np.array_equal(seen[best_epoch], seen[-1])
+
+    def test_nan_in_one_parameters_gradient_diverges_naming_it(self, monkeypatch):
+        g, table = small_dataset(seed=6)
+        model = small_model(table, seed=6)
+        before = model.flat.copy()
+        gradients = nd.GradientTape.gradients
+
+        def poisoned(tape, loss, *args, **kwargs):
+            grads = gradients(tape, loss, *args, **kwargs)
+            grads["rel0.layer0.M_be"][1, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(nd.GradientTape, "gradients", poisoned)
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, g, table, TrainConfig(batch_size=16, max_epochs=2, seed=6))
+        assert (info.value.epoch, info.value.batch_index) == (0, 0)
+        assert str(info.value).endswith("non-finite gradient for parameter 'rel0.layer0.M_be'")
+        assert model.flat.tobytes() == before.tobytes()
 
     def test_divergence_in_the_validation_pass_names_it(self, monkeypatch):
         g, table = small_dataset(seed=6)
@@ -350,7 +423,7 @@ class TestEvaluate:
     def test_zero_model_scores_half_everywhere(self):
         g, table = small_dataset(seed=9)
         model = small_model(table, seed=9)
-        model.load_state({k: np.zeros_like(v) for k, v in model.state().items()})
+        model.flat[...] = 0.0
         report = evaluate(model, g, table, "test")
         assert report.auc == 0.5
         # every score is exactly 0.5, so every node is predicted fraud
