@@ -17,11 +17,13 @@ below it has no rows, so a header-only edges file is a relation with no
 edges. features.csv has no header line, and all four CSVs go through one
 reader, so an empty features.csv is a row-count error.
 Loaders validate counts, ranges, and finiteness, and raise BundleError
-naming the offending file.
+naming the offending file, and the line and column of a CSV row that does
+not parse.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import numbers
 import os
@@ -62,14 +64,33 @@ def _load_csv(path: str, columns: int, header: bool = True, dtype=np.int64, conv
     except OSError as err:
         raise BundleError(f"{path}: cannot read: {err}") from None
     except ValueError as err:
-        # A converter's error is the reason; numpy's text around it names a dtype the converter chose, not the file.
-        where = re.search(r"at (row \d+, column \d+)", str(err)) if err.__cause__ else None
-        raise BundleError(f"{path}: {where[1]}: {err.__cause__}" if where else f"{path}: {err}") from err
+        raise BundleError(_at_line(path, err, int(header))) from err
     if not has_header:
         raise BundleError(f"{path}: empty file, expected a header line")
     if data.shape[1] != columns:
         raise BundleError(f"{path}: expected {columns} columns, got {data.shape[1]}")
     return data
+
+
+def _at_line(path: str, err: ValueError, skipped: int) -> str:
+    """``np.loadtxt``'s error on ``path`` naming the file's 1-based line.
+
+    numpy numbers the rows below the ``skipped`` lines that hold more than
+    a comment, from 0 when a field does not convert and from 1 when the
+    column count changes; the line is counted here, only for a refused file.
+    """
+    found = re.search(r"at row (\d+)(, column \d+)?", str(err))
+    line = None
+    if found:
+        with open(path) as fh:
+            rows = (i for i, text in enumerate(fh, 1) if i > skipped and text.split("#", 1)[0].rstrip("\n"))
+            line = next(itertools.islice(rows, int(found[1]) - (found[2] is None), None), None)
+    if line is None:
+        return f"{path}: {err}"
+    if err.__cause__:
+        # A converter's error is the reason; numpy's text around it names a dtype the converter chose, not the file.
+        return f"{path}: line {line}{found[2]}: {err.__cause__}"
+    return f"{path}: " + str(err).replace(found[0], f"at line {line}{found[2] or ''}", 1)
 
 
 def _load_node_column(path: str, n: int, converters=None) -> np.ndarray:

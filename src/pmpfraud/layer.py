@@ -92,6 +92,17 @@ class LayerVariant:
         """Single shared weight matrix over all neighbors."""
         return cls(False, False, False)
 
+    @property
+    def weights(self) -> tuple:
+        """Names of the blocks a layer of this variant holds and reads, in
+        ``PmpLayerParams.FIELDS`` order."""
+        if not self.partition_enabled:
+            return ("W_self", "b_self", "M_fr")
+        unread = {"M_un"} if self.adaptive_combination_enabled else {"w_phi", "b_phi"}
+        if not self.root_specific_enabled:
+            unread |= {"B_fr", "B_be"}
+        return tuple(name for name in PmpLayerParams.FIELDS if name not in unread)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -106,14 +117,16 @@ class LayerVariant:
 
 
 class PmpLayerParams:
-    """Parameter block for one layer.
+    """The weights of one layer of ``variant``: exactly the blocks it reads,
+    named by ``variant.weights``.
 
-    W_self/b_self       shared self transformation
-    M_fr, B_fr          fraud-bucket generator (weight when not root-specific)
-    M_be, B_be          benign-bucket generator
-    M_un                shared unlabeled matrix, used only when adaptive
-                        combination is off
-    w_phi, b_phi        blend gate head
+    W_self/b_self       shared self transformation (every variant)
+    M_fr, B_fr          fraud-bucket generator (M_fr alone is the weight
+                        without root-specific weights, and the baseline's
+                        one shared map)
+    M_be, B_be          benign-bucket generator (partitioned variants)
+    M_un                unlabeled-bucket map, without adaptive combination
+    w_phi, b_phi        blend gate head, with adaptive combination
 
     Weight matrices start uniform with scale sqrt(6 / (d_in + d_out));
     biases and the gate start at zero, so the blend opens at 0.5.
@@ -121,25 +134,20 @@ class PmpLayerParams:
 
     FIELDS = ("W_self", "b_self", "M_fr", "B_fr", "M_be", "B_be", "M_un", "w_phi", "b_phi")
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
-        self.d_in, self.d_out = int(d_in), int(d_out)
-        if rng is None:
-            uniform = lambda: np.zeros((d_in, d_out))
-        else:
-            bound = np.sqrt(6.0 / (d_in + d_out))
-            uniform = lambda: rng.uniform(-bound, bound, size=(d_in, d_out))
-        self.W_self = nd.Tensor(uniform(), requires_grad=True)
-        self.b_self = nd.Tensor(np.zeros(d_out), requires_grad=True)
-        self.M_fr = nd.Tensor(uniform(), requires_grad=True)
-        self.B_fr = nd.Tensor(np.zeros((d_in, d_out)), requires_grad=True)
-        self.M_be = nd.Tensor(uniform(), requires_grad=True)
-        self.B_be = nd.Tensor(np.zeros((d_in, d_out)), requires_grad=True)
-        self.M_un = nd.Tensor(uniform(), requires_grad=True)
-        self.w_phi = nd.Tensor(np.zeros((d_in, 1)), requires_grad=True)
-        self.b_phi = nd.Tensor(np.zeros(1), requires_grad=True)
+    def __init__(self, d_in: int, d_out: int, variant: LayerVariant, rng: np.random.Generator):
+        self.d_in, self.d_out, self.variant = int(d_in), int(d_out), variant
+        bound = np.sqrt(6.0 / (d_in + d_out))
+        # Every variant draws all four maps, in this order, and keeps the ones
+        # it reads: the generator advances alike whatever the variant, so the
+        # layers (and the head drawn after them) of any two variants built from
+        # one seed start equal in every block they share.
+        maps = {name: rng.uniform(-bound, bound, size=(d_in, d_out)) for name in ("W_self", "M_fr", "M_be", "M_un")}
+        zeros = {"b_self": d_out, "B_fr": (d_in, d_out), "B_be": (d_in, d_out), "w_phi": (d_in, 1), "b_phi": 1}
+        for name in variant.weights:
+            setattr(self, name, nd.Tensor(maps[name] if name in maps else np.zeros(zeros[name]), requires_grad=True))
 
     def tensors(self, prefix: str = "") -> dict:
-        return {prefix + name: getattr(self, name) for name in self.FIELDS}
+        return {prefix + name: getattr(self, name) for name in self.variant.weights}
 
 
 def bucket_sums(
@@ -166,14 +174,13 @@ def bucket_sums(
 
 def layer_forward(
     params: PmpLayerParams,
-    variant: LayerVariant,
     sums: nd.Tensor,
     h_centers: nd.Tensor,
     h_gate: nd.Tensor,
     use_relu: bool = True,
 ) -> nd.Tensor:
     """Self transformation plus bucketed neighbor aggregation, then
-    activation, recorded as one op named ``layer``.
+    activation, recorded as one op named ``layer``, under ``params.variant``.
 
     ``sums`` is the k centers' ``bucket_sums`` table, [3k, d_in], whose
     three blocks are read in place. ``h_centers`` is the centers'
@@ -181,7 +188,8 @@ def layer_forward(
     ``h_gate`` the (pre-dropout) one read by the blend gate; they may be
     one tensor. Dropout is applied by the caller, which needs both the pre
     and post dropout outputs (the next layer's gate reads the pre-dropout
-    one). Gradients reach every input that requires them.
+    one). Gradients reach every input that requires them and every block
+    of the layer.
     """
     p, T = params, sums.data
     if h_centers.data.ndim != 2 or h_centers.shape[1] != p.d_in:
@@ -189,13 +197,16 @@ def layer_forward(
     k = h_centers.shape[0]
     if T.shape != (3 * k, p.d_in):
         raise nd.ShapeError(f"layer: sums must be the {k} centers' [{3 * k}, {p.d_in}] table, got shape {T.shape}")
+    variant = p.variant
     adaptive, rs = variant.adaptive_combination_enabled, variant.root_specific_enabled
     if adaptive and h_gate.shape != (k, p.d_in):
         raise nd.ShapeError(f"layer: h_gate must be [{k}, {p.d_in}], got shape {h_gate.shape}")
 
     hc, hg = h_centers.data, h_gate.data
+    blocks = p.tensors()
+    # A block the variant does not hold reads None; no branch below reads it.
     W_self, M_fr, B_fr, M_be, B_be, M_un, w_phi = (
-        t.data for t in (p.W_self, p.M_fr, p.B_fr, p.M_be, p.B_be, p.M_un, p.w_phi)
+        blocks[n].data if n in blocks else None for n in ("W_self", "M_fr", "B_fr", "M_be", "B_be", "M_un", "w_phi")
     )
     S_fr, S_be, S_un = T[:k], T[k : 2 * k], T[2 * k :]
     pre = hc @ W_self
@@ -241,9 +252,9 @@ def layer_forward(
     sums_grad = sums.requires_grad
     names = ["h_centers"] + (["sums"] if sums_grad else [])
     names += ["h_gate"] if adaptive and h_gate is not h_centers else []
-    names += PmpLayerParams.FIELDS  # a parameter the variant does not read gets None
-    inputs = {"h_centers": h_centers, "sums": sums, "h_gate": h_gate}
-    parents = tuple(inputs[n] if n in inputs else getattr(p, n) for n in names)
+    names += list(blocks)  # the layer's own blocks, each of which the adjoint gives a gradient
+    inputs = dict(blocks, h_centers=h_centers, sums=sums, h_gate=h_gate)
+    parents = tuple(inputs[n] for n in names)
 
     def vjp(g):
         # Each adjoint is the one its step of the composed layer records;

@@ -63,9 +63,10 @@ class ModelConfig:
 
 
 class PmpModel:
-    """Per-relation layer stacks, concat readout, logit head. The weights
-    are one float64 array, ``flat``, in ``parameters()`` order; every
-    parameter's ``data`` is a view of it, so write weights in place."""
+    """Per-relation layer stacks, concat readout, logit head. Each layer
+    holds only the blocks its variant reads. The weights are one float64
+    array, ``flat``, in ``parameters()`` order; every parameter's ``data``
+    is a view of it, so write weights in place."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -75,7 +76,7 @@ class PmpModel:
             stack = []
             for l in range(config.num_layers):
                 d_in = config.feature_dim if l == 0 else config.hidden_dim
-                stack.append(PmpLayerParams(d_in, config.hidden_dim, rng))
+                stack.append(PmpLayerParams(d_in, config.hidden_dim, config.variant, rng))
             self.layers.append(stack)
         d_cat = config.num_relations * config.hidden_dim
         bound = np.sqrt(6.0 / (d_cat + config.hidden_dim))
@@ -253,8 +254,7 @@ def model_logits(
             # One gather serves both reads of one tensor; with a gradient, two keep the adjoint's order of sums.
             shared = h is h_gate_src and not h.requires_grad
             h_gate = h_centers if shared else nd.gather_rows(h_gate_src, centers)
-            act = layer_forward(model.layers[r][l - 1], cfg.variant, table, h_centers, h_gate,
-                                use_relu=(l < cfg.num_layers))
+            act = layer_forward(model.layers[r][l - 1], table, h_centers, h_gate, use_relu=(l < cfg.num_layers))
             if dropout_p > 0.0:
                 key = np.random.SeedSequence(entropy=seed, spawn_key=(r, l, epoch, batch_index))
                 h = nd.dropout(act, dropout_p, key)

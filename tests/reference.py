@@ -153,11 +153,7 @@ def naive_model_forward(model, graph, partition, features, batch, relu_margins=N
             p = model.layers[r][l]
             w_self = p.W_self.data
             b_self = p.b_self.data
-            m_fr, b_fr = p.M_fr.data, p.B_fr.data
-            m_be, b_be = p.M_be.data, p.B_be.data
-            m_un = p.M_un.data
-            w_phi = p.w_phi.data[:, 0]
-            b_phi = p.b_phi.data[0]
+            m_fr = p.M_fr.data
             h_new = np.zeros((n, w_self.shape[1]))
             for i in range(n):
                 h_i = h_prev[i]
@@ -169,15 +165,15 @@ def naive_model_forward(model, graph, partition, features, batch, relu_margins=N
                     out = out + (s_fr + s_be + s_un) @ m_fr
                 else:
                     if variant.root_specific_enabled:
-                        w_fr_i = np.diag(h_i) @ m_fr + b_fr
-                        w_be_i = np.diag(h_i) @ m_be + b_be
+                        w_fr_i = np.diag(h_i) @ m_fr + p.B_fr.data
+                        w_be_i = np.diag(h_i) @ p.M_be.data + p.B_be.data
                     else:
-                        w_fr_i, w_be_i = m_fr, m_be
+                        w_fr_i, w_be_i = m_fr, p.M_be.data
                     if variant.adaptive_combination_enabled:
-                        a_i = float(_sigmoid(np.array(h_i @ w_phi + b_phi)))
+                        a_i = float(_sigmoid(np.array(h_i @ p.w_phi.data[:, 0] + p.b_phi.data[0])))
                         w_un_i = a_i * w_fr_i + (1.0 - a_i) * w_be_i
                     else:
-                        w_un_i = m_un
+                        w_un_i = p.M_un.data
                     out = out + s_fr @ w_fr_i + s_be @ w_be_i + s_un @ w_un_i
                 if l < cfg.num_layers - 1:
                     if relu_margins is not None and out.size:
@@ -221,7 +217,7 @@ def frontier_model_forward(model, graph, partition, features, batch):
             sums = bucket_sums(h, np.searchsorted(fronts[l - 1], members), seg_ids,
                                partition.bucket[members], pos.size)
             h = layer_forward(
-                model.layers[r][l - 1], cfg.variant, sums,
+                model.layers[r][l - 1], sums,
                 nd.gather_rows(h, pos), nd.gather_rows(h, pos), use_relu=(l < cfg.num_layers),
             )
         per_relation.append(h)
@@ -367,9 +363,10 @@ def _bucket_term(S, h_centers, M, B, root_specific):
     return matmul(S, M)
 
 
-def aggregate_segments(params, variant, sums, h_centers, h_gate):
+def aggregate_segments(params, sums, h_centers, h_gate):
     """The neighbor aggregation of ``layer_forward``, one recorded op per
     step: three block gathers, the gate, the blend, the two bucket terms."""
+    variant = params.variant
     k = h_centers.shape[0]
     S_fr, S_be, S_un = (nd.gather_rows(sums, np.arange(b * k, (b + 1) * k)) for b in range(3))
     if not variant.partition_enabled:
@@ -380,17 +377,17 @@ def aggregate_segments(params, variant, sums, h_centers, h_gate):
         S_fr = add(S_fr, row_scale(S_un, a))
         S_be = add(S_be, row_scale(S_un, affine(a, -1.0, 1.0)))
     total = add(
-        _bucket_term(S_fr, h_centers, params.M_fr, params.B_fr, rs),
-        _bucket_term(S_be, h_centers, params.M_be, params.B_be, rs),
+        _bucket_term(S_fr, h_centers, params.M_fr, getattr(params, "B_fr", None), rs),
+        _bucket_term(S_be, h_centers, params.M_be, getattr(params, "B_be", None), rs),
     )
     return total if variant.adaptive_combination_enabled else add(total, matmul(S_un, params.M_un))
 
 
-def composed_layer_forward(params, variant, sums, h_centers, h_gate, use_relu=True):
+def composed_layer_forward(params, sums, h_centers, h_gate, use_relu=True):
     """``layer_forward`` with each step its own recorded op (10 for the
     baseline, 25 for the full variant): self term, aggregation, ReLU."""
     self_term = add_rowvec(matmul(h_centers, params.W_self), params.b_self)
-    out = add(self_term, aggregate_segments(params, variant, sums, h_centers, h_gate))
+    out = add(self_term, aggregate_segments(params, sums, h_centers, h_gate))
     return relu(out) if use_relu else out
 
 

@@ -142,7 +142,10 @@ def test_c02_partition_with_equal_matrices_collapses_to_baseline():
                 p.M_un.data[...] = p.M_fr.data
         baseline = PmpModel(
             ModelConfig(variant=LayerVariant.baseline(), **cfg), seed=trial)
-        baseline.flat[...] = partitioned.flat
+        # the baseline holds a subset of the partitioned model's blocks
+        weights = partitioned.parameters()
+        for name, p in baseline.parameters().items():
+            p.data[...] = weights[name].data
         batch = rng.choice(n, size=min(10, n), replace=False)
         a = model_forward(partitioned, g, partition, table.features, batch)
         b = model_forward(baseline, g, partition, table.features, batch)
@@ -162,12 +165,12 @@ def test_c03_fused_generator_path_matches_materialized_weights():
         g = _random_graph(rng, n, approx_edges=4 * n)
         table = _random_table(rng, g, d_in)
         partition = PartitionIndex.from_table(g, table)
-        params = PmpLayerParams(d_in, d_out, rng)
+        params = PmpLayerParams(d_in, d_out, LayerVariant.full(), rng)
         for t in params.tensors().values():
             t.data = rng.normal(size=t.data.shape)
         h = rng.normal(size=(n, d_in))
         batch = rng.choice(n, size=min(8, n), replace=False)
-        got = aggregate(params, LayerVariant.full(), partition, 0, nd.Tensor(h), batch).data
+        got = aggregate(params, partition, 0, nd.Tensor(h), batch).data
         want = np.zeros_like(got)
         for pos, u in enumerate(batch):
             h_u = h[u]

@@ -236,8 +236,8 @@ class TestEvalAndInfluence:
         assert len(payload["bin_counts"]) == 5
         assert len(payload["bin_edges"]) == 6
 
-    # the run's model (d 4, hidden 8, 1 layer) has 2288 bytes of parameters
-    @pytest.mark.parametrize("change, expected", [({"hidden_dim": 9}, 2640), ({"num_layers": 2}, 5496)],
+    # the run's model (d 4, hidden 8, 1 layer, full variant) has 2032 bytes of parameters
+    @pytest.mark.parametrize("change, expected", [({"hidden_dim": 9}, 2352), ({"num_layers": 2}, 4728)],
                              ids=["hidden_dim", "num_layers"])
     def test_checkpoint_at_odds_with_model_json_exits_2_naming_it(self, run_dir, tmp_path, capsys, change,
                                                                      expected):
@@ -246,7 +246,7 @@ class TestEvalAndInfluence:
         sidecar = run / "checkpoint" / "model.json"
         sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **change)))
         blob = run / "checkpoint" / "params.bin"
-        assert rejected(capsys, "eval", run) == f"{blob}: has 2288 bytes, {sidecar} expects {expected}"
+        assert rejected(capsys, "eval", run) == f"{blob}: has 2032 bytes, {sidecar} expects {expected}"
 
     @pytest.mark.parametrize("command", ["eval", "influence"])
     def test_bundle_of_another_shape_exits_2_naming_bundle_and_checkpoint(self, run_dir, tmp_path, capsys,

@@ -39,19 +39,19 @@ def without_self_term(params):
     return out
 
 
-def aggregate(params, variant, partition, relation, h, batch):
+def aggregate(params, partition, relation, h, batch):
     """Neighbor aggregation for ``batch`` with ``h`` holding one row per node:
     the layer with its self term at exact zeros and no activation."""
-    return forward(without_self_term(params), variant, partition, relation, h, batch, use_relu=False)
+    return forward(without_self_term(params), partition, relation, h, batch, use_relu=False)
 
 
-def forward(params, variant, partition, relation, h, batch, use_relu=True):
+def forward(params, partition, relation, h, batch, use_relu=True):
     """Whole layer (self term, aggregation, activation) for ``batch``."""
     h_c = nd.gather_rows(h, batch)
-    return layer_forward(params, variant, _batch_sums(partition, relation, h, batch), h_c, h_c, use_relu=use_relu)
+    return layer_forward(params, _batch_sums(partition, relation, h, batch), h_c, h_c, use_relu=use_relu)
 
 
-def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):
+def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3, variant=LayerVariant.full()):
     edges = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(edge_factor * n)]
     g = RelationalGraph.from_edge_lists(n, [edges])
     labels = rng.integers(0, 2, size=n)
@@ -60,31 +60,33 @@ def random_setup(rng, n=14, d_in=3, d_out=4, edge_factor=3):
     labels[:2] = [0, 1]
     train[:2] = True
     idx = PartitionIndex.build(g, labels, train)
-    params = PmpLayerParams(d_in, d_out, rng=rng)
+    params = PmpLayerParams(d_in, d_out, variant, rng)
     # nonzero gate and bias blocks, the zero init would mask bugs
     for name in ("b_self", "B_fr", "B_be", "w_phi", "b_phi"):
-        t = getattr(params, name)
-        t.data = rng.normal(size=t.data.shape)
+        if name in variant.weights:
+            t = getattr(params, name)
+            t.data = rng.normal(size=t.data.shape)
     h = nd.Tensor(rng.normal(size=(n, d_in)))
     return g, idx, params, h
 
 
-def materialized_aggregate(params, variant, idx, h, batch):
+def materialized_aggregate(params, idx, h, batch):
     """Per-node loop with explicit diag(h) @ M + B matrices."""
+    variant = params.variant
     out = np.zeros((len(batch), params.d_out))
     for pos, u in enumerate(batch):
         h_u = h.data[u]
-        if variant.root_specific_enabled:
-            w_fr = np.diag(h_u) @ params.M_fr.data + params.B_fr.data
-            w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
-        else:
-            w_fr, w_be = params.M_fr.data, params.M_be.data
         s_fr = h.data[fraud_neighbors(idx, 0, u)].sum(axis=0)
         s_be = h.data[benign_neighbors(idx, 0, u)].sum(axis=0)
         s_un = h.data[unlabeled_neighbors(idx, 0, u)].sum(axis=0)
         if not variant.partition_enabled:
             out[pos] = (s_fr + s_be + s_un) @ params.M_fr.data
             continue
+        if variant.root_specific_enabled:
+            w_fr = np.diag(h_u) @ params.M_fr.data + params.B_fr.data
+            w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
+        else:
+            w_fr, w_be = params.M_fr.data, params.M_be.data
         if variant.adaptive_combination_enabled:
             a = float(_sigmoid(h_u @ params.w_phi.data[:, 0] + params.b_phi.data[0]))
             w_un = a * w_fr + (1.0 - a) * w_be
@@ -136,26 +138,38 @@ class TestVariant:
 
 
 class TestParams:
-    def test_zero_init_without_rng(self):
-        p = PmpLayerParams(3, 2)
+    @pytest.mark.parametrize("variant, names", [
+        (LayerVariant.full(), "W_self b_self M_fr B_fr M_be B_be w_phi b_phi"),
+        (LayerVariant(True, False, True), "W_self b_self M_fr B_fr M_be B_be M_un"),
+        (LayerVariant(True, True, False), "W_self b_self M_fr M_be w_phi b_phi"),
+        (LayerVariant(True, False, False), "W_self b_self M_fr M_be M_un"),
+        (LayerVariant.baseline(), "W_self b_self M_fr"),
+    ], ids=["pat", "pt", "pa", "p", "none"])
+    def test_a_layer_holds_exactly_the_blocks_its_variant_reads(self, variant, names):
+        assert variant.weights == tuple(names.split())
+        p = PmpLayerParams(3, 2, variant, np.random.default_rng(0))
+        assert tuple(p.tensors()) == variant.weights
         for name in PmpLayerParams.FIELDS:
-            assert not getattr(p, name).data.any(), name
+            assert hasattr(p, name) == (name in variant.weights), name
 
     def test_shapes_and_naming(self):
-        p = PmpLayerParams(3, 2, rng=np.random.default_rng(0))
+        p = PmpLayerParams(3, 2, LayerVariant.full(), np.random.default_rng(0))
         t = p.tensors("rel0.layer1.")
-        assert set(t) == {f"rel0.layer1.{n}" for n in PmpLayerParams.FIELDS}
+        assert list(t) == [f"rel0.layer1.{n}" for n in LayerVariant.full().weights]
         assert t["rel0.layer1.W_self"].data.shape == (3, 2)
         assert t["rel0.layer1.w_phi"].data.shape == (3, 1)
         assert t["rel0.layer1.b_phi"].data.shape == (1,)
 
-    def test_glorot_bound(self):
-        p = PmpLayerParams(30, 20, rng=np.random.default_rng(1))
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+    def test_glorot_bound_and_zero_biases(self, variant):
+        p = PmpLayerParams(30, 20, variant, np.random.default_rng(1))
         bound = np.sqrt(6.0 / 50.0)
-        for name in ("W_self", "M_fr", "M_be", "M_un"):
-            data = getattr(p, name).data
-            assert np.abs(data).max() <= bound
-            assert np.abs(data).max() > 0.5 * bound
+        for name, t in p.tensors().items():
+            if name in ("W_self", "M_fr", "M_be", "M_un"):
+                assert np.abs(t.data).max() <= bound
+                assert np.abs(t.data).max() > 0.5 * bound
+            else:
+                assert not t.data.any(), name
 
 
 def gate_values(params, h_gate):
@@ -166,26 +180,28 @@ def gate_values(params, h_gate):
     column 0 is alpha * 1 + (1 - alpha) * 0, which is alpha exactly.
     """
     k, d_in = h_gate.shape
-    probe = without_self_term(params)
-    probe.M_fr = nd.Tensor(np.zeros_like(params.M_fr.data))
+    probe = PmpLayerParams(d_in, params.d_out, LayerVariant(True, True, False), np.random.default_rng(0))
+    for name in ("W_self", "M_fr", "M_be"):
+        getattr(probe, name).data[...] = 0.0
     probe.M_fr.data[0, 0] = 1.0
-    probe.M_be = nd.Tensor(np.zeros_like(params.M_be.data))
+    probe.w_phi.data[...] = params.w_phi.data
+    probe.b_phi.data[...] = params.b_phi.data
     sums = np.zeros((3 * k, d_in))
     sums[2 * k :, 0] = 1.0
     h_centers = nd.Tensor(np.zeros((k, d_in)))
-    out = layer_forward(probe, LayerVariant(True, True, False), nd.Tensor(sums), h_centers, h_gate, use_relu=False)
+    out = layer_forward(probe, nd.Tensor(sums), h_centers, h_gate, use_relu=False)
     return out.data[:, 0]
 
 
 class TestGate:
     def test_zero_init_opens_at_half(self):
-        p = PmpLayerParams(3, 2)
+        p = PmpLayerParams(3, 2, LayerVariant.full(), np.random.default_rng(0))
         a = gate_values(p, nd.Tensor(np.random.default_rng(0).normal(size=(5, 3))))
         np.testing.assert_array_equal(a, np.full(5, 0.5))
 
     def test_matches_scalar_sigmoid(self):
         rng = np.random.default_rng(1)
-        p = PmpLayerParams(4, 2, rng=rng)
+        p = PmpLayerParams(4, 2, LayerVariant.full(), rng)
         p.w_phi.data = rng.normal(size=(4, 1))
         p.b_phi.data = rng.normal(size=1)
         h = rng.normal(size=(6, 4))
@@ -204,24 +220,23 @@ class TestWeightGeneration:
     """
 
     @staticmethod
-    def applied_matrix(params, variant, h_i, neighbor_label, neighbor_in_train):
+    def applied_matrix(params, h_i, neighbor_label, neighbor_in_train):
         d = params.d_in
         g = RelationalGraph.from_edge_lists(2 * d, [[(c, d + c) for c in range(d)]])
         labels = np.full(2 * d, neighbor_label)
         train = np.arange(2 * d) >= d if neighbor_in_train else np.zeros(2 * d, dtype=bool)
         idx = PartitionIndex.build(g, labels, train)
         h = nd.Tensor(np.vstack([np.tile(h_i, (d, 1)), np.eye(d)]))
-        return aggregate(params, variant, idx, 0, h, np.arange(d)).data
+        return aggregate(params, idx, 0, h, np.arange(d)).data
 
     def test_matches_diag_oracle(self):
         rng = np.random.default_rng(2)
-        p = PmpLayerParams(4, 3, rng=rng)
+        p = PmpLayerParams(4, 3, LayerVariant(True, False, True), rng)
         p.B_fr.data = rng.normal(size=(4, 3))
         p.B_be.data = rng.normal(size=(4, 3))
         h_i = rng.normal(size=4)
-        variant = LayerVariant(True, False, True)
-        w_fr = self.applied_matrix(p, variant, h_i, 1, True)
-        w_be = self.applied_matrix(p, variant, h_i, 0, True)
+        w_fr = self.applied_matrix(p, h_i, 1, True)
+        w_be = self.applied_matrix(p, h_i, 0, True)
         np.testing.assert_array_equal(w_fr, np.diag(h_i) @ p.M_fr.data + p.B_fr.data)
         np.testing.assert_array_equal(w_be, np.diag(h_i) @ p.M_be.data + p.B_be.data)
 
@@ -229,13 +244,13 @@ class TestWeightGeneration:
         # a saturated gate sends the unlabeled bucket through one labeled
         # matrix; the gate's clamp keeps it off exact 0 and 1
         rng = np.random.default_rng(3)
-        p = PmpLayerParams(3, 2, rng=rng)
+        p = PmpLayerParams(3, 2, LayerVariant.full(), rng)
         p.B_fr.data = rng.normal(size=(3, 2))
         p.B_be.data = rng.normal(size=(3, 2))
         h_i = rng.normal(size=3)
         for b_phi, M, B in ((800.0, p.M_fr, p.B_fr), (-800.0, p.M_be, p.B_be)):
             p.b_phi.data = np.array([b_phi])
-            got = self.applied_matrix(p, LayerVariant.full(), h_i, 0, False)
+            got = self.applied_matrix(p, h_i, 0, False)
             np.testing.assert_allclose(got, np.diag(h_i) @ M.data + B.data, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("root_specific", [True, False])
@@ -243,9 +258,10 @@ class TestWeightGeneration:
         # the unlabeled sum is blended before the generated maps, which is
         # the same per-center map alpha * W_fr(h) + (1 - alpha) * W_be(h)
         rng = np.random.default_rng(13)
-        p = PmpLayerParams(3, 2, rng=rng)
-        p.B_fr.data = rng.normal(size=(3, 2))
-        p.B_be.data = rng.normal(size=(3, 2))
+        p = PmpLayerParams(3, 2, LayerVariant(True, True, root_specific), rng)
+        B_fr, B_be = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        if root_specific:
+            p.B_fr.data, p.B_be.data = B_fr, B_be
         p.w_phi.data = rng.normal(size=(3, 1))
         p.b_phi.data = np.array([0.3])
         h_i = rng.normal(size=3)
@@ -256,8 +272,7 @@ class TestWeightGeneration:
             w_be = np.diag(h_i) @ p.M_be.data + p.B_be.data
         else:
             w_fr, w_be = p.M_fr.data, p.M_be.data
-        variant = LayerVariant(True, True, root_specific)
-        got = self.applied_matrix(p, variant, h_i, 0, False)
+        got = self.applied_matrix(p, h_i, 0, False)
         np.testing.assert_allclose(got, a * w_fr + (1.0 - a) * w_be, rtol=0, atol=1e-12)
 
 
@@ -266,7 +281,8 @@ class TestAggregate:
         # node 0 sees two benign train neighbors carrying 2 and 3
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
         idx = PartitionIndex.build(g, np.array([1, 0, 0]), np.array([True] * 3))
-        p = PmpLayerParams(1, 1)
+        p = PmpLayerParams(1, 1, LayerVariant(True, False, False), np.random.default_rng(0))
+        p.W_self.data = np.array([[0.0]])
         p.M_be.data = np.array([[2.0]])
         p.M_fr.data = np.array([[7.0]])
         p.M_un.data = np.array([[9.0]])
@@ -275,41 +291,39 @@ class TestAggregate:
 
     def test_hand_case_sum_times_weight(self):
         idx, p, h = self.shared_weights_fixture()
-        variant = LayerVariant(True, False, False)
-        out = aggregate(p, variant, idx, 0, h, np.array([0]))
+        out = aggregate(p, idx, 0, h, np.array([0]))
         assert out.data[0, 0] == 10.0  # (2 + 3) * 2, fraud and unlabeled empty
 
     def test_forward_adds_self_term(self):
         idx, p, h = self.shared_weights_fixture()
         p.W_self.data = np.array([[1.0]])
-        variant = LayerVariant(True, False, False)
-        out = forward(p, variant, idx, 0, h, np.array([0]), use_relu=False)
+        out = forward(p, idx, 0, h, np.array([0]), use_relu=False)
         assert out.data[0, 0] == 11.0
 
     def test_isolated_node_aggregates_exact_zero(self):
         g = RelationalGraph.from_edge_lists(3, [[(1, 2)]])
         idx = PartitionIndex.build(g, np.array([1, 0, 1]), np.array([True] * 3))
         rng = np.random.default_rng(4)
-        p = PmpLayerParams(2, 3, rng=rng)
+        p = PmpLayerParams(2, 3, LayerVariant.full(), rng)
         h = nd.Tensor(rng.normal(size=(3, 2)))
-        out = aggregate(p, LayerVariant.full(), idx, 0, h, np.array([0]))
+        out = aggregate(p, idx, 0, h, np.array([0]))
         np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
     def test_fused_matches_materialized(self, variant):
         rng = np.random.default_rng(5)
         for trial in range(6):
-            g, idx, params, h = random_setup(rng)
+            g, idx, params, h = random_setup(rng, variant=variant)
             batch = rng.permutation(g.num_nodes)[: g.num_nodes // 2]
-            got = aggregate(params, variant, idx, 0, h, batch)
-            want = materialized_aggregate(params, variant, idx, h, batch.tolist())
+            got = aggregate(params, idx, 0, h, batch)
+            want = materialized_aggregate(params, idx, h, batch.tolist())
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_partition_off_sums_everything_under_one_matrix(self):
         rng = np.random.default_rng(6)
-        g, idx, params, h = random_setup(rng)
+        g, idx, params, h = random_setup(rng, variant=LayerVariant.baseline())
         batch = np.arange(g.num_nodes)
-        got = aggregate(params, LayerVariant.baseline(), idx, 0, h, batch)
+        got = aggregate(params, idx, 0, h, batch)
         rows = np.zeros((g.num_nodes, params.d_in))
         for u in range(g.num_nodes):
             rows[u] = h.data[g.neighbors(0, u)].sum(axis=0)
@@ -319,14 +333,15 @@ class TestAggregate:
         # with both refinements off and all three maps equal, bucketing
         # cannot change the sum
         rng = np.random.default_rng(7)
-        g, idx, params, h = random_setup(rng)
-        shared = rng.normal(size=(params.d_in, params.d_out))
+        g, idx, split, h = random_setup(rng, variant=LayerVariant(True, False, False))
+        merged = PmpLayerParams(split.d_in, split.d_out, LayerVariant.baseline(), rng)
+        shared = rng.normal(size=(split.d_in, split.d_out))
         for name in ("M_fr", "M_be", "M_un"):
-            getattr(params, name).data = shared.copy()
+            getattr(split, name).data = shared.copy()
+        merged.M_fr.data = shared.copy()
         batch = np.arange(g.num_nodes)
-        split = aggregate(params, LayerVariant(True, False, False), idx, 0, h, batch)
-        merged = aggregate(params, LayerVariant.baseline(), idx, 0, h, batch)
-        np.testing.assert_allclose(split.data, merged.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aggregate(split, idx, 0, h, batch).data, aggregate(merged, idx, 0, h, batch).data,
+                                   rtol=0, atol=1e-12)
 
     def test_adaptive_blend_of_equal_maps_ignores_gate(self):
         # alpha * W + (1 - alpha) * W = W for every gate value, so with
@@ -336,25 +351,26 @@ class TestAggregate:
         params.M_be.data = params.M_fr.data.copy()
         params.B_be.data = params.B_fr.data.copy()
         batch = np.arange(g.num_nodes)
-        variant = LayerVariant(True, True, True)
-        before = aggregate(params, variant, idx, 0, h, batch)
+        before = aggregate(params, idx, 0, h, batch)
         params.w_phi.data = rng.normal(size=params.w_phi.data.shape)
         params.b_phi.data = rng.normal(size=1)
-        after = aggregate(params, variant, idx, 0, h, batch)
+        after = aggregate(params, idx, 0, h, batch)
         np.testing.assert_allclose(after.data, before.data, rtol=0, atol=1e-12)
 
     def test_adaptive_with_shared_plain_maps_matches_fixed_unlabeled(self):
         # root-specific off: the blend mixes M_fr and M_be directly, so
         # making all three maps equal must reproduce the M_un path
         rng = np.random.default_rng(12)
-        g, idx, params, h = random_setup(rng)
-        shared = rng.normal(size=(params.d_in, params.d_out))
-        for name in ("M_fr", "M_be", "M_un"):
-            getattr(params, name).data = shared.copy()
+        g, idx, adaptive, h = random_setup(rng, variant=LayerVariant(True, True, False))
+        fixed = PmpLayerParams(adaptive.d_in, adaptive.d_out, LayerVariant(True, False, False), rng)
+        shared = rng.normal(size=(adaptive.d_in, adaptive.d_out))
+        for p in (adaptive, fixed):
+            for name in ("M_fr", "M_be", "M_un"):
+                if name in p.variant.weights:
+                    getattr(p, name).data = shared.copy()
         batch = np.arange(g.num_nodes)
-        adaptive = aggregate(params, LayerVariant(True, True, False), idx, 0, h, batch)
-        fixed = aggregate(params, LayerVariant(True, False, False), idx, 0, h, batch)
-        np.testing.assert_allclose(adaptive.data, fixed.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aggregate(adaptive, idx, 0, h, batch).data, aggregate(fixed, idx, 0, h, batch).data,
+                                   rtol=0, atol=1e-12)
 
 
 class TestSummationOrder:
@@ -364,8 +380,8 @@ class TestSummationOrder:
     ``np.add.at`` in that order, on neighborhoods where the order changes the
     rounding."""
 
-    def instance(self, rng):
-        g, idx, params, h = random_setup(rng, n=40, d_in=4, d_out=4, edge_factor=6)
+    def instance(self, rng, variant):
+        g, idx, params, h = random_setup(rng, n=40, d_in=4, d_out=4, edge_factor=6, variant=variant)
         batch = rng.permutation(g.num_nodes)
         runs = []
         for query in (fraud_neighbors, benign_neighbors, unlabeled_neighbors):
@@ -374,7 +390,7 @@ class TestSummationOrder:
             runs.append((np.concatenate(members), np.concatenate(seg_ids)))
         return idx, params, h, batch, runs
 
-    def aggregate_recording_sums(self, monkeypatch, params, variant, idx, h, batch):
+    def aggregate_recording_sums(self, monkeypatch, params, idx, h, batch):
         sums = []
         real = nd.gather_segment_sum
 
@@ -384,16 +400,18 @@ class TestSummationOrder:
             return out
 
         monkeypatch.setattr(nd, "gather_segment_sum", spy)
-        out = aggregate(params, variant, idx, 0, h, batch)
+        out = aggregate(params, idx, 0, h, batch)
         monkeypatch.undo()
         return out, sums
 
     def test_baseline_maps_fraud_plus_benign_plus_unlabeled_of_the_shared_table(self, monkeypatch):
-        idx, params, h, batch, _ = self.instance(np.random.default_rng(21))
-        out, sums = self.aggregate_recording_sums(monkeypatch, params, LayerVariant.baseline(), idx, h, batch)
+        rng = np.random.default_rng(21)
+        idx, params, h, batch, _ = self.instance(rng, LayerVariant.baseline())
+        out, sums = self.aggregate_recording_sums(monkeypatch, params, idx, h, batch)
         assert len(sums) == 1
         for variant in ALL_VARIANTS[1:]:
-            _, partitioned = self.aggregate_recording_sums(monkeypatch, params, variant, idx, h, batch)
+            other = PmpLayerParams(params.d_in, params.d_out, variant, rng)
+            _, partitioned = self.aggregate_recording_sums(monkeypatch, other, idx, h, batch)
             assert sums[0].tobytes() == partitioned[0].tobytes()
         k = batch.size
         s_fr, s_be, s_un = (sums[0][b * k : (b + 1) * k] for b in range(3))
@@ -402,8 +420,8 @@ class TestSummationOrder:
     @pytest.mark.parametrize("variant", ALL_VARIANTS[1:], ids=variant_id)
     def test_each_bucket_adds_center_by_center(self, monkeypatch, variant):
         # one call sums all three buckets; block b of its k rows is bucket b
-        idx, params, h, batch, runs = self.instance(np.random.default_rng(22))
-        _, sums = self.aggregate_recording_sums(monkeypatch, params, variant, idx, h, batch)
+        idx, params, h, batch, runs = self.instance(np.random.default_rng(22), variant)
+        _, sums = self.aggregate_recording_sums(monkeypatch, params, idx, h, batch)
         assert len(sums) == 1
         k = batch.size
         assert sums[0].shape == (3 * k, h.shape[1])
@@ -422,7 +440,7 @@ class TestGradients:
         blocks = dict(params.tensors(), h=h)
 
         def fn():
-            return mean(forward(params, LayerVariant.full(), idx, 0, h, batch))
+            return mean(forward(params, idx, 0, h, batch))
 
         report = grad_check(fn, blocks, tolerance=1e-6)
         assert report.passed, str(report)
@@ -433,13 +451,13 @@ class TestGradients:
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
         idx = PartitionIndex.build(g, np.array([0, 0, 0]), np.array([False, True, True]))
         rng = np.random.default_rng(11)
-        params = PmpLayerParams(2, 2, rng=rng)
+        params = PmpLayerParams(2, 2, LayerVariant.full(), rng)
         params.w_phi.data = rng.normal(size=(2, 1))
         h = nd.Tensor(rng.normal(size=(3, 2)))
         tape = nd.GradientTape(params.tensors())
-        out = aggregate(params, LayerVariant.full(), idx, 0, h, np.array([0]))
+        out = aggregate(params, idx, 0, h, np.array([0]))
         grads = tape.gradients(mean(out))
-        for name in ("M_fr", "B_fr", "w_phi", "b_phi", "M_un", "W_self", "b_self"):
+        for name in ("M_fr", "B_fr", "w_phi", "b_phi", "W_self", "b_self"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
         assert np.abs(grads["M_be"]).max() > 0
 
@@ -456,7 +474,7 @@ class TestOneRecordedOp:
         rounding."""
         rng = np.random.default_rng(seed)
         n, d_in, d_out = 30, 5, 6
-        g, idx, params, _ = random_setup(rng, n=n, d_in=d_in, d_out=d_out, edge_factor=5)
+        g, idx, params, _ = random_setup(rng, n=n, d_in=d_in, d_out=d_out, edge_factor=5, variant=variant)
         for t in params.tensors().values():
             t.data = rng.normal(size=t.data.shape)
         h = nd.Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
@@ -465,7 +483,7 @@ class TestOneRecordedOp:
         sums = bucket_sums(h, members, seg_ids, idx.bucket[members], centers.size)
         h_c = nd.gather_rows(h, centers)
         h_g = h_c if shared_gate else nd.gather_rows(h, centers)
-        out = fn(params, variant, sums, h_c, h_g, use_relu=use_relu)
+        out = fn(params, sums, h_c, h_g, use_relu=use_relu)
         nd.backward(out, seed=rng.normal(size=out.shape))
         tensors = dict(params.tensors(), out=out, h=h, sums=sums, h_centers=h_c, h_gate=h_g)
         return {name: (t.data if name == "out" else t.grad) for name, t in tensors.items()}
@@ -478,6 +496,7 @@ class TestOneRecordedOp:
         got = self.run(layer_forward, variant, use_relu, shared_gate, seed)
         want = self.run(composed_layer_forward, variant, use_relu, shared_gate, seed)
         assert got.keys() == want.keys()
+        assert all(got[name] is not None for name in variant.weights)
         for name in want:
             if want[name] is None:
                 assert got[name] is None, name
@@ -491,11 +510,11 @@ class TestOneRecordedOp:
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
     def test_records_one_node(self, variant):
         rng = np.random.default_rng(30)
-        g, idx, params, h = random_setup(rng)
+        g, idx, params, h = random_setup(rng, variant=variant)
         h.requires_grad = True
         batch = np.arange(g.num_nodes)
         trace = []
-        nd.backward(mean(forward(params, variant, idx, 0, h, batch)), trace=trace)
+        nd.backward(mean(forward(params, idx, 0, h, batch)), trace=trace)
         assert sorted(trace) == ["gather_rows", "gather_segment_sum", "layer", "mean"]
 
     @pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS
@@ -505,12 +524,12 @@ class TestOneRecordedOp:
         # the unlabeled block its gate adjoint reads, or the baseline's summed
         # block, not the whole table
         rng = np.random.default_rng(33)
-        g, idx, params, h = random_setup(rng)
+        g, idx, params, h = random_setup(rng, variant=variant)
         centers = np.arange(g.num_nodes)
         sums = _batch_sums(idx, 0, h, centers)
         table = weakref.ref(sums.data)
         h_c = nd.gather_rows(h, centers)
-        out = layer_forward(params, variant, sums, h_c, h_c)
+        out = layer_forward(params, sums, h_c, h_c)
         del sums
         assert out.requires_grad and table() is None
         nd.backward(out, seed=np.ones(out.shape))
@@ -518,9 +537,9 @@ class TestOneRecordedOp:
         if variant.adaptive_combination_enabled:
             assert np.abs(params.w_phi.grad).max() > 0
 
-    def overflow_instance(self):
+    def overflow_instance(self, variant=LayerVariant.full()):
         rng = np.random.default_rng(31)
-        g, idx, params, h = random_setup(rng)
+        g, idx, params, h = random_setup(rng, variant=variant)
         return idx, params, h, np.arange(g.num_nodes)
 
     def test_overflowing_gate_logit_raises(self):
@@ -529,16 +548,16 @@ class TestOneRecordedOp:
         params.w_phi.data = np.full_like(params.w_phi.data, 1e308)
         h.data = np.abs(h.data) + 1.0
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="^layer: non-finite gate logit$"):
-            forward(params, LayerVariant.full(), idx, 0, h, batch)
+            forward(params, idx, 0, h, batch)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
     def test_overflowing_pre_activation_raises(self, variant):
         # every pre-activation is -inf, which ReLU would turn into zeros
-        idx, params, h, batch = self.overflow_instance()
+        idx, params, h, batch = self.overflow_instance(variant)
         h.data = np.abs(h.data) + 1.0
         params.W_self.data = np.full_like(params.W_self.data, -1e308)
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="^layer: non-finite pre-activation$"):
-            forward(params, variant, idx, 0, h, batch, use_relu=True)
+            forward(params, idx, 0, h, batch, use_relu=True)
 
     @pytest.mark.parametrize("sums_centers, num_centers, gate_rows, message", [
         (None, 4, 4, "sums must be the 4 centers' \\[12, 3\\] table, got shape \\(5, 3\\)"),
@@ -556,11 +575,11 @@ class TestOneRecordedOp:
             sums = _batch_sums(idx, 0, h, np.arange(sums_centers))
         h_c, h_g = nd.gather_rows(h, np.arange(num_centers)), nd.gather_rows(h, np.arange(gate_rows))
         with pytest.raises(nd.ShapeError, match=f"^layer: {message}"):
-            layer_forward(params, LayerVariant.full(), sums, h_c, h_g)
+            layer_forward(params, sums, h_c, h_g)
 
     def test_centers_of_the_wrong_width_are_rejected(self):
         rng = np.random.default_rng(32)
         g, idx, params, h = random_setup(rng)
         h_c = nd.Tensor(np.ones((4, 2)))
         with pytest.raises(nd.ShapeError, match=r"^layer: h_centers must be \[k, 3\], got shape \(4, 2\)$"):
-            layer_forward(params, LayerVariant.full(), _batch_sums(idx, 0, h, np.arange(4)), h_c, h_c)
+            layer_forward(params, _batch_sums(idx, 0, h, np.arange(4)), h_c, h_c)

@@ -1,6 +1,7 @@
 """Stacked model against a per-node naive reference and exact identities."""
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -243,7 +244,9 @@ class TestLayerOneSums:
         tables = []
         for variant in ABLATION:
             rng = np.random.default_rng(23)
-            g, idx, labels, model, x = random_instance(rng, num_relations=2, variant=variant)
+            g, idx, labels, model, _ = random_instance(rng, num_relations=2, variant=variant)
+            # random_instance draws its features after the variant's weights
+            x = np.random.default_rng(24).normal(size=(g.num_nodes, 3))
             tables.append([t.data.tobytes() for t in layer_one_sums(g, idx, x)])
         assert all(t == tables[0] for t in tables[1:])
 
@@ -444,9 +447,9 @@ class TestOneOpPerLayer:
         g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=3)
         shared = []
 
-        def layer(params, variant, sums, h_centers, h_gate, use_relu=True):
+        def layer(params, sums, h_centers, h_gate, use_relu=True):
             shared.append(h_centers is h_gate)
-            return layer_forward(params, variant, sums, h_centers, h_gate, use_relu=use_relu)
+            return layer_forward(params, sums, h_centers, h_gate, use_relu=use_relu)
 
         monkeypatch.setattr(model_module, "layer_forward", layer)
         with contextlib.ExitStack() as scope:
@@ -504,6 +507,32 @@ def assert_views_of_flat(model):
         assert p.data.__array_interface__["data"][0] == start + 8 * pos, name
         pos += p.size
     assert pos == model.flat.size and model.flat.dtype == np.float64
+
+
+class TestVariantWeights:
+    @pytest.mark.parametrize("sizes, variant, size", [
+        (dict(feature_dim=32, hidden_dim=64, num_layers=2), LayerVariant.full(), 35171),
+        (dict(feature_dim=8, hidden_dim=16, num_relations=3), LayerVariant.full(), 2796),
+        (dict(feature_dim=32, hidden_dim=64, num_layers=2), LayerVariant.baseline(), 16641),
+    ], ids=["deep-ba", "wide-multirel", "deep-ba-baseline"])
+    def test_flat_holds_only_the_blocks_the_variant_reads(self, sizes, variant, size):
+        model = PmpModel(ModelConfig(variant=variant, **sizes))
+        assert model.flat.size == size
+        layer_blocks = [name for name in model.parameters() if name.startswith("rel")]
+        assert layer_blocks == [f"rel{r}.layer{l}.{block}" for r in range(model.config.num_relations)
+                                for l in range(model.config.num_layers) for block in variant.weights]
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("num_relations", [1, 2])
+    def test_variants_built_from_one_seed_share_their_initial_blocks(self, num_layers, num_relations):
+        states = [PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=num_layers,
+                                       num_relations=num_relations, variant=variant), seed=5).state()
+                  for variant in VARIANTS]
+        for a, b in itertools.combinations(states, 2):
+            shared = a.keys() & b.keys()
+            assert {"rel0.layer0.M_fr", "readout.W", "head.w"} <= shared
+            for name in shared:
+                assert a[name].tobytes() == b[name].tobytes(), name
 
 
 class TestStateAndCheckpoint:

@@ -240,6 +240,25 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match="splits.csv.*dev"):
             load_bundle(str(tmp_path))
 
+    @pytest.mark.parametrize("file, bad_row, says", [
+        ("labels.csv", "5,", "could not convert string '' to int64 at line 9, column 2."),
+        ("labels.csv", "5,0,1", "the number of columns changed from 2 to 3 at line 9;"),
+        ("splits.csv", "5,", "line 9, column 2: unknown split '', expected one of train, val, test"),
+        ("features.csv", "x7,0,0,0", "line 9, column 1: could not convert string to float: 'x7'"),
+    ], ids=["conversion", "column-count", "converter", "no-header"])
+    def test_a_bad_row_is_named_by_its_line_in_the_file(self, tmp_path, file, bad_row, says):
+        # numpy numbers rows below the header that hold more than a comment;
+        # the error names the file's own line instead
+        self.write_valid(tmp_path)
+        path = tmp_path / file
+        first, *rows = path.read_text().splitlines()
+        lines = [first, "# a comment", *rows[:3], "", *rows[3:5], bad_row, *rows[6:]]
+        assert lines[8] == bad_row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleError) as info:
+            load_bundle(str(tmp_path))
+        assert str(info.value).startswith(f"{path}: {says}")
+
     def test_table_errors_become_bundle_errors(self, tmp_path):
         self.write_valid(tmp_path)
         # all-benign train split is invalid at the table layer

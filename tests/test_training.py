@@ -318,6 +318,35 @@ class TestTrainLoop:
         tiny = np.finfo(np.float64).tiny
         assert not ((entries > 0) & (entries < tiny)).any()
 
+    @pytest.mark.parametrize("variant", [LayerVariant.full(), LayerVariant.baseline(), LayerVariant(True, False, False),
+                                         LayerVariant(True, False, True), LayerVariant(True, True, False)],
+                             ids=["full", "baseline", "plain", "adaptive-off", "root-specific-off"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("num_relations", [1, 2])
+    def test_every_parameter_gets_a_gradient_from_a_training_batch(self, monkeypatch, variant, num_layers,
+                                                                   num_relations):
+        # a layer holds only the blocks its variant reads, so the tape never
+        # fills in a zero gradient for a block the loss cannot reach
+        g, table = small_dataset(seed=19)
+        if num_relations == 2:
+            g2, _ = generate_ba_graph(g.num_nodes, 1, 0.3, seed=20)
+            g = RelationalGraph(g.num_nodes, g.row_offsets + g2.row_offsets, g.col_indices + g2.col_indices)
+        cfg = ModelConfig(feature_dim=table.feature_dim, hidden_dim=5, num_layers=num_layers,
+                          num_relations=num_relations, variant=variant)
+        model = PmpModel(cfg, seed=19)
+        missing = []
+        gradients = nd.GradientTape.gradients
+
+        def checking(tape, loss, *args, **kwargs):
+            grads = gradients(tape, loss, *args, **kwargs)
+            missing.append([name for name, p in tape.params.items() if p.grad is None])
+            return grads
+
+        monkeypatch.setattr(nd.GradientTape, "gradients", checking)
+        train(model, g, table, TrainConfig(batch_size=16, max_epochs=1, dropout_p=0.2, seed=19))
+        assert len(missing) == math.ceil(table.split_ids("train").size / 16)
+        assert all(names == [] for names in missing), missing[0]
+
     def test_train_config_dropout_changes_weights_and_replays(self):
         def trained_state(dropout_p):
             _, _, model, history = self.run(seed=8, max_epochs=2, patience=2, dropout_p=dropout_p)
