@@ -14,8 +14,10 @@ coerced. labels.csv and splits.csv share one per-node reader, which requires
 every node exactly once; split names become codes as they are parsed. The
 edge, label and split CSVs must have their header line; one with nothing
 below it has no rows, so a header-only edges file is a relation with no
-edges. features.csv has no header line, and all four CSVs go through one
-reader, so an empty features.csv is a row-count error.
+edges. Below the header line, a line of only whitespace or a ``#``
+comment holds no row, wherever it is. features.csv has no header line,
+and all four CSVs go through one reader, so an empty features.csv is a
+row-count error.
 Loaders validate counts, ranges, and finiteness, and raise BundleError
 naming the offending file, and the line and column of a CSV row that does
 not parse.
@@ -43,22 +45,35 @@ class BundleError(ValueError):
     """A bundle file is missing, malformed, or inconsistent with meta.json."""
 
 
+def _holds_row(line: str) -> bool:
+    """Whether a CSV line holds a row: more than whitespace before any ``#``."""
+    return bool(line.split("#", 1)[0].strip())
+
+
 def _load_csv(path: str, columns: int, header: bool = True, dtype=np.int64, converters=None) -> np.ndarray:
     """The rows of a ``columns``-column CSV, below its header line when
     ``header`` is set; ``dtype`` and ``converters`` as for ``np.loadtxt``.
 
-    A file with no rows (only its header line, blank lines or ``#``
-    comments) has 0 rows; a file that should have a header line and is
-    empty is an error.
+    Below the header line, a line of only whitespace and a ``#`` comment
+    holds no row, wherever it is, so a file of only such lines there has 0
+    rows; a file that should have a header line and is empty is an error.
     """
+    options = dict(delimiter=",", skiprows=int(header), dtype=dtype, ndmin=2, converters=converters)
     try:
         # Peek before parsing: np.loadtxt warns on stderr when it finds no rows.
         with open(path) as fh:
             has_header = not header or bool(fh.readline())
-            has_rows = any(line.split("#", 1)[0].strip() for line in iter(fh.readline, ""))
+            has_rows = any(_holds_row(line) for line in iter(fh.readline, ""))
         data = np.empty((0, columns), dtype=dtype)
         if has_rows:
-            data = np.loadtxt(path, delimiter=",", skiprows=int(header), dtype=dtype, ndmin=2, converters=converters)
+            try:
+                data = np.loadtxt(path, **options)
+            except ValueError:
+                # np.loadtxt skips an empty line but reads one of whitespace as a one-field row, which never
+                # parses. Read a refused file again with such lines emptied, so only a row that does not parse
+                # is refused; numpy reads a path faster than these lines, so a good file is read once.
+                with open(path) as fh:
+                    data = np.loadtxt((line if _holds_row(line) else "\n" for line in fh), **options)
     except FileNotFoundError:
         raise BundleError(f"missing file: {path}") from None
     except OSError as err:
@@ -73,24 +88,27 @@ def _load_csv(path: str, columns: int, header: bool = True, dtype=np.int64, conv
 
 
 def _at_line(path: str, err: ValueError, skipped: int) -> str:
-    """``np.loadtxt``'s error on ``path`` naming the file's 1-based line.
+    """``np.loadtxt``'s error on ``path`` naming the file's 1-based line,
+    without numpy's advice to pass ``usecols``, which the reader fixes.
 
-    numpy numbers the rows below the ``skipped`` lines that hold more than
-    a comment, from 0 when a field does not convert and from 1 when the
-    column count changes; the line is counted here, only for a refused file.
+    numpy numbers the rows below the ``skipped`` lines that hold a row
+    (``_holds_row``), from 0 when a field does not convert and from 1 when
+    the column count changes; the line is counted here, only for a refused
+    file.
     """
-    found = re.search(r"at row (\d+)(, column \d+)?", str(err))
+    message = str(err).split("; use `usecols`", 1)[0]
+    found = re.search(r"at row (\d+)(, column \d+)?", message)
     line = None
     if found:
         with open(path) as fh:
-            rows = (i for i, text in enumerate(fh, 1) if i > skipped and text.split("#", 1)[0].rstrip("\n"))
+            rows = (i for i, text in enumerate(fh, 1) if i > skipped and _holds_row(text))
             line = next(itertools.islice(rows, int(found[1]) - (found[2] is None), None), None)
     if line is None:
-        return f"{path}: {err}"
+        return f"{path}: {message}"
     if err.__cause__:
         # A converter's error is the reason; numpy's text around it names a dtype the converter chose, not the file.
         return f"{path}: line {line}{found[2]}: {err.__cause__}"
-    return f"{path}: " + str(err).replace(found[0], f"at line {line}{found[2] or ''}", 1)
+    return f"{path}: " + message.replace(found[0], f"at line {line}{found[2] or ''}", 1)
 
 
 def _load_node_column(path: str, n: int, converters=None) -> np.ndarray:
@@ -122,7 +140,7 @@ def load_bundle(path: str):
         edge_path = os.path.join(path, f"edges_r{r}.csv")
         edges = _load_csv(edge_path, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise BundleError(f"{edge_path}: node index out of range [0, {n})")
+            raise BundleError(f"{edge_path}: node index out of range [0, {n}) set by num_nodes in {meta_path}")
         edge_lists.append(edges)
     graph = RelationalGraph.from_edge_lists(n, edge_lists)
 

@@ -415,7 +415,8 @@ def damage_case(row: Damage, bundle, run, scratch) -> Case:
 def problems(case: Case, code: int, stdout: str, stderr: str) -> list:
     """What is wrong with an outcome of ``case``; empty when it is refused
     as it must be: its exit code, no output, one JSON line on stderr whose
-    error contains every name, and no absent path made."""
+    error contains every name and no advice to use numpy's ``usecols``, and
+    no absent path made."""
     found = []
     if code != case.code:
         found.append(f"exit {code}, expected {case.code}")
@@ -430,6 +431,8 @@ def problems(case: Case, code: int, stdout: str, stderr: str) -> list:
         found.append(f"stderr is not one JSON error line: {stderr!r}")
     else:
         found += [f"error {error!r} does not name {name!r}" for name in case.names if name not in error]
+        if "usecols" in error:
+            found.append(f"error {error!r} passes on numpy's advice to use usecols, which the reader fixes")
     found += [f"{path} exists" for path in case.absent if os.path.exists(path)]
     return found
 

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from pmpfraud import ndiff as nd
+from pmpfraud import bundle, ndiff as nd
 from pmpfraud.bundle import BundleError, load_bundle, write_bundle
-from pmpfraud.graph import NodeTable
+from pmpfraud.graph import NodeTable, RelationalGraph
 from pmpfraud.metrics import auc
 from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
 
@@ -143,6 +143,12 @@ def small_dataset(seed=0):
     return g, NodeTable(x, labels, splits)
 
 
+def two_relation_dataset():
+    g1, table = small_dataset(seed=5)
+    g2, _ = generate_ba_graph(30, 3, 0.3, seed=6)
+    return RelationalGraph(30, g1.row_offsets + g2.row_offsets, g1.col_indices + g2.col_indices), table
+
+
 class TestBundleRoundtrip:
     def test_csv_roundtrip_is_exact(self, tmp_path):
         g, table = small_dataset()
@@ -176,15 +182,7 @@ class TestBundleRoundtrip:
         assert sorted(written) == sorted(os.listdir(tmp_path))
 
     def test_multi_relation_roundtrip(self, tmp_path):
-        g1, table = small_dataset(seed=5)
-        g2, _ = generate_ba_graph(30, 3, 0.3, seed=6)
-        from pmpfraud.graph import RelationalGraph
-
-        g = RelationalGraph(
-            30,
-            [g1.row_offsets[0], g2.row_offsets[0]],
-            [g1.col_indices[0], g2.col_indices[0]],
-        )
+        g, table = two_relation_dataset()
         write_bundle(str(tmp_path), g, table)
         loaded, _ = load_bundle(str(tmp_path))
         assert loaded.num_relations == 2
@@ -216,6 +214,27 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match="edges_r0.csv"):
             load_bundle(str(tmp_path))
 
+    def test_edge_out_of_range_names_the_num_nodes_of_meta_json(self, tmp_path):
+        self.write_valid(tmp_path)
+        with open(tmp_path / "meta.json", "w") as fh:
+            json.dump({"num_nodes": 2, "num_relations": 1, "feature_dim": 4}, fh)
+        with pytest.raises(BundleError) as info:
+            load_bundle(str(tmp_path))
+        assert str(info.value) == (f"{tmp_path / 'edges_r0.csv'}: node index out of range [0, 2) "
+                                   f"set by num_nodes in {tmp_path / 'meta.json'}")
+
+    @pytest.mark.parametrize("damage, says", [
+        (lambda lines: [*lines, "3,30"], "node index out of range [0, 30) set by num_nodes in"),
+        (lambda lines: [*lines, "3,"], "could not convert string '' to int64 at line"),
+    ], ids=["out-of-range id", "cut-off row"])
+    def test_a_damaged_second_relation_is_named(self, tmp_path, damage, says):
+        write_bundle(str(tmp_path), *two_relation_dataset())
+        path = tmp_path / "edges_r1.csv"
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        with pytest.raises(BundleError) as info:
+            load_bundle(str(tmp_path))
+        assert str(info.value).startswith(f"{path}: {says}")
+
     def test_feature_row_mismatch_names_file(self, tmp_path):
         self.write_valid(tmp_path)
         with open(tmp_path / "features.csv", "w") as fh:
@@ -242,7 +261,7 @@ class TestBundleValidation:
 
     @pytest.mark.parametrize("file, bad_row, says", [
         ("labels.csv", "5,", "could not convert string '' to int64 at line 9, column 2."),
-        ("labels.csv", "5,0,1", "the number of columns changed from 2 to 3 at line 9;"),
+        ("labels.csv", "5,0,1", "the number of columns changed from 2 to 3 at line 9"),
         ("splits.csv", "5,", "line 9, column 2: unknown split '', expected one of train, val, test"),
         ("features.csv", "x7,0,0,0", "line 9, column 1: could not convert string to float: 'x7'"),
     ], ids=["conversion", "column-count", "converter", "no-header"])
@@ -257,7 +276,32 @@ class TestBundleValidation:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BundleError) as info:
             load_bundle(str(tmp_path))
-        assert str(info.value).startswith(f"{path}: {says}")
+        assert str(info.value) == f"{path}: {says}"
+
+    @pytest.mark.parametrize("blank", ["   ", "\t", "  # a comment"], ids=["spaces", "tab", "comment"])
+    def test_a_whitespace_only_line_holds_no_row_wherever_it_is(self, tmp_path, blank):
+        # np.loadtxt skips an empty line but reads one of whitespace as a row of one field
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(["node,label", "0,0", blank, "1,1"]) + "\n")
+        assert bundle._load_csv(str(path), 2).tolist() == [[0, 0], [1, 1]]
+        for bad_row, says in (("2,x", "could not convert string 'x' to int64 at line 6, column 2."),
+                              ("2,0,1", "the number of columns changed from 2 to 3 at line 6")):
+            path.write_text("\n".join(["node,label", "0,0", blank, "1,1", blank, bad_row]) + "\n")
+            with pytest.raises(BundleError) as info:
+                bundle._load_csv(str(path), 2)
+            assert str(info.value) == f"{path}: {says}"
+
+    def test_whitespace_only_lines_in_every_csv_change_nothing(self, tmp_path):
+        g, table = self.write_valid(tmp_path)
+        # features.csv has no header line, so a whitespace-only line may come first
+        for name, first in (("edges_r0.csv", 1), ("labels.csv", 1), ("splits.csv", 1), ("features.csv", 0)):
+            lines = (tmp_path / name).read_text().splitlines()
+            (tmp_path / name).write_text("\n".join([*lines[:first], " ", *lines[first:3], "\t", *lines[3:], "  "]) + "\n")
+        g2, t2 = load_bundle(str(tmp_path))
+        np.testing.assert_array_equal(g2.col_indices[0], g.col_indices[0])
+        np.testing.assert_array_equal(t2.features, table.features)
+        np.testing.assert_array_equal(t2.labels, table.labels)
+        np.testing.assert_array_equal(t2.splits, table.splits)
 
     def test_table_errors_become_bundle_errors(self, tmp_path):
         self.write_valid(tmp_path)

@@ -408,21 +408,43 @@ class TestSharedLayerOneSums:
         assert len(builds) == 1 and len(received) == -(-g.num_nodes // 7)
         assert all(sums is builds[0] for sums in received)
 
-    def test_one_layer_models_build_no_table(self, monkeypatch):
+    def test_one_layer_train_builds_one_table_and_one_layer_scoring_builds_none(self, monkeypatch):
         g, table = small_dataset(seed=16)
         model = small_model(table, seed=16)
         partition = PartitionIndex.from_table(g, table)
         builds, received = self.counting(monkeypatch)
-        train(model, g, table, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=16))
+        _, history = train(model, g, table, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=16))
+        batches = -(-table.split_ids("train").size // 8)
+        assert len(builds) == 1 and len(received) == len(history.entries) * (batches + 1)
+        assert all(sums is builds[0] for sums in received)
+        # a one-layer chunk's centers are its only layer's, so scoring sums them itself
+        del received[:]
         monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
         forward_scores(model, g, partition, table.features, np.arange(g.num_nodes))
         evaluate(model, g, table, "test")
-        assert builds == [] and received and all(sums is None for sums in received)
+        assert len(builds) == 1 and received and all(sums is None for sums in received)
+
+    def test_one_layer_train_lists_no_neighborhoods(self, monkeypatch):
+        g, table = small_dataset(seed=16)
+        builds, _ = self.counting(monkeypatch)
+        listed = []
+        neighbor_segments = RelationalGraph.neighbor_segments
+
+        def counting_segments(graph, relation, centers):
+            listed.append(relation)
+            return neighbor_segments(graph, relation, centers)
+
+        monkeypatch.setattr(RelationalGraph, "neighbor_segments", counting_segments)
+        model, _ = train(small_model(table, seed=16), g, table,
+                         TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=16))
+        assert len(builds) == 1 and listed == []
+        evaluate(model, g, table, "test")  # one chunk, which lists its own neighborhoods
+        assert listed == [0]
 
     @pytest.mark.parametrize("variant", [LayerVariant.full(), LayerVariant.baseline(),
                                          LayerVariant(True, False, True), LayerVariant(True, True, False)],
                              ids=["full", "baseline", "adaptive-off", "root-specific-off"])
-    @pytest.mark.parametrize("num_layers", [2, 3])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("num_relations", [1, 2])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     def test_training_and_evaluation_bitwise_equal_to_per_batch_sums(self, monkeypatch, variant, num_layers,
