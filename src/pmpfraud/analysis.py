@@ -221,10 +221,9 @@ def influence(
         raise ValueError(f"node {center} has no neighbors")
     if partition is None:
         partition = PartitionIndex.from_table(graph, table)
-    feats = nd.Tensor(table.features, requires_grad=True)
-    z = model_forward(model, graph, partition, feats, np.array([center]))
-    nd.backward(z)
-    grad = feats.grad
+    tape = nd.GradientTape(model.parameters(), wrt_features=True)
+    tape.gradients(model_forward(model, graph, partition, table.features, np.array([center]), tape=tape))
+    grad = tape.features_grad
     fraud_nb = neighbors[table.labels[neighbors] == 1]
     benign_nb = neighbors[table.labels[neighbors] == 0]
     i_fraud = float(grad[fraud_nb].sum()) if fraud_nb.size else 0.0

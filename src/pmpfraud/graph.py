@@ -193,7 +193,6 @@ class PartitionIndex:
         bucket = np.asarray(bucket, dtype=np.int8)
         if bucket.shape != (graph.num_nodes,):
             raise ValueError("bucket must have one entry per node")
-        self.graph = graph
         self.bucket = _freeze(bucket)
 
     @classmethod

@@ -20,7 +20,8 @@ the blend is applied to the unlabeled sum: (S_fr + alpha S_un) @ W_fr +
 (S_be + (1 - alpha) S_un) @ W_be is the same per-center map at half the
 matrix products. A center's own label plays no role; its neighbors' do.
 
-``layer_forward`` records the whole layer as one op. With S_fr, S_be, S_un
+``layer_forward`` computes the whole layer and, when asked, returns its
+adjoint for the model's reverse pass. With S_fr, S_be, S_un
 the centers' bucket sums, h the centers' representation, alpha = sigmoid(z)
 with z = h_gate @ w_phi + b_phi, and b running over fr and be:
 
@@ -45,13 +46,13 @@ With G the upstream gradient and G' = G * [pre > 0], the adjoint is
                     with S = S_fr + S_be + S_un
 
 and the table's adjoint stacks the three dS_b in block order. The forward
-runs the arithmetic of the layer composed of the engine's small ops, in
-its order, and the adjoint adds the terms of a fanned-out value in the
-order that composition's reverse pass visits them, so both are bitwise
-equal to it. Two checks replace its per-op ones: a non-finite gate logit
-raises, because the logistic would hide it, and so does a non-finite
-pre-activation, because ReLU would hide a NaN; every other intermediate
-reaches one of the two.
+runs the arithmetic of the layer composed of small differentiable ops
+(``tests/reference.py``), in its order, and the adjoint adds the terms of
+a fanned-out value in the order a taped reverse pass of that composition
+visits them, so both are bitwise equal to it. Two checks replace its
+per-op ones: a non-finite gate logit raises, because the logistic would
+hide it, and so does a non-finite pre-activation, because ReLU would hide
+a NaN; every other intermediate reaches one of the two.
 """
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ __all__ = [
     "LayerVariant",
     "PmpLayerParams",
     "bucket_sums",
+    "bucket_sums_adjoint",
     "layer_forward",
 ]
 
@@ -144,19 +146,16 @@ class PmpLayerParams:
         maps = {name: rng.uniform(-bound, bound, size=(d_in, d_out)) for name in ("W_self", "M_fr", "M_be", "M_un")}
         zeros = {"b_self": d_out, "B_fr": (d_in, d_out), "B_be": (d_in, d_out), "w_phi": (d_in, 1), "b_phi": 1}
         for name in variant.weights:
-            setattr(self, name, nd.Tensor(maps[name] if name in maps else np.zeros(zeros[name]), requires_grad=True))
-
-    def tensors(self, prefix: str = "") -> dict:
-        return {prefix + name: getattr(self, name) for name in self.variant.weights}
+            setattr(self, name, maps[name] if name in maps else np.zeros(zeros[name]))
 
 
 def bucket_sums(
-    h_prev: nd.Tensor,
+    h_prev: np.ndarray,
     members: np.ndarray,
     seg_ids: np.ndarray,
     bucket: np.ndarray,
     num_centers: int,
-) -> nd.Tensor:
+) -> np.ndarray:
     """Bucket-sum table of ``num_centers`` centers' flattened neighborhoods.
 
     ``members`` index rows of ``h_prev`` and list each center's neighbors
@@ -168,49 +167,65 @@ def bucket_sums(
     list: a table over every node equals, bitwise, one over any batch.
     Empty buckets are exact zeros.
     """
+    return nd.gather_segment_sum(h_prev, members, _table_rows(seg_ids, bucket, num_centers), 3 * num_centers)
+
+
+def bucket_sums_adjoint(g: np.ndarray, members, seg_ids, bucket, num_rows: int) -> np.ndarray:
+    """The gradient of ``bucket_sums``' ``h_prev``, ``num_rows`` rows, from
+    the gradient ``g`` of its table."""
+    return nd.gather_segment_sum_adjoint(g, members, _table_rows(seg_ids, bucket, g.shape[0] // 3), num_rows)
+
+
+def _table_rows(seg_ids, bucket, num_centers):
     # Segment bucket * k + center; center-major members add in ascending id.
-    return nd.gather_segment_sum(h_prev, members, bucket.astype(np.int64) * num_centers + seg_ids, 3 * num_centers)
+    return bucket.astype(np.int64) * num_centers + seg_ids
 
 
 def layer_forward(
     params: PmpLayerParams,
-    sums: nd.Tensor,
-    h_centers: nd.Tensor,
-    h_gate: nd.Tensor,
+    sums: np.ndarray,
+    h_centers: np.ndarray,
+    h_gate: np.ndarray | None,
     use_relu: bool = True,
-) -> nd.Tensor:
+    grads: dict | None = None,
+):
     """Self transformation plus bucketed neighbor aggregation, then
-    activation, recorded as one op named ``layer``, under ``params.variant``.
+    activation, under ``params.variant``: the output and, given ``grads``,
+    the layer's adjoint (else None).
 
     ``sums`` is the k centers' ``bucket_sums`` table, [3k, d_in], whose
     three blocks are read in place. ``h_centers`` is the centers'
     representation read by the self term and the weight generators,
-    ``h_gate`` the (pre-dropout) one read by the blend gate; they may be
-    one tensor. Dropout is applied by the caller, which needs both the pre
-    and post dropout outputs (the next layer's gate reads the pre-dropout
-    one). Gradients reach every input that requires them and every block
-    of the layer.
+    ``h_gate`` the (pre-dropout) one read by the blend gate, None without
+    adaptive combination; they may be one array. Dropout is applied by the
+    caller, which needs both the pre and post dropout outputs (the next
+    layer's gate reads the pre-dropout one).
+
+    ``grads`` maps each of the layer's block names to its view of a flat
+    gradient. ``adjoint(g, inputs)`` writes every block's gradient, from
+    the output's gradient ``g``, into its view and, with ``inputs``,
+    returns the gradients of ``h_centers``, ``sums`` and ``h_gate`` (None
+    without adaptive combination), else None.
     """
-    p, T = params, sums.data
-    if h_centers.data.ndim != 2 or h_centers.shape[1] != p.d_in:
-        raise nd.ShapeError(f"layer: h_centers must be [k, {p.d_in}], got shape {h_centers.shape}")
+    p, T = params, sums
+    if np.ndim(h_centers) != 2 or h_centers.shape[1] != p.d_in:
+        raise nd.ShapeError(f"layer: h_centers must be [k, {p.d_in}], got shape {np.shape(h_centers)}")
     k = h_centers.shape[0]
     if T.shape != (3 * k, p.d_in):
         raise nd.ShapeError(f"layer: sums must be the {k} centers' [{3 * k}, {p.d_in}] table, got shape {T.shape}")
     variant = p.variant
     adaptive, rs = variant.adaptive_combination_enabled, variant.root_specific_enabled
-    if adaptive and h_gate.shape != (k, p.d_in):
-        raise nd.ShapeError(f"layer: h_gate must be [{k}, {p.d_in}], got shape {h_gate.shape}")
+    if adaptive and np.shape(h_gate) != (k, p.d_in):
+        raise nd.ShapeError(f"layer: h_gate must be [{k}, {p.d_in}], got shape {np.shape(h_gate)}")
 
-    hc, hg = h_centers.data, h_gate.data
-    blocks = p.tensors()
+    hc, hg = h_centers, h_gate
     # A block the variant does not hold reads None; no branch below reads it.
     W_self, M_fr, B_fr, M_be, B_be, M_un, w_phi = (
-        blocks[n].data if n in blocks else None for n in ("W_self", "M_fr", "B_fr", "M_be", "B_be", "M_un", "w_phi")
+        getattr(p, n, None) for n in ("W_self", "M_fr", "B_fr", "M_be", "B_be", "M_un", "w_phi")
     )
     S_fr, S_be, S_un = T[:k], T[k : 2 * k], T[2 * k :]
     pre = hc @ W_self
-    pre += p.b_self.data
+    pre += p.b_self
     a = a1 = m_fr = m_be = None
     if not variant.partition_enabled:
         S_all = S_fr + S_be
@@ -220,13 +235,15 @@ def layer_forward(
     else:
         if adaptive:
             z = hg @ w_phi
-            z += p.b_phi.data
+            z += p.b_phi
             if not np.all(np.isfinite(z)):
                 raise nd.NonFiniteError("layer: non-finite gate logit")
             a = nd._clamped_logistic(z.reshape(k))
             a1 = -1.0 * a + 1.0
             S_fr = S_fr + S_un * a[:, None]
             S_be = S_be + S_un * a1[:, None]
+            if grads is not None:
+                S_un = S_un.copy()  # the adjoint reads it; a copy lets the table go
         if rs:
             m_fr, m_be = S_fr * hc, S_be * hc
             agg = m_fr @ M_fr
@@ -244,69 +261,51 @@ def layer_forward(
         raise nd.NonFiniteError("layer: non-finite pre-activation")
     mask = pre > 0 if use_relu else None
     out = np.where(mask, pre, 0.0) if use_relu else pre
+    if grads is None:
+        return out, None
 
-    # Inputs in the order the composed layer's reverse pass reaches them, so
-    # a value feeding several of them (the previous layer's output) adds
-    # their adjoints in the same order. ``sums`` is listed only when it needs
-    # a gradient, so a constant table is freed after the forward.
-    sums_grad = sums.requires_grad
-    names = ["h_centers"] + (["sums"] if sums_grad else [])
-    names += ["h_gate"] if adaptive and h_gate is not h_centers else []
-    names += list(blocks)  # the layer's own blocks, each of which the adjoint gives a gradient
-    inputs = dict(blocks, h_centers=h_centers, sums=sums, h_gate=h_gate)
-    parents = tuple(inputs[n] for n in names)
-
-    def vjp(g):
+    def adjoint(g, inputs):
         # Each adjoint is the one its step of the composed layer records;
         # where a value fans out its terms add in the order that layer's
-        # reverse pass visits them (h_centers: self term, fr, be, gate).
+        # reverse pass visits them (h_centers: self term, fr, be).
         if use_relu:
             g = g * mask
-        grads = {"W_self": hc.T @ g, "b_self": g.sum(axis=0)}
-        need_S = sums_grad or adaptive  # the gate's adjoint reads dP_fr and dP_be
-        g_hc = g @ W_self.T if h_centers.requires_grad else None
-        g_S = [None, None, None]
+        np.matmul(hc.T, g, out=grads["W_self"])
+        np.sum(g, axis=0, out=grads["b_self"])
+        need_S = inputs or adaptive  # the gate's adjoint reads dP_fr and dP_be
+        g_hc = g @ W_self.T if inputs else None
+        g_S, g_gate = [None, None, None], None
         if not variant.partition_enabled:
-            grads["M_fr"] = S_all.T @ g
-            if need_S:
+            np.matmul(S_all.T, g, out=grads["M_fr"])
+            if inputs:
                 g_S = [g @ M_fr.T] * 3
         else:
             for b, (S, m, M, B, key) in enumerate(((S_fr, m_fr, M_fr, B_fr, "fr"), (S_be, m_be, M_be, B_be, "be"))):
                 if not rs:
-                    grads["M_" + key] = S.T @ g
+                    np.matmul(S.T, g, out=grads["M_" + key])
                     if need_S:
                         g_S[b] = g @ M.T
                     continue
-                grads["M_" + key] = m.T @ g
-                grads["B_" + key] = S.T @ g
-                if need_S or g_hc is not None:
+                np.matmul(m.T, g, out=grads["M_" + key])
+                np.matmul(S.T, g, out=grads["B_" + key])
+                if need_S:
                     g_m = g @ M.T
-                    if need_S:
-                        g_S[b] = g @ B.T + g_m * hc
-                    if g_hc is not None:
+                    g_S[b] = g @ B.T + g_m * hc
+                    if inputs:
                         g_hc = g_hc + g_m * S
             if not adaptive:
-                grads["M_un"] = S_un.T @ g
-                if need_S:
+                np.matmul(S_un.T, g, out=grads["M_un"])
+                if inputs:
                     g_S[2] = g @ M_un.T
             else:
-                if sums_grad:
+                if inputs:
                     g_S[2] = g_S[0] * a[:, None] + g_S[1] * a1[:, None]
                 g_a = (g_S[0] * S_un).sum(axis=1) + -1.0 * (g_S[1] * S_un).sum(axis=1)
                 g_z = (g_a * a * (1.0 - a)).reshape(k, 1)
-                grads["w_phi"] = hg.T @ g_z
-                grads["b_phi"] = g_z.sum(axis=0)
-                if h_gate.requires_grad:
-                    grads["h_gate"] = g_z @ w_phi.T
-                    if h_gate is h_centers:
-                        g_hc = g_hc + grads["h_gate"]
-        grads["h_centers"] = g_hc
-        if sums_grad:
-            grads["sums"] = np.concatenate(g_S)  # each table row is read once, in order
-        return tuple(grads.get(n) for n in names)
+                np.matmul(hg.T, g_z, out=grads["w_phi"])
+                np.sum(g_z, axis=0, out=grads["b_phi"])
+                if inputs:
+                    g_gate = g_z @ w_phi.T
+        return (g_hc, np.concatenate(g_S), g_gate) if inputs else None  # each table row is read once, in order
 
-    out = nd._make(out, "layer", parents, vjp)
-    if adaptive and out.requires_grad and not sums_grad:
-        S_un = S_un.copy()  # the adjoint reads it through its closure; a copy lets the table go
-    return out
-
+    return out, adjoint

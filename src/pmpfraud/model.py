@@ -4,10 +4,12 @@ Each relation runs its own stack of layers over the same input features;
 the per-relation outputs are concatenated, passed through one hidden
 readout layer with ReLU, and mapped to a fraud logit by a linear head.
 Hidden layers use ReLU, the last message passing layer is linear, and
-dropout follows each layer's activation during training. Each layer call
-is one recorded op (``layer.layer_forward``) and so is the head
-(``readout``). Training reads the logits (``model_logits``), which the
-loss takes directly; scoring reads their logistic (``model_forward``).
+dropout follows each layer's activation during training. Training reads
+the logits (``model_logits``), which the loss takes directly; scoring
+reads their logistic (``model_forward``). Given an ``ndiff.GradientTape``,
+each layer call, dropout, the head (``readout``) and the loss or the
+logistic append one adjoint record to it, and the tape's walk writes the
+weights' gradient into one flat array laid out like ``PmpModel.flat``.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import ndiff as nd
 from .graph import PartitionIndex, RelationalGraph
-from .layer import LayerVariant, PmpLayerParams, bucket_sums, layer_forward
+from .layer import LayerVariant, PmpLayerParams, bucket_sums, bucket_sums_adjoint, layer_forward
 
 __all__ = ["ModelConfig", "PmpModel", "check_sizes", "layer_one_sums", "model_logits", "model_forward", "readout",
            "loss"]
@@ -65,8 +67,8 @@ class ModelConfig:
 class PmpModel:
     """Per-relation layer stacks, concat readout, logit head. Each layer
     holds only the blocks its variant reads. The weights are one float64
-    array, ``flat``, in ``parameters()`` order; every parameter's ``data``
-    is a view of it, so write weights in place."""
+    array, ``flat``, in ``parameters()`` order; every block is a view of
+    it, so write weights in place."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -80,30 +82,32 @@ class PmpModel:
             self.layers.append(stack)
         d_cat = config.num_relations * config.hidden_dim
         bound = np.sqrt(6.0 / (d_cat + config.hidden_dim))
-        self.readout_W = nd.Tensor(rng.uniform(-bound, bound, (d_cat, config.hidden_dim)), requires_grad=True)
-        self.readout_b = nd.Tensor(np.zeros(config.hidden_dim), requires_grad=True)
+        self.readout_W = rng.uniform(-bound, bound, (d_cat, config.hidden_dim))
+        self.readout_b = np.zeros(config.hidden_dim)
         bound = np.sqrt(6.0 / (config.hidden_dim + 1))
-        self.head_w = nd.Tensor(rng.uniform(-bound, bound, (config.hidden_dim, 1)), requires_grad=True)
-        self.head_b = nd.Tensor(np.zeros(1), requires_grad=True)
-        params = self.parameters().values()
-        self.flat = np.concatenate([p.data for p in params], axis=None)
-        for p, part in zip(params, np.split(self.flat, np.cumsum([p.size for p in params])[:-1])):
-            p.data = part.reshape(p.shape)
+        self.head_w = rng.uniform(-bound, bound, (config.hidden_dim, 1))
+        self.head_b = np.zeros(1)
+        blocks = [getattr(owner, attr) for _, owner, attr in self._owners()]
+        self.flat = np.concatenate(blocks, axis=None)
+        parts = np.split(self.flat, np.cumsum([b.size for b in blocks])[:-1])
+        for (_, owner, attr), block, part in zip(self._owners(), blocks, parts):
+            setattr(owner, attr, part.reshape(block.shape))
 
-    def parameters(self) -> dict:
-        out = {}
+    def _owners(self):
+        """(name, holder, attribute) of every weight block, in ``flat``'s order."""
         for r, stack in enumerate(self.layers):
             for l, p in enumerate(stack):
-                out.update(p.tensors(prefix=f"rel{r}.layer{l}."))
-        out["readout.W"] = self.readout_W
-        out["readout.b"] = self.readout_b
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+                yield from ((f"rel{r}.layer{l}.{name}", p, name) for name in p.variant.weights)
+        for attr in ("readout_W", "readout_b", "head_w", "head_b"):
+            yield attr.replace("_", "."), self, attr
+
+    def parameters(self) -> dict:
+        """Every weight block by name, a view of ``flat``, in its order."""
+        return {name: getattr(owner, attr) for name, owner, attr in self._owners()}
 
     def state(self) -> dict:
         """Copies of all parameter arrays, keyed like parameters()."""
-        return {k: v.data.copy() for k, v in self.parameters().items()}
+        return {k: v.copy() for k, v in self.parameters().items()}
 
     def save(self, directory: str):
         """Write the checkpoint: ``params.bin``, ``flat`` as little-endian
@@ -149,7 +153,7 @@ class PmpModel:
 
 
 def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features) -> list:
-    """Layer 1's bucket-sum table over every node, one tensor per relation.
+    """Layer 1's bucket-sum table over every node, one array per relation.
 
     Layer 1 sums raw features, so its bucket sums depend on the graph, the
     train-label partition and the features, never on the weights or the
@@ -157,9 +161,9 @@ def layer_one_sums(graph: RelationalGraph, partition: PartitionIndex, features) 
     Each table is [3n, d], row b * n + i holding node i's bucket-b sum.
     The CSR lists each node's neighbors in the order a batch lists them,
     so every row is bitwise the sum ``model_forward`` would make for that
-    node on its own.
+    node on its own. A table is a constant: no gradient flows into it.
     """
-    feats = features if isinstance(features, nd.Tensor) else nd.Tensor(features)
+    feats = np.asarray(features, dtype=np.float64)
     n = graph.num_nodes
     tables = []
     for r in range(graph.num_relations):
@@ -179,8 +183,9 @@ def model_logits(
     batch_index: int = 0,
     dropout_p: float = 0.0,
     sums: list | None = None,
-) -> nd.Tensor:
-    """Fraud logits for ``batch``, one per id, from the ``readout`` op.
+    tape: nd.GradientTape | None = None,
+) -> np.ndarray:
+    """Fraud logits for ``batch``, one per id, from ``readout``.
 
     Representations are computed on demand for each layer's centers, so
     cost scales with the batch neighborhood, not the graph. Every layer
@@ -189,22 +194,22 @@ def model_logits(
     ``layer_one_sums`` for these graph, partition and features, when the
     caller built them once for a pass of many batches; layer 1 then lists
     no neighborhoods and sums nothing, and only gathers its centers' row of
-    each block, whose adjoint adds back into the table. Without
-    ``sums`` layer 1 sums its own centers' neighborhoods straight from the
-    feature table, whose rows its members and centers index by node id; a
-    column-major table, as ``NodeTable`` stores it, is summed without a
-    transposed copy. Both give bitwise the same logits. Each layer l >= 2
-    sums layer l - 1's output over the one-hop frontier of its centers.
-    Neighborhoods are listed once per layer: the same members mark the
-    frontier and feed the aggregation. Frontiers come from marking ids in
-    a node mask, and ids map to frontier rows through a dense lookup
-    table, so neither step sorts. ``batch`` may be unsorted and repeat
-    ids; logit i belongs to batch[i]. ``features`` may be a
-    gradient-enabled tensor for sensitivity analysis; layer 1's gradient
-    then reaches it through ``sums`` only if the tables were built from it.
-    With ``dropout_p`` > 0, dropout follows each layer; its masks are
-    keyed by (seed, relation, layer, epoch, batch_index) and replay
-    exactly.
+    each block. Without ``sums`` layer 1 sums its own centers'
+    neighborhoods straight from the feature table, whose rows its members
+    and centers index by node id; a column-major table, as ``NodeTable``
+    stores it, is summed without a transposed copy. Both give bitwise the
+    same logits. Each layer l >= 2 sums layer l - 1's output over the
+    one-hop frontier of its centers. Neighborhoods are listed once per
+    layer: the same members mark the frontier and feed the aggregation.
+    Frontiers come from marking ids in a node mask, and ids map to frontier
+    rows through a dense lookup table, so neither step sorts. ``batch`` may
+    be unsorted and repeat ids; logit i belongs to batch[i]. With
+    ``dropout_p`` > 0, dropout follows each layer; its masks are keyed by
+    (seed, relation, layer, epoch, batch_index) and replay exactly.
+
+    Given ``tape``, every layer call, dropout and the readout record their
+    adjoints on it; one made ``wrt_features`` takes no ``sums``, as the
+    features' gradient needs layer 1 to sum the features itself.
     """
     cfg = model.config
     if graph.num_relations != cfg.num_relations:
@@ -214,20 +219,26 @@ def model_logits(
         raise ValueError("batch must be a non-empty 1-d list of node ids")
     if batch.min() < 0 or batch.max() >= graph.num_nodes:
         raise ValueError("batch node index out of range")
-    feats = features if isinstance(features, nd.Tensor) else nd.Tensor(features)
-    if feats.shape != (graph.num_nodes, cfg.feature_dim):
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape != (graph.num_nodes, cfg.feature_dim):
         raise ValueError(f"features must be [{graph.num_nodes}, {cfg.feature_dim}]")
     if sums is not None:
         shape = (3 * graph.num_nodes, cfg.feature_dim)
         if len(sums) != cfg.num_relations or any(t.shape != shape for t in sums):
             raise ValueError(f"sums must be {cfg.num_relations} layer-one table(s) of shape {list(shape)}")
+        if tape is not None and tape.wrt_features:
+            raise ValueError("the features' gradient needs layer 1 to sum the features itself, not sums")
 
     # Row of each frontier node (layers 2 and up); entries outside the current frontier are stale.
     n = graph.num_nodes
     row_of = np.empty(n, dtype=np.int64)
     listed = 1 if sums is None else 2  # the lowest layer that lists its centers' neighborhoods
+    adaptive = cfg.variant.adaptive_combination_enabled
     per_relation = []
     for r in range(cfg.num_relations):
+        records = []
+        if tape is not None:
+            tape.branches.append(records)
         fronts = [None] * (cfg.num_layers + 1)
         hoods = [None] * (cfg.num_layers + 1)
         fronts[cfg.num_layers] = batch
@@ -238,9 +249,9 @@ def model_logits(
                 mark[fronts[l]] = True
                 mark[hoods[l][0]] = True
                 fronts[l - 1] = np.flatnonzero(mark)
-        h = h_gate_src = feats
+        h = act = features
         for l in range(1, cfg.num_layers + 1):
-            centers = fronts[l]
+            centers, hood = fronts[l], None
             if l < listed:
                 table = nd.gather_rows(sums[r], np.concatenate([centers, n + centers, 2 * n + centers]))
             else:
@@ -250,31 +261,60 @@ def model_logits(
                     row_of[fronts[l - 1]] = np.arange(fronts[l - 1].size)
                     members, centers = row_of[members], row_of[centers]
                 table = bucket_sums(h, members, seg_ids, bucket, centers.size)
+                hood = members, seg_ids, bucket
             h_centers = nd.gather_rows(h, centers)
-            # One gather serves both reads of one tensor; with a gradient, two keep the adjoint's order of sums.
-            shared = h is h_gate_src and not h.requires_grad
-            h_gate = h_centers if shared else nd.gather_rows(h_gate_src, centers)
-            act = layer_forward(model.layers[r][l - 1], table, h_centers, h_gate, use_relu=(l < cfg.num_layers))
+            # The gate reads the pre-dropout output; without dropout one gather serves both reads.
+            h_gate = None if not adaptive else h_centers if act is h else nd.gather_rows(act, centers)
+            grads = None if tape is None else {
+                name: tape.blocks[f"rel{r}.layer{l - 1}.{name}"] for name in cfg.variant.weights
+            }
+            act, adjoint = layer_forward(model.layers[r][l - 1], table, h_centers, h_gate,
+                                         use_relu=(l < cfg.num_layers), grads=grads)
+            inputs = l > 1 or (tape is not None and tape.wrt_features)
+            records.append(("layer", _layer_record(adjoint, h.shape[0], centers, hood if inputs else None)))
+            h = act
             if dropout_p > 0.0:
                 key = np.random.SeedSequence(entropy=seed, spawn_key=(r, l, epoch, batch_index))
-                h = nd.dropout(act, dropout_p, key)
-            else:
-                h = act
-            h_gate_src = act
+                h, adjoint = nd.dropout(act, dropout_p, key)
+                records.append(("dropout", adjoint))
         per_relation.append(h)
 
-    return readout(model, per_relation)
+    z, adjoint = readout(model, per_relation, None if tape is None else tape.blocks)
+    if tape is not None:
+        tape.head.append(("readout", adjoint))
+    return z
 
 
-def model_forward(*args, **kwargs) -> nd.Tensor:
+def _layer_record(adjoint, num_rows: int, centers, hood):
+    """The record of one layer call: its adjoint and, given ``hood``, the
+    (members, seg_ids, bucket) of its table, the adjoints of the gathers
+    that fed it, onto ``num_rows`` rows (see ``ndiff.GradientTape``)."""
+
+    def record(g):
+        grads = adjoint(g, hood is not None)
+        if hood is None:
+            return [], []
+        g_centers, g_table, g_gate = grads
+        terms = [nd.scatter_rows(g_centers, centers, num_rows), bucket_sums_adjoint(g_table, *hood, num_rows)]
+        return terms, [] if g_gate is None else [nd.scatter_rows(g_gate, centers, num_rows)]
+
+    return record
+
+
+def model_forward(*args, tape: nd.GradientTape | None = None, **kwargs) -> np.ndarray:
     """Fraud probabilities for ``batch``, strictly inside (0, 1): the
-    clamped logistic of ``model_logits``, which takes the same arguments."""
-    return nd.sigmoid(model_logits(*args, **kwargs))
+    clamped logistic of ``model_logits``, which takes the same arguments.
+    Given ``tape``, the logistic records its adjoint after the readout's."""
+    probs = nd.sigmoid(model_logits(*args, tape=tape, **kwargs))
+    if tape is not None:
+        tape.head.append(("sigmoid", lambda g: g * probs * (1.0 - probs)))
+    return probs
 
 
-def readout(model: PmpModel, per_relation: list) -> nd.Tensor:
-    """The batch's [b] logits from its [b, hidden] per-relation outputs,
-    recorded as one op named ``readout``.
+def readout(model: PmpModel, per_relation: list, grads: dict | None = None):
+    """The batch's [b] logits from its [b, hidden] per-relation outputs
+    and, given ``grads``, the views of a flat gradient the head's blocks
+    write to by name, the head's adjoint (else None).
 
     With X the outputs side by side, W, b the readout layer and w, c the
     head:
@@ -282,21 +322,20 @@ def readout(model: PmpModel, per_relation: list) -> nd.Tensor:
         pre = X @ W + b,  hidden = relu(pre),  z = hidden @ w + c
 
     and with g the logits' upstream gradient as a column and
-    G = (g w^T) * [pre > 0], the adjoint is
+    G = (g w^T) * [pre > 0], the adjoint writes
 
-        dc = sum of g,  dw = hidden^T g,  db = column sums of G,
-        dW = X^T G,  dX = G W^T, split back into the relations' blocks.
+        dc = sum of g,  dw = hidden^T g,  db = column sums of G,  dW = X^T G
 
-    The forward runs the arithmetic of the head composed of the engine's
-    small ops (concat, matmul, add_rowvec, relu, matmul, add_rowvec,
-    reshape) in their order, and so does the adjoint; no value fans out,
-    so both are bitwise equal to that composition. A non-finite
-    pre-activation raises, because ReLU would hide a NaN; every other
-    intermediate reaches the logits, which ``ndiff`` checks.
+    and returns dX = G W^T, split back into the relations' blocks.
+
+    The forward runs the arithmetic of the head composed of small ops
+    (concat, matmul, add_rowvec, relu, matmul, add_rowvec, reshape) in
+    their order, and so does the adjoint; no value fans out, so both are
+    bitwise equal to that composition. A non-finite pre-activation raises,
+    because ReLU would hide a NaN, and so does a non-finite logit.
     """
-    params = (model.readout_W, model.readout_b, model.head_w, model.head_b)
-    W, b, w, c = (t.data for t in params)
-    X = per_relation[0].data if len(per_relation) == 1 else np.concatenate([t.data for t in per_relation], axis=1)
+    W, b, w, c = model.readout_W, model.readout_b, model.head_w, model.head_b
+    X = per_relation[0] if len(per_relation) == 1 else np.concatenate(per_relation, axis=1)
     k = X.shape[0]
     pre = X @ W
     pre += b
@@ -306,20 +345,28 @@ def readout(model: PmpModel, per_relation: list) -> nd.Tensor:
     hidden = np.where(mask, pre, 0.0)
     z = hidden @ w
     z += c
+    z = nd.check_finite(z.reshape(k), "readout")
+    if grads is None:
+        return z, None
     cuts = np.cumsum([t.shape[1] for t in per_relation])[:-1]
 
-    def vjp(g):
+    def adjoint(g):
         g = g.reshape(k, 1)
         g_pre = (g @ w.T) * mask
-        g_X = np.split(g_pre @ W.T, cuts, axis=1)
-        return (*g_X, X.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
+        np.matmul(X.T, g_pre, out=grads["readout.W"])
+        np.sum(g_pre, axis=0, out=grads["readout.b"])
+        np.matmul(hidden.T, g, out=grads["head.w"])
+        np.sum(g, axis=0, out=grads["head.b"])
+        return np.split(g_pre @ W.T, cuts, axis=1)
 
-    return nd._make(z.reshape(k), "readout", (*per_relation, *params), vjp)
+    return z, adjoint
 
 
-def loss(logits: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None = None) -> nd.Tensor:
+def loss(logits: np.ndarray, labels: np.ndarray, batch, pos_weight: float | None = None,
+         tape: nd.GradientTape | None = None) -> np.ndarray:
     """Mean negated Bernoulli log likelihood of the batch labels, read from
-    the batch's logits (``model_logits``).
+    the batch's logits (``model_logits``), as a 0-d array. Given ``tape``,
+    it records its adjoint last.
 
     ``pos_weight``, when set, reweights fraud examples by that factor
     (weighted mean); by default every example counts equally.
@@ -329,4 +376,7 @@ def loss(logits: nd.Tensor, labels: np.ndarray, batch, pos_weight: float | None 
         raise ValueError("empty batch")
     y = np.asarray(labels)[batch].astype(np.float64)
     w = np.where(y == 1, 1.0 if pos_weight is None else float(pos_weight), 1.0)
-    return nd.binary_cross_entropy(logits, y, w)
+    value, adjoint = nd.binary_cross_entropy(logits, y, w)
+    if tape is not None:
+        tape.head.append(("binary_cross_entropy", adjoint))
+    return value

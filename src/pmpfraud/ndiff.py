@@ -1,31 +1,33 @@
-"""Dense tensors with reverse-mode differentiation over a fixed operator set.
+"""Float64 array kernels of the message passing model, and its reverse pass.
 
-The operator set is deliberately small: exactly what the message passing
-model records itself (the clamped logistic, row gathers and segment sums,
-dropout, and a clamped cross-entropy on logits that is the batch's
-weighted mean). Each operator records its inputs and an adjoint rule on
-the output tensor; ``backward`` replays the recorded graph once in reverse
-topological order, accumulating gradients additively wherever a value fans
-out. The message passing layer and the readout head are one operator
-each: ``layer.layer_forward`` and ``model.readout`` record them through
-``_make`` with adjoints written from their equations.
+The kernels are exactly what the model's forward calls beyond plain
+numpy: the clamped logistic, row gathers and segment sums, dropout, and a
+clamped cross-entropy on logits that is the batch's weighted mean. Each
+takes and returns arrays, validates shapes up front and refuses to emit
+NaN or Inf instead of letting it propagate silently. ``scatter_rows`` and
+``gather_segment_sum_adjoint`` are the gathers' adjoints; ``dropout`` and
+``binary_cross_entropy`` return theirs beside their output.
 
-The cross-entropy takes logits and has one adjoint, taken in logit space:
-each example's weighted sigma(z) - t. Scores saturated on the correct side
-then send back an exact zero rather than a subnormal, and the rest of the
-reverse pass runs on normal numbers.
+``GradientTape`` is the reverse pass, written for the model rather than
+taped: a training batch, or a scored center whose feature gradient is
+wanted, keeps one adjoint record per layer, dropout, readout and loss (or
+logistic) call, and one walk runs them back, writing each weight block's
+gradient into its view of one flat gradient array. Scoring keeps no
+records. The layer and the readout head record themselves
+(``layer.layer_forward``, ``model.readout``) with adjoints written from
+their equations.
 
-Inside a ``no_grad()`` scope operators record nothing: read-only scoring
-keeps no reverse graph, and each intermediate is freed as soon as the next
-op has read it.
+The cross-entropy's adjoint is taken in logit space: each example's
+weighted sigma(z) - t. Scores saturated on the correct side then send back
+an exact zero rather than a subnormal, and the rest of the reverse pass
+runs on normal numbers.
 
-Everything is float64. Operators validate shapes up front and refuse to
-emit non-finite values instead of letting NaN or Inf propagate silently.
+The module also holds the settings check and the JSON and atomic file
+helpers every command uses.
 """
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import json
 import os
@@ -33,15 +35,15 @@ import os
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "GradientTape",
-    "no_grad",
     "ShapeError",
     "NonFiniteError",
-    "backward",
+    "check_finite",
     "sigmoid",
     "gather_segment_sum",
+    "gather_segment_sum_adjoint",
     "gather_rows",
+    "scatter_rows",
     "dropout",
     "binary_cross_entropy",
     "check_setting",
@@ -95,163 +97,95 @@ class NonFiniteError(ArithmeticError):
     """An operator produced NaN or Inf."""
 
 
-class Tensor:
-    """A dense float64 array plus the adjoint rule of the operator that made it.
-
-    Leaves are constructed directly (parameters pass requires_grad=True);
-    every other tensor comes out of an operator below. ``grad`` is filled
-    in by ``backward`` and has the same shape as ``data``.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp")
-
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
-        self._parents = ()
-        self._vjp = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-
-# False inside a ``no_grad()`` scope. A context variable, so a scope entered
-# in one thread (or task) never stops recording in another.
-_RECORDING = contextvars.ContextVar("ndiff_recording", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Scope in which operators record no parents or adjoints.
-
-    Results are still checked for finiteness, but none requires gradients,
-    so ``backward`` from one raises. Scopes nest, and leaving one, by
-    return or by exception, restores the state it was entered in.
-    """
-    token = _RECORDING.set(False)
-    try:
-        yield
-    finally:
-        _RECORDING.reset(token)
-
-
-def _make(data, op: str, parents, vjp):
-    """Wrap an operator result, keeping the graph only where gradients flow."""
-    if not np.all(np.isfinite(data)):
+def check_finite(out: np.ndarray, op: str) -> np.ndarray:
+    """``out``, unless it holds a NaN or an Inf: then NonFiniteError naming ``op``."""
+    if not np.all(np.isfinite(out)):
         raise NonFiniteError(f"{op}: non-finite result")
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.op = op
-    if _RECORDING.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
     return out
 
 
-def _require_2d(x: Tensor, op: str):
-    if x.data.ndim != 2:
-        raise ShapeError(f"{op}: expected 2-d operand, got shape {x.data.shape}")
+def _require_2d(x: np.ndarray, op: str):
+    if np.ndim(x) != 2:
+        raise ShapeError(f"{op}: expected 2-d operand, got shape {np.shape(x)}")
 
 
-def backward(output: Tensor, seed=None, trace=None):
-    """Run the reverse pass from ``output``.
-
-    Accumulates into ``.grad`` of every reachable tensor that requires
-    gradients. ``seed`` is the upstream gradient of ``output``; omitted, it
-    defaults to ones and requires a single-element output. ``trace``, if a
-    list, collects the op name of each recorded operation as it is visited
-    (each exactly once).
-    """
-    if not output.requires_grad:
-        raise ValueError("backward: output does not depend on any gradient-enabled tensor")
-    if seed is None:
-        if output.data.size != 1:
-            raise ShapeError("backward: implicit seed requires a single-element output")
-        seed = np.ones(output.data.shape)
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != output.data.shape:
-            raise ShapeError(
-                f"backward: seed shape {seed.shape} does not match output shape {output.data.shape}"
-            )
-
-    # Iterative post-order walk; parents land before children in ``topo``.
-    topo = []
-    seen = set()
-    stack = [(output, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-
-    output.grad = seed.copy() if output.grad is None else output.grad + seed
-    for node in reversed(topo):
-        if node._vjp is None:
-            continue
-        if trace is not None:
-            trace.append(node.op)
-        parent_grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, parent_grads):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+def _fold(terms) -> np.ndarray | None:
+    """The terms added left to right, the first as it is (a leading None is
+    skipped): how a gradient read by several ops accumulates."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return total
 
 
 class GradientTape:
-    """Named-parameter registry plus one reverse pass over a recorded graph.
+    """The adjoint records of one forward through the model, and one
+    reverse walk over them into one flat gradient.
 
-    A tape is confined to one logical execution thread; independent tapes
-    over disjoint graphs can run concurrently because all state lives on
-    the tensors themselves, and a ``no_grad()`` scope covers only the
-    thread that entered it.
+    ``params`` maps each weight block's name to its array, back to back in
+    one flat array (``PmpModel.parameters()``); ``grad`` is laid out the
+    same way and ``blocks`` maps each name to its view of it. Each block is
+    read by one recorded call, whose adjoint writes its gradient into its
+    view, so a walk zeroes and joins nothing.
+
+    A forward appends (op name, adjoint) records: to ``branches``, one list
+    per relation, each layer's and its dropout's; to ``head``, the
+    readout's, then the loss's or the scored logistic's. ``gradients`` runs
+    the head's from the last, then each relation's from its last, relation
+    0 first, as a taped reverse pass visits them (``tests/reference.py``),
+    and adds the terms of a value read several times in that pass's order:
+
+      - a layer's adjoint takes its output's gradient and returns two term
+        lists for its input: its centers' rows and table, which read the
+        previous output after its dropout, and its gate's rows, read before;
+      - a dropout's adjoint takes the first list's sum, and the layer below
+        gets the sum of what remains, left to right, the gate's term last;
+      - layer 1's terms, asked for by ``wrt_features``, add into
+        ``features_grad`` relation after relation.
     """
 
-    def __init__(self, params: dict):
-        for name, p in params.items():
-            if not isinstance(p, Tensor) or not p.requires_grad:
-                raise ValueError(f"GradientTape: parameter {name!r} is not a gradient-enabled Tensor")
-        self.params = dict(params)
+    def __init__(self, params: dict, wrt_features: bool = False):
+        sizes = [p.size for p in params.values()]
+        self.grad = np.empty(sum(sizes))
+        parts = np.split(self.grad, np.cumsum(sizes)[:-1])
+        self.blocks = {name: part.reshape(p.shape) for (name, p), part in zip(params.items(), parts)}
+        self.wrt_features = wrt_features
+        self.features_grad = None
+        self.branches, self.head = [], []
 
-    def gradients(self, loss: Tensor, trace=None) -> dict:
-        """Zero, run backward from ``loss``, and return grads keyed by name.
+    def gradients(self, output, trace=None) -> dict:
+        """Walk the records back from ``output``, the single-element value
+        the last record made, seeded with one; return ``blocks``. ``trace``,
+        if a list, collects each record's op name as it runs. The records
+        are dropped, so the tape serves the next forward."""
+        if np.size(output) != 1:
+            raise ShapeError("gradients: the output must be a single element")
+        branches, head = self.branches, self.head
+        self.branches, self.head = [], []
 
-        Parameters the loss does not reach get exact zero gradients.
-        """
-        for p in self.params.values():
-            p.grad = None
-        backward(loss, trace=trace)
-        return {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self.params.items()
-        }
+        def run(op, adjoint, g):
+            if trace is not None:
+                trace.append(op)
+            return adjoint(g)
+
+        g = np.ones(np.shape(output))
+        for op, adjoint in reversed(head):
+            g = run(op, adjoint, g)
+        features = None
+        for branch, g in zip(branches, g):
+            terms, gate = [g], []
+            for op, adjoint in reversed(branch):
+                if op == "dropout":
+                    terms = [run(op, adjoint, _fold(terms))]
+                else:
+                    terms, gate = run(op, adjoint, _fold(terms + gate))
+            features = _fold([features, *terms, *gate])
+        self.features_grad = features
+        return self.blocks
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Kernels
 # ---------------------------------------------------------------------------
 
 
@@ -271,18 +205,15 @@ def _clamped_logistic(xd: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic, clamped into the open interval (0, 1)."""
-    out = _clamped_logistic(x.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, "sigmoid", (x,), vjp)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic, clamped into the open interval (0, 1).
+    Its adjoint is g * out * (1 - out)."""
+    return check_finite(_clamped_logistic(x), "sigmoid")
 
 
-def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum row i of [m, d] ``values`` into row ``ids[i]`` of a [num_rows, d] result.
+def scatter_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum row i of [m, d] ``values`` into row ``ids[i]`` of a [num_rows, d]
+    result: ``gather_rows``' adjoint.
 
     A flat bincount over cells ids[i] * d + j adds each cell's rows in input
     order from 0.0, as an unbuffered scatter-add does, so float64 results
@@ -294,70 +225,71 @@ def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.
     return out.reshape(num_rows, d)
 
 
-def gather_segment_sum(x: Tensor, rows: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def _summed(v: np.ndarray, into: np.ndarray, src: np.ndarray, size: int) -> np.ndarray:
+    """out[s] = sum of v[src[i]] over every i with into[i] == s, one
+    bincount per column of v.T."""
+    out = np.empty((v.shape[1], size))
+    for j, col in enumerate(np.ascontiguousarray(v.T)):
+        out[j] = np.bincount(into, weights=col[src], minlength=size)
+    return np.ascontiguousarray(out.T)
+
+
+def gather_segment_sum(x: np.ndarray, rows: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
     """out[s] = sum of x[rows[i]] over every i with segment_ids[i] == s.
 
     Empty segments are zero rows. One bincount per column of x.T builds no
     [m, d] gathered copy or cell index; each cell adds in input order from
-    0.0, bitwise as an unbuffered scatter-add. The adjoint swaps the ids.
+    0.0, bitwise as an unbuffered scatter-add. ``gather_segment_sum_adjoint``
+    is the same sum with the ids swapped.
     """
     _require_2d(x, "gather_segment_sum")
     rows, seg = np.asarray(rows, dtype=np.int64), np.asarray(segment_ids, dtype=np.int64)
     if rows.ndim != 1 or seg.shape != rows.shape:
         raise ShapeError(f"gather_segment_sum: rows shape {rows.shape} and ids shape {seg.shape} differ or are not 1-d")
-    for ids, bound, what in ((rows, x.data.shape[0], "row index"), (seg, num_segments, "segment id")):
+    for ids, bound, what in ((rows, x.shape[0], "row index"), (seg, num_segments, "segment id")):
         if ids.size and (ids.min() < 0 or ids.max() >= bound):
             raise ShapeError(f"gather_segment_sum: {what} out of range")
-
-    def summed(v, into, src, size):
-        out = np.empty((v.shape[1], size))
-        for j, col in enumerate(np.ascontiguousarray(v.T)):
-            out[j] = np.bincount(into, weights=col[src], minlength=size)
-        return np.ascontiguousarray(out.T)
-
-    out = summed(x.data, seg, rows, num_segments)
-    return _make(out, "gather_segment_sum", (x,), lambda g: (summed(g, rows, seg, x.data.shape[0]),))
+    return check_finite(_summed(x, seg, rows, num_segments), "gather_segment_sum")
 
 
-def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-d tensor; the adjoint scatter-adds them back."""
+def gather_segment_sum_adjoint(g: np.ndarray, rows: np.ndarray, segment_ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """The gradient of the ``num_rows`` rows of ``gather_segment_sum``'s x
+    from its output's gradient ``g``: out[r] = sum of g[segment_ids[i]]
+    over every i with rows[i] == r."""
+    return _summed(g, np.asarray(rows, dtype=np.int64), np.asarray(segment_ids, dtype=np.int64), num_rows)
+
+
+def gather_rows(x: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Select rows of a 2-d array; ``scatter_rows`` adds them back."""
     _require_2d(x, "gather_rows")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: indices must be 1-d, got shape {idx.shape}")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError("gather_rows: index out of range")
-
-    def vjp(g):
-        return (_scatter_add_rows(g, idx, n),)
-
-    return _make(x.data[idx], "gather_rows", (x,), vjp)
+    return check_finite(x[idx], "gather_rows")
 
 
-def dropout(x: Tensor, p: float, key) -> Tensor:
-    """Inverted dropout with a counter-based mask.
+def dropout(x: np.ndarray, p: float, key):
+    """Inverted dropout with a counter-based mask: the output and its adjoint.
 
     The mask is a pure function of ``key``, any seed ``np.random.Philox``
     takes (an int, a sequence of ints or a SeedSequence), so replaying the
     same key reproduces the same mask and finite differencing across a
-    fixed key stays valid. With p == 0 the input tensor is returned
-    unchanged, which is the identity map with identity adjoint.
+    fixed key stays valid.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
     rng = np.random.Generator(np.random.Philox(key))
-    keep = rng.random(x.data.shape) >= p
+    keep = rng.random(x.shape) >= p
     factor = keep / (1.0 - p)
-    return _make(x.data * factor, "dropout", (x,), lambda g: (g * factor,))
+    return check_finite(x * factor, "dropout"), lambda g: g * factor
 
 
-def binary_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
     """Weighted mean negated log likelihood of Bernoulli targets under the
-    probabilities sigma(z) of ``logits`` z, as a 0-d tensor:
-    sum_i w_i l_i / sum_i w_i with l_i the example's loss.
+    probabilities sigma(z) of ``logits`` z, as a 0-d array:
+    sum_i w_i l_i / sum_i w_i with l_i the example's loss; and its adjoint.
 
     The value takes the clamped logistic (``sigmoid``'s output), clamps it
     to [PROB_CLAMP, 1 - PROB_CLAMP] before the logs, so it stays finite at
@@ -374,7 +306,7 @@ def binary_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarra
     """
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    zd = logits.data
+    zd = logits
     if t.shape != zd.shape or w.shape != t.shape:
         raise ShapeError(
             f"binary_cross_entropy: target shape {t.shape} and weight shape {w.shape} vs logits {zd.shape}"
@@ -386,10 +318,10 @@ def binary_cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarra
     n, scale = t.size, float(t.size / w.sum())
     out = np.asarray(scale * np.mean(per_example * w) + 0.0)
 
-    def vjp(g):
-        return (np.full(t.shape, float(scale * g) / n) * w * (_logistic(zd) - t),)
+    def adjoint(g):
+        return np.full(t.shape, float(scale * g) / n) * w * (_logistic(zd) - t)
 
-    return _make(out, "binary_cross_entropy", (logits,), vjp)
+    return check_finite(out, "binary_cross_entropy"), adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +354,19 @@ def read_json_object(path: str) -> dict:
 
 def write_file_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temp file and ``os.replace``, so
-    ``path`` holds either its old contents or all of ``data``, never part."""
+    ``path`` holds either its old contents or all of ``data``, never part.
+    A failed write removes its temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv_atomic(path: str, header: str, rows, meta_line: str = "") -> None:

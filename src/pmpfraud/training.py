@@ -8,13 +8,13 @@ the same way, one O(n) pass over the node table. At inference time only
 training labels are known, so val and test nodes stay in the unlabeled
 bucket.
 
-Training batches record a reverse graph for the Adam step, from the
-batch's logits through the loss. Adam joins a step's gradients into one
-array and updates ``PmpModel.flat``, the weights, with whole-array
-operations; the best epoch is a copy of ``flat``. Scoring
-(``forward_scores``, which serves the per-epoch validation pass and
-``evaluate``) needs no gradients and runs under ``ndiff.no_grad()``, so it
-records none; the scores are bitwise those of a recorded forward.
+Each training batch records its adjoints on one ``ndiff.GradientTape``,
+from the batch's logits through the loss, and the tape's walk writes the
+batch's gradient into one flat array laid out like ``PmpModel.flat``, the
+weights. Adam updates the weights from it with whole-array operations; the
+best epoch is a copy of ``flat``. Scoring (``forward_scores``, which serves
+the per-epoch validation pass and ``evaluate``) passes no tape, so it
+records nothing; the scores are bitwise those of a recorded forward.
 
 Training reads layer 1 from one table at every depth. Layer 1 sums raw
 features by bucket, which depends on the graph, the partition and the
@@ -119,12 +119,12 @@ class Adam:
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
 
-    def step(self, grads: dict):
-        """One update from ``grads``, name to gradient in ``flat``'s order as
-        the tape returns them; a non-finite one raises naming its parameter."""
-        g = np.concatenate(list(grads.values()), axis=None)
+    def step(self, g: np.ndarray, blocks: dict):
+        """One update from the gradient ``g``, laid out like ``flat``.
+        ``blocks`` maps each block's name to its view of ``g``, in order; a
+        non-finite gradient raises naming the first block holding one."""
         if not np.isfinite(g).all():
-            name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+            name = next(name for name, grad in blocks.items() if not np.isfinite(grad).all())
             raise nd.NonFiniteError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
@@ -160,21 +160,19 @@ def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features,
     """Deterministic probabilities for a node list, computed in chunks of
     ``EVAL_BATCH_SIZE`` nodes.
 
-    Scoring runs under ``ndiff.no_grad()``: no chunk records a reverse graph.
-    ``sums`` are layer 1's tables from ``layer_one_sums`` over the same
-    inputs; without them a model of two or more layers builds them once
-    here and shares them across the chunks, and a one-layer model sums
-    each chunk's own neighborhoods (see the module docstring). Only the
-    depth decides: the tables have one layout for every variant.
+    No chunk records adjoints. ``sums`` are layer 1's tables from
+    ``layer_one_sums`` over the same inputs; without them a model of two or
+    more layers builds them once here and shares them across the chunks,
+    and a one-layer model sums each chunk's own neighborhoods (see the
+    module docstring). Only the depth decides: the tables have one layout
+    for every variant.
     """
     out = np.empty(ids.size, dtype=np.float64)
-    with nd.no_grad():
-        if sums is None and model.config.num_layers >= 2:
-            sums = layer_one_sums(graph, partition, features)
-        for start in range(0, ids.size, EVAL_BATCH_SIZE):
-            chunk = ids[start : start + EVAL_BATCH_SIZE]
-            z = model_forward(model, graph, partition, features, chunk, sums=sums)
-            out[start : start + chunk.size] = z.data
+    if sums is None and model.config.num_layers >= 2:
+        sums = layer_one_sums(graph, partition, features)
+    for start in range(0, ids.size, EVAL_BATCH_SIZE):
+        chunk = ids[start : start + EVAL_BATCH_SIZE]
+        out[start : start + chunk.size] = model_forward(model, graph, partition, features, chunk, sums=sums)
     return out
 
 
@@ -192,7 +190,8 @@ def _run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTa
     """One epoch of ``train``: a pass over ``perm`` in batches of
     ``config.batch_size``, one Adam step per batch; returns the
     example-weighted mean train loss. Every batch reads layer 1 from
-    ``sums`` (see ``model_logits``) and feeds its logits to the loss.
+    ``sums`` (see ``model_logits``), feeds its logits to the loss, and
+    records both on ``tape``, whose walk gives Adam the batch's gradient.
 
     ``model_logits`` and ``loss_fn`` are looked up as globals of this
     module, so a wrapper set on it sees every training batch, whoever
@@ -204,13 +203,14 @@ def _run_epoch(model: PmpModel, graph: RelationalGraph, partition, table: NodeTa
         try:
             logits = model_logits(
                 model, graph, partition, table.features, batch, seed=config.seed, epoch=epoch,
-                batch_index=batch_index, dropout_p=config.dropout_p, sums=sums,
+                batch_index=batch_index, dropout_p=config.dropout_p, sums=sums, tape=tape,
             )
-            batch_loss = loss_fn(logits, table.labels, batch, pos_weight=config.pos_weight)
-            opt.step(tape.gradients(batch_loss))
+            batch_loss = loss_fn(logits, table.labels, batch, pos_weight=config.pos_weight, tape=tape)
+            grads = tape.gradients(batch_loss)
+            opt.step(tape.grad, grads)
         except nd.NonFiniteError as err:
             raise TrainingDiverged(epoch, batch_index, str(err)) from err
-        total_loss += float(batch_loss.data) * batch.size
+        total_loss += float(batch_loss) * batch.size
     return total_loss / perm.size
 
 

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from pmpfraud import ndiff as nd
 from pmpfraud.analysis import (
     eigendecompose,
     influence_report,
@@ -37,6 +36,7 @@ from .reference import (
     naive_model_forward,
     normalized_adjacency,
     pairwise_auc,
+    tape_gradients,
     unlabeled_neighbors,
 )
 from .test_layer import aggregate
@@ -68,7 +68,7 @@ def _random_table(rng, g, d, fraud_p=0.3, unlabeled_p=0.3):
 def _nudge(model, rng, scale=0.3):
     # Zero-initialized blocks would hide wiring bugs from the checks.
     for p in model.parameters().values():
-        p.data += scale * rng.normal(size=p.data.shape)
+        p += scale * rng.normal(size=p.shape)
 
 
 def test_c01_full_model_gradients_match_finite_differences():
@@ -100,9 +100,9 @@ def test_c01_full_model_gradients_match_finite_differences():
             _nudge(model, rng)
             batch = rng.choice(n, size=min(8, n), replace=False)
 
-            def objective():
-                logits = model_logits(model, g, partition, table.features, batch)
-                return loss(logits, table.labels, batch)
+            def objective(tape=None):
+                logits = model_logits(model, g, partition, table.features, batch, tape=tape)
+                return loss(logits, table.labels, batch, tape=tape)
 
             margins = []
             probs = naive_model_forward(model, g, partition, table.features, batch,
@@ -113,7 +113,7 @@ def test_c01_full_model_gradients_match_finite_differences():
         else:
             pytest.fail(f"trial {trial}: no smooth instance in 50 attempts")
 
-        report = grad_check(objective, params, tolerance=1e-4)
+        report = grad_check(objective, params, tolerance=1e-4, analytic=tape_gradients(model, objective))
         worst = max(worst, report.max_relative_error)
         assert report.passed, f"trial {trial}: max rel err {report.max_relative_error}"
     elapsed = time.time() - started
@@ -138,18 +138,18 @@ def test_c02_partition_with_equal_matrices_collapses_to_baseline():
         _nudge(partitioned, rng)
         for stack in partitioned.layers:
             for p in stack:
-                p.M_be.data[...] = p.M_fr.data
-                p.M_un.data[...] = p.M_fr.data
+                p.M_be[...] = p.M_fr
+                p.M_un[...] = p.M_fr
         baseline = PmpModel(
             ModelConfig(variant=LayerVariant.baseline(), **cfg), seed=trial)
         # the baseline holds a subset of the partitioned model's blocks
         weights = partitioned.parameters()
         for name, p in baseline.parameters().items():
-            p.data[...] = weights[name].data
+            p[...] = weights[name]
         batch = rng.choice(n, size=min(10, n), replace=False)
         a = model_forward(partitioned, g, partition, table.features, batch)
         b = model_forward(baseline, g, partition, table.features, batch)
-        worst = max(worst, float(np.max(np.abs(a.data - b.data))))
+        worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-12, worst
     print(f"PASS C2: equal-matrix partition == shared-weight baseline on 20 "
           f"instances, max |diff| {worst:.3g} <= 1e-12")
@@ -166,21 +166,21 @@ def test_c03_fused_generator_path_matches_materialized_weights():
         table = _random_table(rng, g, d_in)
         partition = PartitionIndex.from_table(g, table)
         params = PmpLayerParams(d_in, d_out, LayerVariant.full(), rng)
-        for t in params.tensors().values():
-            t.data = rng.normal(size=t.data.shape)
+        for name in params.variant.weights:
+            setattr(params, name, rng.normal(size=getattr(params, name).shape))
         h = rng.normal(size=(n, d_in))
         batch = rng.choice(n, size=min(8, n), replace=False)
-        got = aggregate(params, partition, 0, nd.Tensor(h), batch).data
+        got = aggregate(params, g, partition, 0, h, batch)
         want = np.zeros_like(got)
         for pos, u in enumerate(batch):
             h_u = h[u]
-            w_fr = np.diag(h_u) @ params.M_fr.data + params.B_fr.data
-            w_be = np.diag(h_u) @ params.M_be.data + params.B_be.data
-            alpha = _sigmoid(h_u @ params.w_phi.data[:, 0] + params.b_phi.data[0])
+            w_fr = np.diag(h_u) @ params.M_fr + params.B_fr
+            w_be = np.diag(h_u) @ params.M_be + params.B_be
+            alpha = _sigmoid(h_u @ params.w_phi[:, 0] + params.b_phi[0])
             w_un = alpha * w_fr + (1.0 - alpha) * w_be
-            s_fr = h[fraud_neighbors(partition, 0, u)].sum(axis=0)
-            s_be = h[benign_neighbors(partition, 0, u)].sum(axis=0)
-            s_un = h[unlabeled_neighbors(partition, 0, u)].sum(axis=0)
+            s_fr = h[fraud_neighbors(g, partition, 0, u)].sum(axis=0)
+            s_be = h[benign_neighbors(g, partition, 0, u)].sum(axis=0)
+            s_un = h[unlabeled_neighbors(g, partition, 0, u)].sum(axis=0)
             want[pos] = s_fr @ w_fr + s_be @ w_be + s_un @ w_un
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12, worst

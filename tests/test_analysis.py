@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pmpfraud import analysis
-from pmpfraud import ndiff as nd
 from pmpfraud.analysis import (
     DenseCapExceeded,
     SpectralReport,
@@ -21,7 +20,7 @@ from pmpfraud.graph import NodeTable, PartitionIndex, RelationalGraph
 from pmpfraud.layer import LayerVariant
 from pmpfraud.model import ModelConfig, PmpModel, model_forward
 
-from .reference import grad_check, influence_linear_check, mean, normalized_adjacency
+from .reference import grad_check, influence_linear_check, normalized_adjacency, tape_gradients
 
 
 def random_graph(rng, n, factor=3):
@@ -225,16 +224,16 @@ def hand_model(values):
     cfg = ModelConfig(feature_dim=1, hidden_dim=1, variant=LayerVariant.full())
     model = PmpModel(cfg, seed=0)
     p = model.layers[0][0]
-    p.W_self.data[...] = values["a"]
-    p.b_self.data[...] = values["c"]
-    p.M_fr.data[...] = values["mf"]
-    p.B_fr.data[...] = values["bf"]
-    p.M_be.data[...] = values["mb"]
-    p.B_be.data[...] = values["bb"]
-    model.readout_W.data[...] = values["wr"]
-    model.readout_b.data[...] = values["br"]
-    model.head_w.data[...] = values["wh"]
-    model.head_b.data[...] = values["bh"]
+    p.W_self[...] = values["a"]
+    p.b_self[...] = values["c"]
+    p.M_fr[...] = values["mf"]
+    p.B_fr[...] = values["bf"]
+    p.M_be[...] = values["mb"]
+    p.B_be[...] = values["bb"]
+    model.readout_W[...] = values["wr"]
+    model.readout_b[...] = values["br"]
+    model.head_w[...] = values["wh"]
+    model.head_b[...] = values["bh"]
     return model
 
 
@@ -274,18 +273,22 @@ class TestInfluence:
         table = NodeTable(0.5 * rng.normal(size=(n, 3)), labels, np.zeros(n, dtype=np.int64))
         model = PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=2, num_relations=2), seed=8)
         for p in model.parameters().values():
-            p.data += 0.1 * rng.normal(size=p.data.shape)
+            p += 0.1 * rng.normal(size=p.shape)
         partition = PartitionIndex.from_table(g, table)
         center = 0
         # a column-major copy, as NodeTable stores them
-        feats = nd.Tensor(np.array(table.features, order="F"), requires_grad=True)
-        report = grad_check(lambda: mean(model_forward(model, g, partition, feats, np.array([center]))),
-                            {"features": feats}, tolerance=1e-6)
+        feats = np.array(table.features, order="F")
+
+        def prob(tape=None):
+            return model_forward(model, g, partition, feats, np.array([center]), tape=tape)
+
+        analytic = tape_gradients(model, prob, wrt_features=True)
+        report = grad_check(prob, {"features": feats}, tolerance=1e-6, analytic=analytic)
         assert report.passed, str(report)
-        assert np.count_nonzero(feats.grad) > 20
+        assert np.count_nonzero(analytic["features"]) > 20
 
         def score(shift):
-            return float(model_forward(model, g, partition, table.features + shift, np.array([center])).data[0])
+            return float(model_forward(model, g, partition, table.features + shift, np.array([center]))[0])
 
         neighbors = np.unique(np.concatenate([g.neighbors(r, center) for r in range(2)]))
         got = influence(model, g, table, center, partition=partition)

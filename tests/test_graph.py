@@ -227,9 +227,9 @@ class TestPartitionIndex:
             idx = PartitionIndex.build(g, labels, train)
             for u in range(n):
                 fr, be, un = self.brute_partition(g, 0, labels, train, u)
-                assert sorted(fraud_neighbors(idx, 0, u).tolist()) == sorted(fr)
-                assert sorted(benign_neighbors(idx, 0, u).tolist()) == sorted(be)
-                assert sorted(unlabeled_neighbors(idx, 0, u).tolist()) == sorted(un)
+                assert sorted(fraud_neighbors(g, idx, 0, u).tolist()) == sorted(fr)
+                assert sorted(benign_neighbors(g, idx, 0, u).tolist()) == sorted(be)
+                assert sorted(unlabeled_neighbors(g, idx, 0, u).tolist()) == sorted(un)
 
     def test_arrays_equal_ascending_bucket_oracle(self):
         rng = np.random.default_rng(13)
@@ -263,16 +263,16 @@ class TestPartitionIndex:
         labels = np.array([0, 1, 1])
         splits = np.array([0, 1, 0])
         idx = PartitionIndex.build(g, labels, splits == 0)
-        np.testing.assert_array_equal(fraud_neighbors(idx, 0, 0), [2])
-        np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [1])
-        np.testing.assert_array_equal(benign_neighbors(idx, 0, 0), [])
+        np.testing.assert_array_equal(fraud_neighbors(g, idx, 0, 0), [2])
+        np.testing.assert_array_equal(unlabeled_neighbors(g, idx, 0, 0), [1])
+        np.testing.assert_array_equal(benign_neighbors(g, idx, 0, 0), [])
 
     def test_from_table_uses_train_split_only(self):
         g = RelationalGraph.from_edge_lists(3, [[(0, 1), (0, 2)]])
         t = make_table([[0.0], [0.0], [0.0]], [0, 1, 0], [0, 0, 1])
         idx = PartitionIndex.from_table(g, t)
-        np.testing.assert_array_equal(fraud_neighbors(idx, 0, 0), [1])
-        np.testing.assert_array_equal(unlabeled_neighbors(idx, 0, 0), [2])
+        np.testing.assert_array_equal(fraud_neighbors(g, idx, 0, 0), [1])
+        np.testing.assert_array_equal(unlabeled_neighbors(g, idx, 0, 0), [2])
 
 
 class TestHomophily:

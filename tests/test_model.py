@@ -1,5 +1,4 @@
 """Stacked model against a per-node naive reference and exact identities."""
-import contextlib
 import hashlib
 import itertools
 import json
@@ -17,7 +16,8 @@ from pmpfraud.model import ModelConfig, PmpModel, layer_one_sums, loss, model_fo
 from pmpfraud.training import TrainConfig, train
 
 from .reference import (
-    composed_layer_forward, composed_loss, composed_readout, frontier_model_forward, grad_check, naive_model_forward,
+    GradientTape as EngineTape, TapedModel, Tensor, backward, composed_loss, composed_model_logits,
+    frontier_model_forward, grad_check, naive_model_forward, sigmoid, tape_gradients,
 )
 
 VARIANTS = [
@@ -51,8 +51,8 @@ def random_instance(rng, n=16, num_relations=1, num_layers=1, variant=None, d=3,
     # biases and gates initialize to zero; randomize them so the
     # comparison exercises every term
     for name, p in model.parameters().items():
-        if not p.data.any():
-            p.data[...] = 0.3 * rng.normal(size=p.data.shape)
+        if not p.any():
+            p[...] = 0.3 * rng.normal(size=p.shape)
     x = rng.normal(size=(n, d))
     return g, idx, labels, model, x
 
@@ -63,7 +63,7 @@ class TestForward:
         g, idx, labels, model, x = random_instance(rng)
         model.flat[...] = 0.0
         probs = model_forward(model, g, idx, x, np.arange(g.num_nodes))
-        np.testing.assert_array_equal(probs.data, np.full(g.num_nodes, 0.5))
+        np.testing.assert_array_equal(probs, np.full(g.num_nodes, 0.5))
 
     def test_output_shape_and_open_interval(self):
         rng = np.random.default_rng(1)
@@ -71,7 +71,7 @@ class TestForward:
         batch = np.array([3, 1, 7])
         probs = model_forward(model, g, idx, x, batch)
         assert probs.shape == (3,)
-        assert np.all(probs.data > 0.0) and np.all(probs.data < 1.0)
+        assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -85,7 +85,7 @@ class TestForward:
             batch = rng.permutation(g.num_nodes)[:7]
             got = model_forward(model, g, idx, x, batch)
             want = naive_model_forward(model, g, idx, x, batch)
-            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("num_layers", [1, 2])
@@ -98,7 +98,7 @@ class TestForward:
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
         got = model_forward(model, g, idx, np.asarray(x, order=order), batch)
         want = frontier_model_forward(model, g, idx, x, batch)
-        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got, want)
 
     def test_frontier_restriction_matches_whole_graph(self):
         # scores of a small batch equal the same rows of a full-graph pass
@@ -107,7 +107,7 @@ class TestForward:
         full = model_forward(model, g, idx, x, np.arange(g.num_nodes))
         batch = np.array([5, 0, 11])
         part = model_forward(model, g, idx, x, batch)
-        np.testing.assert_allclose(part.data, full.data[batch], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(part, full[batch], rtol=0, atol=1e-12)
 
     def test_batch_permutation_permutes_scores(self):
         rng = np.random.default_rng(4)
@@ -116,7 +116,7 @@ class TestForward:
         perm = rng.permutation(g.num_nodes)
         a = model_forward(model, g, idx, x, batch)
         b = model_forward(model, g, idx, x, batch[perm])
-        np.testing.assert_array_equal(b.data, a.data[perm])
+        np.testing.assert_array_equal(b, a[perm])
 
     def test_unsorted_batch_with_repeats_matches_unique_batch(self):
         # repeated and unsorted ids all map through the same frontier rows
@@ -126,7 +126,7 @@ class TestForward:
         unique = np.unique(batch)
         a = model_forward(model, g, idx, x, unique)
         b = model_forward(model, g, idx, x, batch)
-        np.testing.assert_array_equal(b.data, a.data[np.searchsorted(unique, batch)])
+        np.testing.assert_array_equal(b, a[np.searchsorted(unique, batch)])
 
     def test_own_label_does_not_enter_own_score(self):
         # flipping a node's label (and train membership) changes its
@@ -141,7 +141,7 @@ class TestForward:
         train[:2] = True
         a = model_forward(model, g, PartitionIndex.build(g, labels, train), x, np.array([u]))
         b = model_forward(model, g, PartitionIndex.build(g, flipped, train), x, np.array([u]))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_two_identical_relations_reduce_to_one(self):
         # duplicate the relation and split the readout weight in half:
@@ -164,16 +164,16 @@ class TestForward:
         params2 = model2.parameters()
         for k, p in model1.parameters().items():
             if k.startswith("rel0."):
-                params2[k].data[...] = p.data
-                params2["rel1." + k[len("rel0.") :]].data[...] = p.data
+                params2[k][...] = p
+                params2["rel1." + k[len("rel0.") :]][...] = p
             elif k == "readout.W":
-                params2[k].data[...] = np.concatenate([p.data, p.data]) / 2.0
+                params2[k][...] = np.concatenate([p, p]) / 2.0
             else:
-                params2[k].data[...] = p.data
+                params2[k][...] = p
         batch = np.arange(g1.num_nodes)
         a = model_forward(model1, g1, idx1, x, batch)
         b = model_forward(model2, g2, idx2, x, batch)
-        np.testing.assert_allclose(b.data, a.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
     def test_validation_errors(self):
         rng = np.random.default_rng(7)
@@ -208,8 +208,8 @@ class TestLayerOneSums:
         shared = model_forward(model, g, idx, x, batch, sums=sums)
         own = model_forward(model, g, idx, x, batch)
         want = frontier_model_forward(model, g, idx, x, batch)
-        np.testing.assert_array_equal(shared.data, want.data)
-        np.testing.assert_array_equal(own.data, want.data)
+        np.testing.assert_array_equal(shared, want)
+        np.testing.assert_array_equal(own, want)
 
     @pytest.mark.parametrize("variant", ABLATION, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
@@ -217,13 +217,17 @@ class TestLayerOneSums:
         rng = np.random.default_rng(22)
         g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2, variant=variant)
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
-        tape = nd.GradientTape(model.parameters())
         kw = dict(seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
         runs = []
         for sums in (None, layer_one_sums(g, idx, x)):
-            logits = model_logits(model, g, idx, x, batch, sums=sums, **kw)
-            runs.append((logits.data, tape.gradients(loss(logits, labels, batch))))
-        (p_own, g_own), (p_shared, g_shared) = runs
+            logits = []
+
+            def batch_loss(tape):
+                logits.append(model_logits(model, g, idx, x, batch, sums=sums, tape=tape, **kw))
+                return loss(logits[-1], labels, batch, tape=tape)
+
+            runs.append((tape_gradients(model, batch_loss), logits[-1]))
+        (g_own, p_own), (g_shared, p_shared) = runs
         np.testing.assert_array_equal(p_shared, p_own)
         for name in g_own:
             np.testing.assert_array_equal(g_shared[name], g_own[name], err_msg=name)
@@ -238,7 +242,7 @@ class TestLayerOneSums:
                 nbrs = g.neighbors(r, i)
                 for b in range(3):
                     want = sum((x[j] for j in nbrs[idx.bucket[nbrs] == b]), np.zeros(x.shape[1]))
-                    np.testing.assert_allclose(table.data[b * n + i], want, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(table[b * n + i], want, rtol=0, atol=1e-12)
 
     def test_every_ablation_variant_gets_the_same_table(self):
         tables = []
@@ -247,7 +251,7 @@ class TestLayerOneSums:
             g, idx, labels, model, _ = random_instance(rng, num_relations=2, variant=variant)
             # random_instance draws its features after the variant's weights
             x = np.random.default_rng(24).normal(size=(g.num_nodes, 3))
-            tables.append([t.data.tobytes() for t in layer_one_sums(g, idx, x)])
+            tables.append([t.tobytes() for t in layer_one_sums(g, idx, x)])
         assert all(t == tables[0] for t in tables[1:])
 
     def test_val_and_test_labels_never_reach_the_table(self):
@@ -263,19 +267,19 @@ class TestLayerOneSums:
             for y in (labels, flipped)
         ]
         for a, b in zip(*tables):
-            assert a.data.tobytes() == b.data.tobytes()
+            assert a.tobytes() == b.tobytes()
         # a train label does reach it
         train_flip = labels.copy()
         train_flip[2:][splits[2:] == 0] ^= 1
         moved = layer_one_sums(g, PartitionIndex.from_table(g, NodeTable(x, train_flip, splits)), x)
-        assert any(a.data.tobytes() != m.data.tobytes() for a, m in zip(tables[0], moved))
+        assert any(a.tobytes() != m.tobytes() for a, m in zip(tables[0], moved))
 
     def test_tables_of_the_wrong_shape_are_rejected(self):
         rng = np.random.default_rng(25)
         g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=2)
         sums = layer_one_sums(g, idx, x)
-        wrong_n = [nd.Tensor(t.data[:-3]) for t in sums]
-        wrong_d = [nd.Tensor(t.data[:, :-1]) for t in sums]
+        wrong_n = [t[:-3] for t in sums]
+        wrong_d = [t[:, :-1] for t in sums]
         for bad in (sums[:1], wrong_n, wrong_d):
             with pytest.raises(ValueError, match="sums"):
                 model_forward(model, g, idx, x, np.array([0]), sums=bad)
@@ -293,9 +297,9 @@ class TestDropout:
         kw = dict(seed=3, epoch=2, batch_index=1, dropout_p=0.5)
         a = model_forward(model, g, idx, x, batch, **kw)
         b = model_forward(model, g, idx, x, batch, **kw)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
         plain = model_forward(model, g, idx, x, batch)
-        assert not np.array_equal(a.data, plain.data)
+        assert not np.array_equal(a, plain)
 
     def test_key_components_vary_masks(self):
         g, idx, model, x = self.setup_instance()
@@ -307,45 +311,46 @@ class TestDropout:
             dict(seed=3, epoch=2, batch_index=2),
         ):
             other = model_forward(model, g, idx, x, batch, dropout_p=0.5, **kw)
-            assert not np.array_equal(other.data, base.data)
+            assert not np.array_equal(other, base)
 
 
 class TestLoss:
     def test_half_probabilities_cost_ln2(self):
-        out = loss(nd.Tensor(np.zeros(4)), np.array([0, 1, 1, 0]), np.arange(4))
-        assert out.data == math.log(2.0)
+        out = loss(np.zeros(4), np.array([0, 1, 1, 0]), np.arange(4))
+        assert out == math.log(2.0)
 
     def test_perfect_confident_predictions_cost_almost_zero(self):
-        out = loss(nd.Tensor(np.array([1e4, -1e4])), np.array([1, 0]), np.arange(2))
-        assert 0.0 < out.data < 2e-12
+        out = loss(np.array([1e4, -1e4]), np.array([1, 0]), np.arange(2))
+        assert 0.0 < out < 2e-12
 
     def test_matches_hand_formula(self):
         z = np.array([0.8, -1.4, 2.2])
         y = np.array([1, 0, 0])
-        out = loss(nd.Tensor(z), y, np.arange(3))
+        out = loss(z, y, np.arange(3))
         want = (math.log1p(math.exp(-0.8)) + math.log1p(math.exp(-1.4)) + math.log1p(math.exp(2.2))) / 3.0
-        assert abs(out.data - want) < 1e-15
+        assert abs(out - want) < 1e-15
 
     def test_pos_weight_reweights_fraud_terms(self):
         z = np.array([0.8, -1.4])
         y = np.array([1, 0])
-        out = loss(nd.Tensor(z), y, np.arange(2), pos_weight=3.0)
+        out = loss(z, y, np.arange(2), pos_weight=3.0)
         want = (3.0 * math.log1p(math.exp(-0.8)) + math.log1p(math.exp(-1.4))) / 4.0
-        assert abs(out.data - want) < 1e-15
+        assert abs(out - want) < 1e-15
 
     def test_labels_indexed_by_batch(self):
         labels = np.array([0, 1, 0])
-        out = loss(nd.Tensor(np.array([2.2])), labels, np.array([1]))
-        assert abs(out.data - math.log1p(math.exp(-2.2))) < 1e-15
+        out = loss(np.array([2.2]), labels, np.array([1]))
+        assert abs(out - math.log1p(math.exp(-2.2))) < 1e-15
 
     def test_gradient_flows_to_logits(self):
-        raw = nd.Tensor(np.array([0.1, -0.4, 0.3]), requires_grad=True)
-        out = loss(raw, np.array([1, 0, 1]), np.arange(3))
-        nd.backward(out)
+        raw = np.array([0.1, -0.4, 0.3])
+        tape = nd.GradientTape({})
+        loss(raw, np.array([1, 0, 1]), np.arange(3), tape=tape)
+        [(op, adjoint)] = tape.head
         # d/dz mean(bce(sigmoid(z), y)) = (sigmoid(z) - y) / n
-        want = (1.0 / (1.0 + np.exp(-raw.data)) - np.array([1.0, 0.0, 1.0])) / 3.0
-        np.testing.assert_allclose(raw.grad, want, rtol=0, atol=1e-12)
-
+        want = (1.0 / (1.0 + np.exp(-raw)) - np.array([1.0, 0.0, 1.0])) / 3.0
+        assert op == "binary_cross_entropy"
+        np.testing.assert_allclose(adjoint(np.ones(())), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pos_weight", [None, 3.0])
     @pytest.mark.parametrize("seed", range(10))
@@ -357,19 +362,18 @@ class TestLoss:
         labels = rng.integers(0, 2, size=20)
         batch = rng.integers(0, 20, size=11)
         logits = 4.0 * rng.normal(size=11)
-        runs = []
-        for fn in (loss, composed_loss):
-            z = nd.Tensor(logits.copy(), requires_grad=True)
-            trace = []
-            out = fn(z, labels, batch, pos_weight=pos_weight)
-            nd.backward(out, trace=trace)
-            runs.append((out, z.grad, trace))
-        (got, g_got, trace), (want, g_want, _) = runs
+        tape = nd.GradientTape({})
+        got = loss(logits.copy(), labels, batch, pos_weight=pos_weight, tape=tape)
+        [(op, adjoint)] = tape.head
+        g_got = adjoint(np.ones(()))
+        z = Tensor(logits.copy(), requires_grad=True)
+        want = composed_loss(z, labels, batch, pos_weight=pos_weight)
+        backward(want)
         assert got.shape == want.shape == ()
-        assert got.data.tobytes() == want.data.tobytes()
-        assert g_got.tobytes() == g_want.tobytes()
+        assert got.tobytes() == want.data.tobytes()
+        assert g_got.tobytes() == z.grad.tobytes()
         assert np.abs(g_got).min() > 0
-        assert trace == ["binary_cross_entropy"]
+        assert op == "binary_cross_entropy"
 
 
 class TestGradientCheck:
@@ -378,103 +382,119 @@ class TestGradientCheck:
         g, idx, labels, model, x = random_instance(rng, n=12, num_layers=2, hidden=3)
         batch = np.arange(g.num_nodes)
 
-        def fn():
-            return loss(model_logits(model, g, idx, x, batch), labels, batch)
+        def fn(tape=None):
+            return loss(model_logits(model, g, idx, x, batch, tape=tape), labels, batch, tape=tape)
 
-        report = grad_check(fn, model.parameters(), tolerance=1e-6)
+        report = grad_check(fn, model.parameters(), tolerance=1e-6, analytic=tape_gradients(model, fn))
         assert report.passed, str(report)
 
 
 class TestOneOpPerLayer:
-    """Every layer call and the readout record one op each, and the model's
+    """A training batch or a scored center keeps one adjoint record per
+    layer, dropout, readout and loss (or logistic) call, and the model's
     logits, scores and gradients are bitwise those of the model composed of
-    small ops."""
+    the engine's small ops."""
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
-    @pytest.mark.parametrize("num_relations", [1, 2])
+    @pytest.mark.parametrize("num_relations", [1, 2, 3])
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-    def test_bitwise_equal_to_the_composed_layer(self, monkeypatch, variant, num_relations, num_layers, dropout_p):
+    def test_bitwise_equal_to_the_composed_layer(self, variant, num_relations, num_layers, dropout_p):
+        # Where a value is read several times (a layer's input by its
+        # centers' rows, its table and its gate's rows; the features by
+        # every relation) the walk must add the terms in the engine's order,
+        # which is not the records' reverse order. n = 16 nodes and a batch
+        # repeating ids make some sums of 3 or more terms round differently
+        # in another order.
         rng = np.random.default_rng(40)
         g, idx, labels, model, x = random_instance(
             rng, num_relations=num_relations, num_layers=num_layers, variant=variant
         )
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
         kw = dict(seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)
+        # the shared table as training reads it, and the features read
+        # directly with their gradient, for a batch's loss and, as the
+        # influence analysis reads it, one center's probability (two
+        # centers, as the readout's ReLU may shut either one off)
+        cases = [(batch, layer_one_sums(g, idx, x), False, True), (batch, None, True, True),
+                 (np.array([1]), None, True, False), (np.array([12]), None, True, False)]
+        reached = []
+        for ids, sums, wrt_features, through_loss in cases:
+            tape = nd.GradientTape(model.parameters(), wrt_features=wrt_features)
+            logits = model_logits(model, g, idx, x, ids, sums=sums, **kw)
+            probs = model_forward(model, g, idx, x, ids, sums=sums, tape=None if through_loss else tape, **kw)
+            trace = []
+            if through_loss:
+                output = loss(model_logits(model, g, idx, x, ids, sums=sums, tape=tape, **kw), labels, ids, tape=tape)
+            else:
+                output = probs
+            grads = tape.gradients(output, trace=trace)
 
-        def run():
-            # the shared table as training reads it, a gradient-enabled
-            # feature table as the influence analysis reads it, and a shared
-            # table built from such features, whose rows layer 1 gathers
-            out = []
-            grad_feats = nd.Tensor(x, requires_grad=True), nd.Tensor(x, requires_grad=True)
-            cases = ((layer_one_sums(g, idx, x), x), (None, grad_feats[0]),
-                     (layer_one_sums(g, idx, grad_feats[1]), grad_feats[1]))
-            for sums, feats in cases:
-                tape = nd.GradientTape(model.parameters())
-                logits = model_logits(model, g, idx, feats, batch, sums=sums, **kw)
-                probs = model_forward(model, g, idx, feats, batch, sums=sums, **kw)
-                trace = []
-                grads = tape.gradients(loss(logits, labels, batch), trace=trace)
-                if isinstance(feats, nd.Tensor):
-                    grads["features"] = feats.grad
-                out.append((logits.data, probs.data, grads, trace))
-            return out
+            taped = TapedModel(model)
+            feats = Tensor(x, requires_grad=True) if wrt_features else x
+            z = composed_model_logits(taped, g, idx, feats, ids, sums=sums, **kw)
+            want = EngineTape(taped.params).gradients(composed_loss(z, labels, ids) if through_loss else sigmoid(z))
+            assert logits.tobytes() == z.data.tobytes()
+            assert probs.tobytes() == sigmoid(z).data.tobytes()
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert grads[name].tobytes() == want[name].tobytes(), name
+            if wrt_features:
+                assert tape.features_grad.tobytes() == feats.grad.tobytes()
+                reached.append(np.abs(feats.grad).max() > 0)
+            else:
+                assert tape.features_grad is None
+            head = ["binary_cross_entropy" if through_loss else "sigmoid", "readout"]
+            stack = [op for _ in range(num_layers) for op in ["dropout", "layer"][dropout_p == 0.0:]]
+            assert trace == head + stack * num_relations
+        assert reached[0] and any(reached[1:])
 
-        fused = run()
-        monkeypatch.setattr(model_module, "readout", composed_readout)
-        composed_head = run()
-        monkeypatch.setattr(model_module, "layer_forward", composed_layer_forward)
-        composed = run()
-        for other in (composed_head, composed):
-            for (z_got, p_got, g_got, trace), (z_want, p_want, g_want, _) in zip(fused, other):
-                assert z_got.tobytes() == z_want.tobytes()
-                assert p_got.tobytes() == p_want.tobytes()
-                assert g_got.keys() == g_want.keys()
-                for name in g_want:
-                    assert g_got[name].tobytes() == g_want[name].tobytes(), name
-                assert trace.count("layer") == num_relations * num_layers
-                assert trace.count("readout") == 1
-        assert all("readout" not in trace and "layer" not in trace for *_, trace in composed)
-        assert np.abs(fused[1][2]["features"]).max() > 0
-        assert np.abs(fused[2][2]["features"]).max() > 0
-        assert fused[2][3].count("gather_rows") >= num_relations  # the shared table's adjoint ran
+    def test_a_feature_gradient_is_refused_through_a_shared_table(self):
+        rng = np.random.default_rng(44)
+        g, idx, labels, model, x = random_instance(rng)
+        tape = nd.GradientTape(model.parameters(), wrt_features=True)
+        with pytest.raises(ValueError, match="features' gradient"):
+            model_logits(model, g, idx, x, np.array([1]), sums=layer_one_sums(g, idx, x), tape=tape)
 
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("recording", [True, False])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-    def test_one_gather_serves_both_reads_of_a_tensor_without_gradient(self, monkeypatch, recording, dropout_p):
+    def test_gate_rows_are_gathered_only_for_a_gate_and_once_per_array(self, monkeypatch, variant, recording,
+                                                                       dropout_p):
+        # A 3-layer training batch over the shared table: layer 1 gathers its
+        # table rows and centers' rows, each deeper layer its centers' rows,
+        # and the gate's rows only when it has a gate and reads another
+        # array than the centers do: the pre-dropout output.
         rng = np.random.default_rng(43)
-        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=3)
-        shared = []
+        g, idx, labels, model, x = random_instance(rng, num_relations=2, num_layers=3, variant=variant)
+        gathered, gates = [], []
+        gather_rows = nd.gather_rows
 
-        def layer(params, sums, h_centers, h_gate, use_relu=True):
-            shared.append(h_centers is h_gate)
-            return layer_forward(params, sums, h_centers, h_gate, use_relu=use_relu)
+        def counting(x, indices):
+            gathered.append(x)
+            return gather_rows(x, indices)
 
+        def layer(params, sums, h_centers, h_gate, **kwargs):
+            gates.append(None if h_gate is None else h_gate is h_centers)
+            return layer_forward(params, sums, h_centers, h_gate, **kwargs)
+
+        monkeypatch.setattr(nd, "gather_rows", counting)
         monkeypatch.setattr(model_module, "layer_forward", layer)
-        with contextlib.ExitStack() as scope:
-            if not recording:
-                scope.enter_context(nd.no_grad())
-            for feats in (x, nd.Tensor(x, requires_grad=True)):
-                model_logits(model, g, idx, feats, np.array([9, 2, 9, 14]), seed=1, dropout_p=dropout_p)
-        # layer 1 reads the features; a deeper layer reads the last one's
-        # output, which carries a gradient while recording and differs from
-        # the gate's input after dropout
-        assert shared == [
-            not grad if l == 1 else dropout_p == 0.0 and not recording
-            for grad in (False, True) for _ in range(2) for l in (1, 2, 3)
-        ]
+        tape = nd.GradientTape(model.parameters()) if recording else None
+        model_logits(model, g, idx, x, np.array([9, 2, 9, 14]), seed=1, dropout_p=dropout_p,
+                     sums=layer_one_sums(g, idx, x), tape=tape)
+        adaptive = variant.adaptive_combination_enabled
+        assert len(gathered) == 2 * (2 + 2 * (1 + (adaptive and dropout_p > 0)))
+        assert gates == 2 * [None if not adaptive else l == 1 or dropout_p == 0.0 for l in (1, 2, 3)]
 
     @pytest.mark.parametrize("recording", [True, False])
     def test_non_finite_readout_weight_raises(self, recording):
         rng = np.random.default_rng(42)
         g, idx, labels, model, x = random_instance(rng, num_relations=2)
-        model.readout_W.data[0, 0] = np.nan
-        with contextlib.ExitStack() as scope:
-            if not recording:
-                scope.enter_context(nd.no_grad())
-            with pytest.raises(nd.NonFiniteError, match="readout"):
-                model_forward(model, g, idx, x, np.arange(g.num_nodes))
+        model.readout_W[0, 0] = np.nan
+        tape = nd.GradientTape(model.parameters()) if recording else None
+        with pytest.raises(nd.NonFiniteError, match="readout"):
+            model_forward(model, g, idx, x, np.arange(g.num_nodes), tape=tape)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: repr(tuple(v.to_dict().values())))
     @pytest.mark.parametrize("num_layers", [1, 2])
@@ -489,12 +509,12 @@ class TestOneOpPerLayer:
         batch = np.arange(g.num_nodes)
         kw = dict(seed=7, epoch=0, batch_index=0, dropout_p=dropout_p)
 
-        def fn():
-            return loss(model_logits(model, g, idx, x, batch, **kw), labels, batch)
+        def fn(tape=None):
+            return loss(model_logits(model, g, idx, x, batch, tape=tape, **kw), labels, batch, tape=tape)
 
-        probs = model_forward(model, g, idx, x, batch, **kw).data
+        probs = model_forward(model, g, idx, x, batch, **kw)
         assert np.all((probs > 1e-4) & (probs < 1.0 - 1e-4))
-        report = grad_check(fn, model.parameters(), tolerance=1e-6)
+        report = grad_check(fn, model.parameters(), tolerance=1e-6, analytic=tape_gradients(model, fn))
         assert report.passed, str(report)
 
 
@@ -503,8 +523,8 @@ def assert_views_of_flat(model):
     start = model.flat.__array_interface__["data"][0]
     pos = 0
     for name, p in model.parameters().items():
-        assert p.data.base is model.flat, name
-        assert p.data.__array_interface__["data"][0] == start + 8 * pos, name
+        assert p.base is model.flat, name
+        assert p.__array_interface__["data"][0] == start + 8 * pos, name
         pos += p.size
     assert pos == model.flat.size and model.flat.dtype == np.float64
 
@@ -564,7 +584,7 @@ class TestStateAndCheckpoint:
         _, _, _, model, _ = random_instance(rng)
         state = model.state()
         state["head.w"][:] = 123.0
-        assert not np.array_equal(model.head_w.data, state["head.w"])
+        assert not np.array_equal(model.head_w, state["head.w"])
 
     def test_model_json_with_dropout_p_still_loads(self, tmp_path):
         # model.json files written before the dropout rate moved to
@@ -582,7 +602,7 @@ class TestStateAndCheckpoint:
         batch = np.arange(g.num_nodes)
         a = model_forward(model, g, idx, x, batch)
         b = model_forward(loaded, g, idx, x, batch)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -593,7 +613,7 @@ class TestStateAndCheckpoint:
         batch = np.arange(g.num_nodes)
         a = model_forward(model, g, idx, x, batch)
         b = model_forward(loaded, g, idx, x, batch)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestCheckpoint:
@@ -601,7 +621,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(33)
         _, _, _, model, _ = random_instance(rng, **kw)
         for p in model.parameters().values():
-            p.data[...] = rng.normal(size=p.shape)
+            p[...] = rng.normal(size=p.shape)
         model.save(str(tmp_path))
         return model
 

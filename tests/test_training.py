@@ -43,7 +43,7 @@ class TestAdam:
         theta = np.array([1.0, -2.0])
         opt = Adam(theta, learning_rate=0.1)
         g = np.array([0.5, -3.0])
-        opt.step({"w": g})
+        opt.step(g, {"w": g})
         # bias corrections cancel at t=1: update = g / (|g| + eps)
         want = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_array_equal(theta, want)
@@ -52,28 +52,29 @@ class TestAdam:
         theta = np.array([4.0, -8.0])
         opt = Adam(theta, learning_rate=0.05, weight_decay=0.1)
         for step in range(3):
-            opt.step({"w": np.zeros(2)})
+            opt.step(np.zeros(2), {"w": np.zeros(2)})
         want = np.array([4.0, -8.0]) * (1.0 - 0.05 * 0.1) ** 3
         np.testing.assert_allclose(theta, want, rtol=1e-14)
 
     def test_zero_learning_rate_is_identity(self):
         theta = np.array([3.0])
         opt = Adam(theta, learning_rate=0.0, weight_decay=0.5)
-        opt.step({"w": np.array([7.0])})
+        opt.step(np.array([7.0]), {"w": np.array([7.0])})
         np.testing.assert_array_equal(theta, [3.0])
 
     def test_non_finite_gradient_raises(self):
         theta = np.array([1.0])
         opt = Adam(theta, learning_rate=0.1)
         with pytest.raises(nd.NonFiniteError, match="w"):
-            opt.step({"w": np.array([np.nan])})
+            opt.step(np.array([np.nan]), {"w": np.array([np.nan])})
 
     def test_non_finite_gradient_names_the_first_parameter_holding_one(self):
         theta = np.zeros(6)
         opt = Adam(theta, learning_rate=0.1)
-        grads = {"a": np.ones((2, 1)), "b": np.array([1.0, np.inf]), "c": np.array([np.nan, 1.0])}
+        g = np.array([1.0, 1.0, 1.0, np.inf, np.nan, 1.0])
+        blocks = {"a": g[:2].reshape(2, 1), "b": g[2:4], "c": g[4:]}
         with pytest.raises(nd.NonFiniteError, match="^non-finite gradient for parameter 'b'$"):
-            opt.step(grads)
+            opt.step(g, blocks)
         assert opt.t == 0 and not theta.any() and not opt.m.any() and not opt.v.any()
 
     @pytest.mark.parametrize("name, value", [
@@ -90,38 +91,38 @@ class TestAdam:
         theta = np.array([0.0])
         opt = Adam(theta, learning_rate=0.01)
         for step in range(5):
-            opt.step({"w": np.array([2.0])})
+            opt.step(np.array([2.0]), {"w": np.array([2.0])})
         assert theta[0] < 0.0
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
     def test_flat_steps_equal_the_per_array_oracle_bitwise(self, weight_decay):
         # A model's flat array and its parameter views, against the
-        # per-array optimizer over copies. The gradients hold exact zeros,
+        # per-array optimizer over copies, stepping from a tape's flat
+        # gradient and its views. The gradients hold exact zeros,
         # subnormals and entries that flip sign from step to step, so the
         # moments pass through zero, the subnormal range and cancellation.
         model = PmpModel(ModelConfig(feature_dim=3, hidden_dim=4, num_layers=2, num_relations=2), seed=1)
         params = model.parameters()
-        copies = {name: nd.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
         opt = Adam(model.flat, learning_rate=0.01, weight_decay=weight_decay)
-        oracle = PerArrayAdam(copies, learning_rate=0.01, weight_decay=weight_decay)
+        oracle = PerArrayAdam({name: p.copy() for name, p in params.items()}, learning_rate=0.01,
+                              weight_decay=weight_decay)
+        tape = nd.GradientTape(params)
         rng = np.random.default_rng(2)
         tiny = np.finfo(np.float64).tiny
         signs = {name: rng.choice([-1.0, 1.0], size=p.shape) for name, p in params.items()}
         for step in range(20):
-            grads = {}
             for name, p in params.items():
                 g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3, size=p.shape)
                 kind = rng.integers(0, 4, size=p.shape)
                 g[kind == 0] = 0.0
                 g[kind == 1] = tiny * rng.random(size=int((kind == 1).sum()))
                 signs[name] = np.where(kind == 2, -signs[name], signs[name])
-                grads[name] = signs[name] * g
-            opt.step(grads)
-            oracle.step({name: g.copy() for name, g in grads.items()})
+                tape.blocks[name][...] = signs[name] * g
+            opt.step(tape.grad, tape.blocks)
+            oracle.step({name: g.copy() for name, g in tape.blocks.items()})
             for name, p in params.items():
-                assert p.data.tobytes() == copies[name].data.tobytes(), (step, name)
-        entries = np.concatenate([g.ravel() for g in grads.values()])
-        assert (entries == 0).any() and ((entries != 0) & (np.abs(entries) < tiny)).any()
+                assert p.tobytes() == oracle.params[name].tobytes(), (step, name)
+        assert (tape.grad == 0).any() and ((tape.grad != 0) & (np.abs(tape.grad) < tiny)).any()
 
 
 class TestTrainConfig:
@@ -307,9 +308,9 @@ class TestTrainLoop:
         seen = []
         step = Adam.step
 
-        def recording_step(self, grads):
-            seen.extend(np.abs(grad).ravel() for grad in grads.values())
-            return step(self, grads)
+        def recording_step(self, g, blocks):
+            seen.append(np.abs(g))
+            return step(self, g, blocks)
 
         monkeypatch.setattr(Adam, "step", recording_step)
         train(model, g, table, TrainConfig(max_epochs=5, patience=5, seed=seed + 400))
@@ -325,8 +326,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("num_relations", [1, 2])
     def test_every_parameter_gets_a_gradient_from_a_training_batch(self, monkeypatch, variant, num_layers,
                                                                    num_relations):
-        # a layer holds only the blocks its variant reads, so the tape never
-        # fills in a zero gradient for a block the loss cannot reach
+        # a layer holds only the blocks its variant reads, and each walk
+        # writes every block of the flat gradient, which it never zeroes
         g, table = small_dataset(seed=19)
         if num_relations == 2:
             g2, _ = generate_ba_graph(g.num_nodes, 1, 0.3, seed=20)
@@ -338,8 +339,9 @@ class TestTrainLoop:
         gradients = nd.GradientTape.gradients
 
         def checking(tape, loss, *args, **kwargs):
+            tape.grad[...] = np.nan
             grads = gradients(tape, loss, *args, **kwargs)
-            missing.append([name for name, p in tape.params.items() if p.grad is None])
+            missing.append([name for name, grad in grads.items() if np.isnan(grad).any()])
             return grads
 
         monkeypatch.setattr(nd.GradientTape, "gradients", checking)
@@ -503,27 +505,27 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="val"):
             evaluate(model, g, table2, "val")
 
-    def test_scores_record_no_graph_and_equal_a_taped_loop(self, monkeypatch):
+    def test_scores_record_nothing_and_equal_a_recorded_loop(self, monkeypatch):
         g, table = small_dataset(seed=13)
         cfg = ModelConfig(feature_dim=table.feature_dim, hidden_dim=6, num_layers=2)
         model = PmpModel(cfg, seed=13)
         partition = PartitionIndex.from_table(g, table)
         ids = np.random.default_rng(13).permutation(g.num_nodes)
-        taped = [model_forward(model, g, partition, table.features, ids[s : s + 7]) for s in range(0, ids.size, 7)]
-        assert all(z.requires_grad and z._parents for z in taped)
-        outputs = []
+        tape = nd.GradientTape(model.parameters())
+        recorded = [model_forward(model, g, partition, table.features, ids[s : s + 7], tape=tape)
+                    for s in range(0, ids.size, 7)]
+        assert len(tape.head) == 2 * len(recorded)
+        tapes = []
 
         def spy(*args, **kwargs):
-            outputs.append(model_forward(*args, **kwargs))
-            return outputs[-1]
+            tapes.append(kwargs.get("tape"))
+            return model_forward(*args, **kwargs)
 
         monkeypatch.setattr(training, "model_forward", spy)
         monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 7)
         scores = forward_scores(model, g, partition, table.features, ids)
-        np.testing.assert_array_equal(scores, np.concatenate([z.data for z in taped]))
-        assert len(outputs) == len(taped)
-        assert not any(z.requires_grad or z._parents or z._vjp for z in outputs)
-        assert model_forward(model, g, partition, table.features, ids[:3]).requires_grad
+        np.testing.assert_array_equal(scores, np.concatenate(recorded))
+        assert tapes == [None] * len(recorded)
 
     def test_chunked_scores_match_single_pass(self, monkeypatch):
         g, table = small_dataset(seed=12)
