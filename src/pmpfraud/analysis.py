@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from . import ndiff as nd
 from .graph import NodeTable, PartitionIndex, RelationalGraph, _resolve_single_relation, split_index
 from .model import PmpModel, model_forward
@@ -125,7 +126,7 @@ class SpectralReport:
 
     def to_csv(self, path: str, meta_line: str = ""):
         rows = [f"{int(j)},{lam:.17g},{g_fr:.17g},{g_be:.17g}" for j, lam, g_fr, g_be in self.filter_responses]
-        nd.write_csv_atomic(path, "node_index,lambda,g_fr,g_be", rows, meta_line)
+        files.write_csv_atomic(path, "node_index,lambda,g_fr,g_be", rows, meta_line)
 
 
 def spatial_spectral_check(
@@ -251,7 +252,7 @@ class InfluenceReport:
 
     def to_csv(self, path: str, meta_line: str = ""):
         rows = [f"{node},{i_f:.17g},{i_b:.17g},{diff:.17g}" for node, i_f, i_b, diff in self.rows]
-        nd.write_csv_atomic(path, "node,I_f,I_b,diff", rows, meta_line)
+        files.write_csv_atomic(path, "node,I_f,I_b,diff", rows, meta_line)
 
 
 def check_influence_settings(split: str | None, num_bins: int):

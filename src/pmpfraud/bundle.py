@@ -33,7 +33,7 @@ import re
 
 import numpy as np
 
-from . import ndiff as nd
+from . import files
 from .graph import SPLIT_NAMES, NodeTable, RelationalGraph, split_index
 
 __all__ = ["BundleError", "load_bundle", "write_bundle"]
@@ -127,10 +127,10 @@ def load_bundle(path: str):
     """Read a bundle directory. Returns (RelationalGraph, NodeTable)."""
     meta_path = os.path.join(path, "meta.json")
     try:
-        meta = nd.read_json_object(meta_path)
+        meta = files.read_json_object(meta_path)
         for key in _META_SIZES:
-            nd.check_setting(f"{meta_path}: {key}", meta.get(key), numbers.Integral, lambda v: v >= 1,
-                             "a positive integer")
+            files.check_setting(f"{meta_path}: {key}", meta.get(key), numbers.Integral, lambda v: v >= 1,
+                                "a positive integer")
     except ValueError as err:
         raise BundleError(str(err)) from err
     n, num_relations, d = (meta[key] for key in _META_SIZES)
@@ -186,19 +186,19 @@ def write_bundle(path: str, graph: RelationalGraph, table: NodeTable, features_f
         "num_relations": graph.num_relations,
         "feature_dim": table.feature_dim,
     }
-    nd.write_file_atomic(os.path.join(path, "meta.json"), json.dumps(meta, indent=2).encode())
+    files.write_file_atomic(os.path.join(path, "meta.json"), json.dumps(meta, indent=2).encode())
     for r in range(graph.num_relations):
         rows, cols = graph.row_indices(r), graph.col_indices[r]
         upper = rows < cols
         edges = (f"{u},{v}" for u, v in zip(rows[upper], cols[upper]))
-        nd.write_csv_atomic(os.path.join(path, f"edges_r{r}.csv"), "src,dst", edges)
+        files.write_csv_atomic(os.path.join(path, f"edges_r{r}.csv"), "src,dst", edges)
     if features_format == "csv":
         text = io.StringIO()
         np.savetxt(text, table.features, delimiter=",", fmt="%.17g")
-        nd.write_file_atomic(os.path.join(path, "features.csv"), text.getvalue().encode())
+        files.write_file_atomic(os.path.join(path, "features.csv"), text.getvalue().encode())
     else:
-        nd.write_file_atomic(os.path.join(path, "features.f32"), table.features.astype("<f4").tobytes())
+        files.write_file_atomic(os.path.join(path, "features.f32"), table.features.astype("<f4").tobytes())
     labels = (f"{i},{int(y)}" for i, y in enumerate(table.labels))
-    nd.write_csv_atomic(os.path.join(path, "labels.csv"), "node,label", labels)
+    files.write_csv_atomic(os.path.join(path, "labels.csv"), "node,label", labels)
     splits = (f"{i},{SPLIT_NAMES[int(s)]}" for i, s in enumerate(table.splits))
-    nd.write_csv_atomic(os.path.join(path, "splits.csv"), "node,split", splits)
+    files.write_csv_atomic(os.path.join(path, "splits.csv"), "node,split", splits)

@@ -2,13 +2,15 @@
 
 One subcommand per process; outputs are machine-readable JSON/CSV files
 in a run directory, each stamped with the resolved config hash, the seed,
-and the code version. Exit codes: 0 success, 2 validation failure,
+and the code version. Exit codes: 0 success, 2 validation failure (a bad
+setting, or an input or output path that cannot be read or written),
 3 numeric failure, 4 resource cap exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -19,7 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import __version__, analysis, bundle, graph as graph_mod, synth
+from . import __version__, analysis, bundle, files, graph as graph_mod, synth
 from . import ndiff as nd
 from .layer import LayerVariant
 from .model import ModelConfig, PmpModel, check_sizes
@@ -51,7 +53,12 @@ def _args_config(args) -> dict:
 
 
 def _write_json(path: str, payload: dict):
-    nd.write_file_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
+    files.write_file_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
+
+
+def _default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``, which a parser default repeats."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _floats(name: str, text: str) -> tuple:
@@ -90,6 +97,8 @@ def cmd_synth(args) -> int:
     # checked before the graph, whose generator loops over every node in Python
     ratios = synth.check_ratios(_floats("ratios", args.ratios))
     synth.check_feature_settings(args.d, args.mu_benign, args.mu_fraud, args.sigma)
+    synth.check_graph_settings(args.n, args.m_attach, args.fraud_fraction, args.seed)
+    synth.check_train_classes(args.n, args.fraud_fraction, ratios)
     g, labels = synth.generate_ba_graph(args.n, args.m_attach, args.fraud_fraction, args.seed)
     features = synth.generate_features(
         labels, args.d, args.mu_benign, args.mu_fraud, args.sigma, seed=args.seed + 1
@@ -106,10 +115,10 @@ def cmd_synth(args) -> int:
 def _resolved_train_config(args) -> dict:
     """Defaults, then the ``--config`` file, then every flag given. The file may
     set ``variant`` and the settings: ``TrainConfig``'s fields and the model sizes."""
-    settings = {**TrainConfig().to_dict(), "hidden_dim": 64, "num_layers": 1}
+    settings = {**TrainConfig().to_dict(), "hidden_dim": 64, "num_layers": _default(ModelConfig, "num_layers")}
     config = {"bundle": os.path.abspath(args.bundle), **settings, "variant": LayerVariant().to_dict()}
     if args.config:
-        file_config = nd.read_json_object(args.config)
+        file_config = files.read_json_object(args.config)
         for key in file_config:
             if key not in settings and key != "variant":
                 raise ValueError(f"{args.config}: unknown key {key!r}")
@@ -149,11 +158,11 @@ def cmd_train(args) -> int:
 
 def _load_run(run_dir: str):
     config_path = os.path.join(run_dir, "config.json")
-    config = nd.read_json_object(config_path).get("resolved")
+    config = files.read_json_object(config_path).get("resolved")
     if not isinstance(config, dict) or not isinstance(config.get("bundle"), str):
         raise ValueError(f'{config_path}: expected a "resolved" object naming the "bundle"')
-    nd.check_setting(f"{config_path}: seed", config.get("seed"), numbers.Integral, lambda v: v >= 0,
-                     "a non-negative integer")
+    files.check_setting(f"{config_path}: seed", config.get("seed"), numbers.Integral, lambda v: v >= 0,
+                        "a non-negative integer")
     g, table = bundle.load_bundle(config["bundle"])
     checkpoint = os.path.join(run_dir, "checkpoint")
     model = PmpModel.load(checkpoint)
@@ -197,9 +206,9 @@ def cmd_influence(args) -> int:
 
 def cmd_spectral(args) -> int:
     for name in ("signal_dim", "max_dense_n"):
-        nd.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
+        files.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
     analysis.check_alpha(args.alpha)
-    nd.check_setting("seed", args.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+    files.check_setting("seed", args.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)
@@ -229,9 +238,9 @@ def cmd_homophily(args) -> int:
     scores = {f"relation_{r}": graph_mod.homophily_score(g, table.labels, r) for r in range(g.num_relations)}
     scores["union"] = graph_mod.homophily_score(g, table.labels, "union")
     payload = {**_stamp(_args_config(args), -1), "homophily": scores}
-    print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(args.out, payload)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -246,7 +255,7 @@ def cmd_ratio_hist(args) -> int:
         lines.append(f"{lo},{hi},{count}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        nd.write_file_atomic(args.out, text.encode())
+        files.write_file_atomic(args.out, text.encode())
     print(text, end="")
     return EXIT_OK
 
@@ -266,10 +275,10 @@ def run_bench(edge_targets, *, d: int, hidden_dim: int, m_attach: int, batch_siz
     """
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    nd.check_setting("m_attach", m_attach, numbers.Integral, lambda v: v >= 1, "a positive integer")
+    files.check_setting("m_attach", m_attach, numbers.Integral, lambda v: v >= 1, "a positive integer")
     for target in edge_targets:
-        nd.check_setting("edge target", target, numbers.Real, lambda v: math.isfinite(v) and v >= 0,
-                         "a finite, non-negative number")
+        files.check_setting("edge target", target, numbers.Real, lambda v: math.isfinite(v) and v >= 0,
+                            "a finite, non-negative number")
     edge_targets = [int(target) for target in edge_targets]
     model_config = ModelConfig(feature_dim=d, hidden_dim=hidden_dim, num_relations=1)
     warm_up = TrainConfig(batch_size=batch_size, max_epochs=1, seed=seed)
@@ -312,10 +321,10 @@ def cmd_bench(args) -> int:
     result = run_bench(_floats("edges", args.edges), d=args.d, hidden_dim=args.hidden_dim,
                        m_attach=args.m_attach, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     payload = {**_stamp(_args_config(args), args.seed), **result}
-    print(json.dumps(payload, indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "bench.json"), payload)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -341,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--m-attach", type=int, default=5)
     p.add_argument("--fraud-fraction", type=float, default=0.1)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--mu-benign", type=float, default=1.0)
-    p.add_argument("--mu-fraud", type=float, default=5.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--d", type=int, default=_default(synth.generate_features, "feature_dim"))
+    p.add_argument("--mu-benign", type=float, default=_default(synth.generate_features, "mu_benign"))
+    p.add_argument("--mu-fraud", type=float, default=_default(synth.generate_features, "mu_fraud"))
+    p.add_argument("--sigma", type=float, default=_default(synth.generate_features, "sigma"))
     p.add_argument("--ratios", default="0.4,0.2,0.4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features-format", choices=("csv", "f32"), default="csv")
@@ -375,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("influence", help="neighbor-class sensitivity of a saved run")
     p.add_argument("run")
     p.add_argument("--split", default=None)
-    p.add_argument("--bins", type=int, default=30)
+    p.add_argument("--bins", type=int, default=_default(analysis.influence_report, "num_bins"))
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("spectral", help="mask identity and filter responses")
     p.add_argument("bundle")
     p.add_argument("--signal-dim", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--relation", type=int, default=0)
+    p.add_argument("--relation", type=int, default=_default(analysis.spatial_spectral_check, "relation"))
     p.add_argument("--max-dense-n", type=int, default=analysis.DEFAULT_DENSE_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -396,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio-hist", help="labeled-neighbor ratio histogram")
     p.add_argument("bundle")
     p.add_argument("--relation", default="union")
-    p.add_argument("--bin-width", type=float, default=0.1)
-    p.add_argument("--max-ratio", type=float, default=2.0)
+    p.add_argument("--bin-width", type=float, default=_default(graph_mod.neighborhood_label_ratio, "bin_width"))
+    p.add_argument("--max-ratio", type=float, default=_default(graph_mod.neighborhood_label_ratio, "max_ratio"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_ratio_hist)
 
@@ -424,7 +433,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (bundle.BundleError, ValueError) as err:
+    except (bundle.BundleError, ValueError, OSError) as err:
         return _fail(EXIT_VALIDATION, type(err).__name__, err)
     except (TrainingDiverged, nd.NonFiniteError) as err:
         return _fail(EXIT_NUMERIC, type(err).__name__, err)

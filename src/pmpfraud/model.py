@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import files
 from . import ndiff as nd
 from .graph import PartitionIndex, RelationalGraph
 from .layer import LayerVariant, PmpLayerParams, bucket_sums, bucket_sums_adjoint, layer_forward
@@ -35,7 +36,7 @@ _PARAMS_BIN = "params.bin"
 def check_sizes(**sizes):
     """ValueError naming the first model size that is not a positive integer."""
     for name, value in sizes.items():
-        nd.check_setting(name, value, numbers.Integral, lambda v: v >= 1, "a positive integer")
+        files.check_setting(name, value, numbers.Integral, lambda v: v >= 1, "a positive integer")
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ class PmpModel:
         replaced atomically, ``model.json`` last."""
         os.makedirs(directory, exist_ok=True)
         blob = np.asarray(self.flat, dtype="<f8").tobytes()
-        nd.write_file_atomic(os.path.join(directory, _PARAMS_BIN), blob)
+        files.write_file_atomic(os.path.join(directory, _PARAMS_BIN), blob)
         sidecar = dict(self.config.to_dict(), sha256=hashlib.sha256(blob).hexdigest())
-        nd.write_file_atomic(os.path.join(directory, _MODEL_JSON), json.dumps(sidecar, indent=2).encode())
+        files.write_file_atomic(os.path.join(directory, _MODEL_JSON), json.dumps(sidecar, indent=2).encode())
 
     @classmethod
     def load(cls, directory: str) -> "PmpModel":
@@ -128,7 +129,7 @@ class PmpModel:
         unreadable, of another length than the config implies or whose
         sha256 differs."""
         path = os.path.join(directory, _MODEL_JSON)
-        sidecar = nd.read_json_object(path)
+        sidecar = files.read_json_object(path)
         try:
             model = cls(ModelConfig.from_dict(sidecar), seed=0)
         except (KeyError, ValueError) as err:

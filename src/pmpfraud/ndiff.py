@@ -21,16 +21,8 @@ The cross-entropy's adjoint is taken in logit space: each example's
 weighted sigma(z) - t. Scores saturated on the correct side then send back
 an exact zero rather than a subnormal, and the rest of the reverse pass
 runs on normal numbers.
-
-The module also holds the settings check and the JSON and atomic file
-helpers every command uses.
 """
 from __future__ import annotations
-
-import contextlib
-import ctypes
-import json
-import os
 
 import numpy as np
 
@@ -46,10 +38,6 @@ __all__ = [
     "scatter_rows",
     "dropout",
     "binary_cross_entropy",
-    "check_setting",
-    "read_json_object",
-    "write_file_atomic",
-    "write_csv_atomic",
 ]
 
 # Probabilities are clamped into this closed interval before any log.
@@ -57,36 +45,6 @@ PROB_CLAMP = 1e-12
 
 _SIGMOID_LO = np.finfo(np.float64).tiny
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
-
-# glibc mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_arrays():
-    """Fix glibc's malloc thresholds so freed arrays stay in the heap.
-
-    By default glibc serves large blocks with their own mmap, raises that
-    threshold and the heap's trim threshold as such blocks are freed, and
-    hands the heap's free top back to the OS once it passes the latter.
-    Which of a batch's or a scoring pass's temporaries go back then depends
-    on everything the process allocated before, and every page handed back
-    faults in again when the next batch or pass touches it: on the
-    benchmark's deep-ba graphs a whole-graph scoring pass took anywhere from
-    0 to about 4,100 minor faults, differing from one process to the next.
-    With blocks under 32 MiB always taken from the heap and up to 256 MiB
-    of its free top kept, a pass takes a few dozen and a training run a few
-    hundred, every time. Other C libraries are left as they are.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
-_keep_freed_arrays()
 
 
 class ShapeError(ValueError):
@@ -322,56 +280,3 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.nd
         return np.full(t.shape, float(scale * g) / n) * w * (_logistic(zd) - t)
 
     return check_finite(out, "binary_cross_entropy"), adjoint
-
-
-# ---------------------------------------------------------------------------
-# Settings and files
-# ---------------------------------------------------------------------------
-
-
-def check_setting(name: str, value, kind: type, ok, rule: str):
-    """Raise ValueError naming ``name`` and ``value`` unless ``value`` is an
-    instance of ``kind`` (a ``numbers`` class or a container type), not a
-    bool, and ``ok(value)``."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-def read_json_object(path: str) -> dict:
-    """The JSON object stored in ``path``. Raises ValueError naming ``path``
-    when the file is missing, unreadable, not JSON, or not an object."""
-    try:
-        with open(path, "rb") as fh:
-            value = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: file is missing") from None
-    except (OSError, ValueError) as err:
-        raise ValueError(f"{path}: cannot read JSON: {err}") from None
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def write_file_atomic(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temp file and ``os.replace``, so
-    ``path`` holds either its old contents or all of ``data``, never part.
-    A failed write removes its temp file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def write_csv_atomic(path: str, header: str, rows, meta_line: str = "") -> None:
-    """Atomically write an optional ``# meta_line`` comment, a header line and
-    one line per preformatted row."""
-    lines = ([f"# {meta_line}"] if meta_line else []) + [header, *rows]
-    write_file_atomic(path, ("\n".join(lines) + "\n").encode())
-

@@ -7,9 +7,24 @@ import numbers
 import numpy as np
 
 from .graph import RelationalGraph
-from .ndiff import check_setting
+from .files import check_setting
 
-__all__ = ["generate_ba_graph", "check_feature_settings", "generate_features", "check_ratios", "make_splits"]
+__all__ = ["check_graph_settings", "generate_ba_graph", "check_feature_settings", "generate_features", "check_ratios",
+           "check_train_classes", "make_splits"]
+
+
+def check_graph_settings(n, m_attach, fraud_fraction, seed):
+    """ValueError naming the setting unless ``n`` is an integer >= 2,
+    ``m_attach`` one in [1, n), ``fraud_fraction`` a number in (0, 1) and
+    ``seed`` a non-negative integer."""
+    check_setting("n", n, numbers.Integral, lambda v: v >= 2, "an integer >= 2")
+    check_setting("m_attach", m_attach, numbers.Integral, lambda v: 1 <= v < n, f"an integer in [1, n) = [1, {n})")
+    check_setting("fraud_fraction", fraud_fraction, numbers.Real, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+    check_setting("seed", seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+
+
+def _fraud_count(n: int, fraud_fraction: float) -> int:
+    return int(round(n * fraud_fraction))
 
 
 def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
@@ -20,12 +35,10 @@ def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
     degree (the first arrival connects to all of the initial nodes), so
     the graph is connected and has exactly m_attach * (n - m_attach)
     edges. Returns (graph, labels) with round(n * fraud_fraction) fraud
-    nodes chosen uniformly.
+    nodes chosen uniformly. The settings are as ``check_graph_settings``
+    requires them.
     """
-    check_setting("n", n, numbers.Integral, lambda v: v >= 2, "an integer >= 2")
-    check_setting("m_attach", m_attach, numbers.Integral, lambda v: 1 <= v < n, f"an integer in [1, n) = [1, {n})")
-    check_setting("fraud_fraction", fraud_fraction, numbers.Real, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-    check_setting("seed", seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+    check_graph_settings(n, m_attach, fraud_fraction, seed)
     rng = np.random.default_rng(seed)
     edges = np.empty((m_attach * (n - m_attach), 2), dtype=np.int64)
     # One entry per edge endpoint; sampling an index uniformly from this
@@ -48,7 +61,7 @@ def generate_ba_graph(n: int, m_attach: int, fraud_fraction: float, seed: int):
             targets = chosen
     graph = RelationalGraph.from_edge_lists(n, [edges])
     labels = np.zeros(n, dtype=np.int8)
-    labels[rng.choice(n, size=int(round(n * fraud_fraction)), replace=False)] = 1
+    labels[rng.choice(n, size=_fraud_count(n, fraud_fraction), replace=False)] = 1
     return graph, labels
 
 
@@ -87,6 +100,24 @@ def check_ratios(ratios) -> tuple:
     return ratios
 
 
+def _cuts(ratios: tuple, size: int) -> tuple:
+    """Where ``make_splits`` cuts a shuffled group of ``size`` nodes: the
+    train split ends at the first index, the val split at the second."""
+    return int(round(ratios[0] * size)), int(round((ratios[0] + ratios[1]) * size))
+
+
+def check_train_classes(n: int, fraud_fraction: float, ratios: tuple):
+    """ValueError naming ``ratios`` and ``fraud_fraction`` unless the train
+    split that ``make_splits`` stratifies by ``generate_ba_graph``'s labels
+    holds both classes, which a ``NodeTable`` requires. The settings are
+    checked ones: ``check_graph_settings``' and ``check_ratios``' output."""
+    fraud = _fraud_count(n, fraud_fraction)
+    for name, size in (("fraud", fraud), ("benign", n - fraud)):
+        if _cuts(ratios, size)[0] == 0:
+            raise ValueError(f"ratios {ratios} and fraud_fraction {fraud_fraction} leave no {name} node "
+                             f"in the train split of {n} nodes")
+
+
 def make_splits(n: int, ratios, seed: int = 0, stratify_labels=None) -> np.ndarray:
     """Assign each of n nodes to train (0) / val (1) / test (2).
 
@@ -106,8 +137,7 @@ def make_splits(n: int, ratios, seed: int = 0, stratify_labels=None) -> np.ndarr
         groups = [np.flatnonzero(stratify_labels == v) for v in np.unique(stratify_labels)]
     for ids in groups:
         perm = rng.permutation(ids)
-        c1 = int(round(ratios[0] * ids.size))
-        c2 = int(round((ratios[0] + ratios[1]) * ids.size))
+        c1, c2 = _cuts(ratios, ids.size)
         out[perm[:c1]] = 0
         out[perm[c1:c2]] = 1
         out[perm[c2:]] = 2

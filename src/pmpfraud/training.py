@@ -46,9 +46,9 @@ import numpy as np
 from . import graph as graph_mod
 from . import metrics as metrics_mod
 from . import ndiff as nd
+from .files import check_setting, write_csv_atomic
 from .graph import NodeTable, RelationalGraph
 from .model import PmpModel, layer_one_sums, loss as loss_fn, model_forward, model_logits
-from .ndiff import check_setting
 
 __all__ = ["TrainConfig", "Adam", "TrainingDiverged", "History", "train", "evaluate", "forward_scores"]
 
@@ -152,7 +152,7 @@ class History:
 
     def to_csv(self, path: str, meta_line: str = ""):
         rows = [f"{epoch},{train_loss:.17g},{val_auc:.17g}" for epoch, train_loss, val_auc in self.entries]
-        nd.write_csv_atomic(path, "epoch,train_loss,val_auc", rows, meta_line)
+        write_csv_atomic(path, "epoch,train_loss,val_auc", rows, meta_line)
 
 
 def forward_scores(model: PmpModel, graph: RelationalGraph, partition, features, ids: np.ndarray,

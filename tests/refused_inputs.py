@@ -69,6 +69,10 @@ _SHOWN = {"{bundle}": "BUNDLE", "{run}": "RUN", "{out}": "OUT", "{config}": "FIL
 _INFLUENCE_FILES = ("{run}/influence.csv", "{run}/influence.json")
 
 
+# An output directory that cannot be made: its parent is a file.
+_NO_DIRECTORY = "{bundle}/meta.json/x"
+
+
 def _synth(*argv):
     return ("synth", "--n", "50", "--m-attach", "2", *argv, "--out", "{out}")
 
@@ -86,9 +90,9 @@ def _bench(*argv):
 
 
 SETTINGS = [
-    Setting(("synth", "--n", "0", "--out", "{out}"), "n", "0"),
-    Setting(("synth", "--n", "5", "--m-attach", "5", "--out", "{out}"), "m_attach", "5"),
-    Setting(_synth("--fraud-fraction", "2"), "fraud_fraction", "2.0"),
+    Setting(("synth", "--n", "0", "--out", "{out}"), "n", "0", True),
+    Setting(("synth", "--n", "5", "--m-attach", "5", "--out", "{out}"), "m_attach", "5", True),
+    Setting(_synth("--fraud-fraction", "2"), "fraud_fraction", "2.0", True),
     Setting(_synth("--ratios", "a,b,c"), "ratios", "'a,b,c'", True),
     Setting(_synth("--ratios", "0.5,0.5"), "ratios", "(0.5, 0.5)", True),
     Setting(_synth("--d", "0"), "feature_dim", "0", True),
@@ -97,7 +101,10 @@ SETTINGS = [
     Setting(_synth("--sigma", "nan"), "sigma", "nan", True),
     Setting(_synth("--mu-fraud", "inf"), "mu_fraud", "inf", True),
     Setting(_synth("--mu-benign=-inf"), "mu_benign", "-inf", True),
-    Setting(_synth("--seed", "-1"), "seed", "-1"),
+    Setting(_synth("--seed", "-1"), "seed", "-1", True),
+    Setting(_synth("--ratios", "0,0.5,0.5"), "ratios (0.0, 0.5, 0.5)", "fraud_fraction 0.1", True),
+    Setting(_synth("--fraud-fraction", "0.02"), "ratios (0.4, 0.2, 0.4)", "fraud_fraction 0.02", True),
+    Setting(("synth", "--n", "50", "--m-attach", "2", "--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
     Setting(("validate", "{out}"), "{out}/meta.json", "missing"),
     Setting(_train("--batch-size", "0"), "batch_size", "0", True),
     Setting(_train("--lr", "inf"), "learning_rate", "inf", True),
@@ -116,6 +123,7 @@ SETTINGS = [
     Setting(_train("--config", "{config}"), "{config}", "missing", True),
     Setting(_train("--config", "{config}"), "{config}", "cannot read JSON", True, '{"max_epochs": 2,'),
     Setting(_train("--config", "{config}"), "{config}", "expected a JSON object", True, '[{"max_epochs": 2}]'),
+    Setting(("train", "{bundle}", "--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
     Setting(("eval", "{out}"), "{out}/config.json", "missing"),
     Setting(("influence", "{run}", "--bins", "0"), "num_bins", "0", True, absent=_INFLUENCE_FILES),
     Setting(("influence", "{run}", "--bins", "-3"), "num_bins", "-3", True, absent=_INFLUENCE_FILES),
@@ -130,6 +138,8 @@ SETTINGS = [
     Setting(_spectral("--seed", "-1"), "seed", "-1", True),
     Setting(_spectral("--relation", "3"), "relation index", "3"),
     Setting(_spectral("--max-dense-n", "10"), "capped at", "10 nodes", code=4),
+    Setting(("spectral", "{bundle}", "--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
+    Setting(("homophily", "{bundle}", "--out", "{out}/x.json"), "{out}/x.json", "cannot write"),
     Setting(("ratio-hist", "{bundle}", "--bin-width", "0"), "bin_width", "0.0", True),
     Setting(("ratio-hist", "{bundle}", "--bin-width", "-0.1"), "bin_width", "-0.1", True),
     Setting(("ratio-hist", "{bundle}", "--relation", "foo"), "relation", "'foo'"),
@@ -137,6 +147,7 @@ SETTINGS = [
             "max_ratio / bin_width", "max_ratio 10.0 and bin_width 1e-05", True),
     Setting(("ratio-hist", "{bundle}", "--max-ratio", "1e300", "--bin-width", "1e-300", "--out", "{out}"),
             "max_ratio / bin_width", "max_ratio 1e+300 and bin_width 1e-300", True),
+    Setting(("ratio-hist", "{bundle}", "--out", "{out}/x.csv"), "{out}/x.csv", "cannot write"),
     Setting(("bench", "--edges", "a,b"), "edges", "'a,b'", True),
     Setting(("bench", "--edges", "400", "--epochs", "0"), "epochs", "0", True),
     Setting(("bench", "--edges", "400"), "edge targets", "[400]", True),
@@ -148,6 +159,7 @@ SETTINGS = [
     Setting(_bench("--batch-size", "0"), "batch_size", "0", True),
     Setting(_bench("--d", "0"), "feature_dim", "0", True),
     Setting(_bench("--hidden-dim", "0"), "hidden_dim", "0", True),
+    Setting(_bench("--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
 ]
 
 

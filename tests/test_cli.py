@@ -1,4 +1,5 @@
 """End-to-end command line runs in subprocesses: artifacts and exit codes."""
+import inspect
 import json
 import os
 import shutil
@@ -8,10 +9,10 @@ import sys
 import pytest
 
 import pmpfraud
-from pmpfraud import cli, training
+from pmpfraud import analysis, cli, graph, synth, training
 from pmpfraud.cli import EXIT_VALIDATION, _write_json, main
 from pmpfraud.layer import LayerVariant
-from pmpfraud.model import PmpModel
+from pmpfraud.model import ModelConfig, PmpModel
 from pmpfraud.training import TrainConfig
 
 from . import refused_inputs
@@ -351,7 +352,31 @@ class TestBench:
         assert max_epochs == [1, 2, 1, 2]
         assert outside == [False] * 4
 
+# Each parser default that a library function or class also sets: argv,
+# the parsed argument and where the library sets it.
+LIBRARY_DEFAULTS = [
+    (("synth", "--out", "o"), "d", synth.generate_features, "feature_dim"),
+    (("synth", "--out", "o"), "mu_benign", synth.generate_features, "mu_benign"),
+    (("synth", "--out", "o"), "mu_fraud", synth.generate_features, "mu_fraud"),
+    (("synth", "--out", "o"), "sigma", synth.generate_features, "sigma"),
+    (("influence", "r"), "bins", analysis.influence_report, "num_bins"),
+    (("ratio-hist", "b"), "bin_width", graph.neighborhood_label_ratio, "bin_width"),
+    (("ratio-hist", "b"), "max_ratio", graph.neighborhood_label_ratio, "max_ratio"),
+    (("spectral", "b", "--out", "o"), "relation", analysis.spatial_spectral_check, "relation"),
+]
+
+
 class TestTopLevel:
+    @pytest.mark.parametrize("argv,dest,fn,name", LIBRARY_DEFAULTS, ids=lambda v: getattr(v, "__name__", v))
+    def test_parser_default_is_the_library_default(self, argv, dest, fn, name):
+        value = getattr(cli.build_parser().parse_args(argv), dest)
+        default = inspect.signature(fn).parameters[name].default
+        assert (value, type(value)) == (default, type(default))
+
+    def test_train_layer_count_default_is_the_model_default(self):
+        config = cli._resolved_train_config(cli.build_parser().parse_args(["train", "b", "--out", "o"]))
+        assert config["num_layers"] == ModelConfig(feature_dim=1, hidden_dim=1).num_layers
+
     def test_version(self):
         proc = run_cli("--version")
         assert proc.stdout.strip().startswith("pmpfraud ")

@@ -1,18 +1,20 @@
 """Kernel and engine checks: every operator against central finite
 differences, the kernels' adjoints against an unbuffered scatter-add, the
 structural guarantees of the engine's reverse pass (the test oracle in
-``reference.py``), and the file helpers."""
+``reference.py``), and the file helpers of ``files``."""
 import ast
 import glob
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pmpfraud import files
 from pmpfraud import ndiff as nd
 
 from .reference import (
@@ -460,7 +462,7 @@ def test_freed_arrays_stay_in_the_heap():
     """In a fresh process glibc's default thresholds hand the first 16 MiB
     block back to the OS and fault the second one in again (484 or 995
     faults on a 2-core Linux VM with madvise huge pages); importing the
-    engine keeps the freed block for reuse."""
+    package keeps the freed block for reuse."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nd.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, capture_output=True, text=True,
@@ -477,39 +479,66 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, mon
         raise OSError(f"{fail} failed")
 
     monkeypatch.setattr(os, fail, failing)
-    with pytest.raises(OSError, match=f"^{fail} failed$"):
-        nd.write_file_atomic(str(path), b"new")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot write: {fail} failed$"):
+        files.write_file_atomic(str(path), b"new")
     monkeypatch.undo()
     assert path.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
-def _ndiff_names_used_by_the_program():
-    """Names every module of the package but ``ndiff`` itself reads from
-    ``ndiff``: attributes of the module under any alias, and names imported
-    from it."""
+def _package_modules():
+    """Each module of the package, by name, as a syntax tree."""
     package = os.path.dirname(os.path.abspath(nd.__file__))
-    used = set()
-    for path in glob.glob(os.path.join(package, "*.py")):
-        if os.path.basename(path) == "ndiff.py":
-            continue
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        aliases = set()
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), filename=path)
+    return trees
+
+
+def _names_read_from(module: str) -> dict:
+    """For each other module of the package, the names it reads from
+    ``module``: attributes of the module under any alias, and names
+    imported from it."""
+    used = {}
+    for name, tree in _package_modules().items():
+        if name == module:
+            continue
+        aliases, names = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module == "ndiff":
-                    used.update(a.name for a in node.names)
+                if node.module == module:
+                    names.update(a.name for a in node.names)
                 elif node.module is None:
-                    aliases.update(a.asname or a.name for a in node.names if a.name == "ndiff")
+                    aliases.update(a.asname or a.name for a in node.names if a.name == module)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-                used.add(node.attr)
+                names.add(node.attr)
+        if names or aliases:
+            used[name] = names
     return used
 
 
 def test_every_exported_name_has_a_caller_in_the_program():
     # An operator or helper that only the tests call belongs with the test
-    # oracles (tests/reference.py), not in the engine.
-    unused = sorted(set(nd.__all__) - _ndiff_names_used_by_the_program())
-    assert unused == [], f"ndiff exports names no module of the package reads: {unused}"
+    # oracles (tests/reference.py), not in the package.
+    for name, module in (("ndiff", nd), ("files", files)):
+        unused = sorted(set(module.__all__).difference(*_names_read_from(name).values()))
+        assert unused == [], f"{name} exports names no module of the package reads: {unused}"
+
+
+def test_only_the_model_and_its_callers_import_the_numerics():
+    # Settings, JSON and file writes live in ``files``; a module that needs
+    # only those does not import the kernels.
+    importers = set(_names_read_from("ndiff"))
+    assert importers <= {"layer", "model", "training", "analysis", "cli"}, sorted(importers)
+
+
+def test_the_numerics_import_no_file_or_system_module():
+    imported = set()
+    for node in ast.walk(_package_modules()["ndiff"]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported & {"json", "os", "contextlib", "ctypes"} == set()

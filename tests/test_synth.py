@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from pmpfraud import bundle, ndiff as nd
+from pmpfraud import bundle, files
 from pmpfraud.bundle import BundleError, load_bundle, write_bundle
 from pmpfraud.graph import NodeTable, RelationalGraph
 from pmpfraud.metrics import auc
-from pmpfraud.synth import generate_ba_graph, generate_features, make_splits
+from pmpfraud.synth import check_train_classes, generate_ba_graph, generate_features, make_splits
 
 
 def bfs_component(graph, start=0):
@@ -135,6 +135,20 @@ class TestSplits:
         with pytest.raises(ValueError):
             make_splits(10, (0.5, 0.6, -0.1))
 
+    @pytest.mark.parametrize("ratios", [(0.4, 0.2, 0.4), (0.0, 0.5, 0.5), (0.01, 0.49, 0.5), (0.1, 0.1, 0.8)])
+    def test_train_class_check_refuses_exactly_the_splits_missing_a_class(self, ratios):
+        for n in (2, 5, 20, 50, 199):
+            for fraction in (0.005, 0.02, 0.1, 0.5, 0.97):
+                _, labels = generate_ba_graph(n, 1, fraction, seed=n)
+                train = labels[make_splits(n, ratios, seed=1, stratify_labels=labels) == 0]
+                try:
+                    check_train_classes(n, fraction, ratios)
+                    refused = False
+                except ValueError as err:
+                    refused = True
+                    assert f"ratios {ratios} and fraud_fraction {fraction}" in str(err)
+                assert refused == (set(train.tolist()) != {0, 1}), (n, fraction)
+
 
 def small_dataset(seed=0):
     g, labels = generate_ba_graph(30, 2, 0.3, seed=seed)
@@ -170,13 +184,13 @@ class TestBundleRoundtrip:
     @pytest.mark.parametrize("features_format", ["csv", "f32"])
     def test_every_file_is_written_atomically(self, tmp_path, monkeypatch, features_format):
         written = []
-        atomic = nd.write_file_atomic
+        atomic = files.write_file_atomic
 
         def recording(path, data):
             written.append(os.path.basename(path))
             atomic(path, data)
 
-        monkeypatch.setattr(nd, "write_file_atomic", recording)
+        monkeypatch.setattr(files, "write_file_atomic", recording)
         g, table = small_dataset(seed=4)
         write_bundle(str(tmp_path), g, table, features_format=features_format)
         assert sorted(written) == sorted(os.listdir(tmp_path))
