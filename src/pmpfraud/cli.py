@@ -209,6 +209,7 @@ def cmd_spectral(args) -> int:
         files.check_setting(name, getattr(args, name), numbers.Integral, lambda v: v >= 1, "a positive integer")
     analysis.check_alpha(args.alpha)
     files.check_setting("seed", args.seed, numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+    files.check_out_dir(args.out)
     g, table = bundle.load_bundle(args.bundle)
     d = table.feature_dim
     rng = np.random.default_rng(args.seed)
@@ -318,6 +319,8 @@ def run_bench(edge_targets, *, d: int, hidden_dim: int, m_attach: int, batch_siz
 
 
 def cmd_bench(args) -> int:
+    if args.out:
+        files.check_out_dir(args.out)
     result = run_bench(_floats("edges", args.edges), d=args.d, hidden_dim=args.hidden_dim,
                        m_attach=args.m_attach, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     payload = {**_stamp(_args_config(args), args.seed), **result}

@@ -7,10 +7,11 @@ setting or an unreadable or unwritable file raises ValueError.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 
-__all__ = ["check_setting", "read_json_object", "write_file_atomic", "write_csv_atomic"]
+__all__ = ["check_setting", "check_out_dir", "read_json_object", "write_file_atomic", "write_csv_atomic"]
 
 
 def check_setting(name: str, value, kind: type, ok, rule: str):
@@ -19,6 +20,18 @@ def check_setting(name: str, value, kind: type, ok, rule: str):
     bool, and ``ok(value)``."""
     if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_out_dir(path: str) -> None:
+    """Raise NotADirectoryError naming ``path`` when the directory ``path``
+    cannot be made, because its nearest existing ancestor is not a
+    directory. Nothing is made: a command checks its output directory
+    before its work and makes it after."""
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def read_json_object(path: str) -> dict:

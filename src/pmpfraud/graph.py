@@ -141,7 +141,9 @@ class NodeTable:
     as they were. Features are stored column-major (float64, Fortran
     order): ``ndiff.gather_segment_sum`` sums one column at a time, so
     layer 1 then reads each column of the table in place instead of
-    transposing the whole table on every call.
+    transposing the whole table on every call. At 32 features or more
+    ``layer.bucket_sums`` sums whole rows instead, from a row-major copy of
+    the table, or of the members' rows when they are fewer, made per call.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, splits: np.ndarray):

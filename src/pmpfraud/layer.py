@@ -62,6 +62,17 @@ import numpy as np
 
 from . import ndiff as nd
 
+# Rows of at least this many columns go to ``nd.gather_segment_sum_sliced``,
+# narrower ones to ``nd.gather_segment_sum``: the row-wise kernel loses on
+# narrow rows. Median ms per call, column -> sliced, one process:
+#   d = 8:   a whole 50,000-node relation (1.0M members) 26 -> 50,
+#            one 4,096-center chunk of it 5.3 -> 6.9
+#   d = 16:  52 -> 69 and 10.6 -> 9.9
+#   d = 32:  96 -> 94 and 21.7 -> 19.7
+#   deep-ba (3,000 nodes): the whole graph 9.8 -> 4.4 at d = 32 and
+#            12.0 -> 7.1 at h = 64; a 512-center batch at h = 64 2.5 -> 1.1
+_SLICED_MIN_WIDTH = 32
+
 __all__ = [
     "LayerVariant",
     "PmpLayerParams",
@@ -166,8 +177,30 @@ def bucket_sums(
     order from 0.0, so a row depends only on its center's own neighbor
     list: a table over every node equals, bitwise, one over any batch.
     Empty buckets are exact zeros.
+
+    Members must be listed center by center: ``seg_ids`` nondecreasing and
+    in [0, k), else ShapeError (one pass over them). Rows narrower than
+    ``_SLICED_MIN_WIDTH`` are summed one column at a time
+    (``ndiff.gather_segment_sum``). Wider ones are first partitioned by
+    bucket, stably, in one ``np.flatnonzero`` per bucket: every
+    (bucket, center) row's members then form one run, in listed order,
+    and the runs follow the table's row order, which
+    ``ndiff.gather_segment_sum_sliced`` sums a whole row at a time. Both
+    add each cell's members in the same order, so the tables are equal
+    bitwise.
     """
-    return nd.gather_segment_sum(h_prev, members, _table_rows(seg_ids, bucket, num_centers), 3 * num_centers)
+    seg = np.asarray(seg_ids, dtype=np.int64)
+    if seg.ndim == 1 and seg.size:
+        nd.check_nondecreasing(seg, "bucket_sums")
+        if seg[0] < 0 or seg[-1] >= num_centers:
+            raise nd.ShapeError(f"bucket_sums: segment ids must be center positions in [0, {num_centers})")
+    ids = _table_rows(seg, bucket, num_centers)
+    if np.ndim(h_prev) != 2 or h_prev.shape[1] < _SLICED_MIN_WIDTH:
+        return nd.gather_segment_sum(h_prev, members, ids, 3 * num_centers)
+    order = np.concatenate([np.flatnonzero(bucket == b) for b in range(3)])
+    if order.size != ids.size:
+        raise nd.ShapeError("bucket_sums: every bucket must be 0, 1 or 2")
+    return nd.gather_segment_sum_sliced(h_prev, np.asarray(members)[order], ids[order], 3 * num_centers)
 
 
 def bucket_sums_adjoint(g: np.ndarray, members, seg_ids, bucket, num_rows: int) -> np.ndarray:

@@ -138,7 +138,7 @@ SETTINGS = [
     Setting(_spectral("--seed", "-1"), "seed", "-1", True),
     Setting(_spectral("--relation", "3"), "relation index", "3"),
     Setting(_spectral("--max-dense-n", "10"), "capped at", "10 nodes", code=4),
-    Setting(("spectral", "{bundle}", "--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
+    Setting(("spectral", "{bundle}", "--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory", True),
     Setting(("homophily", "{bundle}", "--out", "{out}/x.json"), "{out}/x.json", "cannot write"),
     Setting(("ratio-hist", "{bundle}", "--bin-width", "0"), "bin_width", "0.0", True),
     Setting(("ratio-hist", "{bundle}", "--bin-width", "-0.1"), "bin_width", "-0.1", True),
@@ -159,7 +159,7 @@ SETTINGS = [
     Setting(_bench("--batch-size", "0"), "batch_size", "0", True),
     Setting(_bench("--d", "0"), "feature_dim", "0", True),
     Setting(_bench("--hidden-dim", "0"), "hidden_dim", "0", True),
-    Setting(_bench("--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory"),
+    Setting(_bench("--out", _NO_DIRECTORY), _NO_DIRECTORY, "Not a directory", True),
 ]
 
 

@@ -438,6 +438,55 @@ class TestSummationOrder:
             np.testing.assert_array_equal(sums[0][b * k : (b + 1) * k], want)
 
 
+class TestBucketSumKernels:
+    """``bucket_sums`` sums narrow rows one column at a time and rows of 32
+    or more columns a whole row at a time; either way its table is bitwise
+    the column kernel's (the taped oracle's), on neighborhoods listed
+    center by center."""
+
+    def table_pair(self, seed, d, batch=None, bucket=None):
+        rng = np.random.default_rng(seed)
+        g, idx, _, _ = random_setup(rng, n=40, d_in=1, edge_factor=6)
+        h = rng.standard_normal((g.num_nodes, d)) * 10.0 ** rng.integers(-8, 9, size=(g.num_nodes, d))
+        batch = rng.permutation(g.num_nodes) if batch is None else batch
+        members, seg_ids = g.neighbor_segments(0, batch)
+        args = members, seg_ids, idx.bucket[members] if bucket is None else bucket(members.size), batch.size
+        return bucket_sums(h, *args), taped_bucket_sums(Tensor(h), *args).data, args
+
+    @pytest.mark.parametrize("d", [4, 31, 32, 64])
+    def test_every_width_gives_the_column_kernels_table(self, d):
+        got, want, _ = self.table_pair(30, d)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, kernel", [(31, "gather_segment_sum"), (32, "gather_segment_sum_sliced")])
+    def test_the_kernel_is_chosen_by_row_width(self, monkeypatch, d, kernel):
+        called = []
+        for name in ("gather_segment_sum", "gather_segment_sum_sliced"):
+            real = getattr(nd, name)
+            monkeypatch.setattr(nd, name, lambda *args, name=name, real=real: called.append(name) or real(*args))
+        h = np.ones((3, d))
+        bucket_sums(h, np.array([0, 2, 1]), np.array([0, 0, 1]), np.array([2, 0, 2], dtype=np.int8), 2)
+        assert called == [kernel]
+
+    @pytest.mark.parametrize("d", [4, 32])
+    @pytest.mark.parametrize("bucket", [0, 2])
+    def test_one_center_whose_other_buckets_are_empty(self, d, bucket):
+        got, want, (_, _, _, k) = self.table_pair(31, d, batch=np.array([5]),
+                                                  bucket=lambda m: np.full(m, bucket, dtype=np.int8))
+        assert k == 1 and got.shape == (3, d) and got.tobytes() == want.tobytes()
+        assert [got[b].any() for b in range(3)] == [b == bucket for b in range(3)]
+
+    @pytest.mark.parametrize("d", [4, 32])
+    def test_members_not_listed_center_by_center_are_refused(self, d):
+        _, _, (members, seg_ids, bucket, k) = self.table_pair(32, d)
+        h = np.ones((40, d))
+        shuffle = np.random.default_rng(0).permutation(members.size)
+        with pytest.raises(nd.ShapeError, match="nondecreasing"):
+            bucket_sums(h, members[shuffle], seg_ids[shuffle], bucket[shuffle], k)
+        with pytest.raises(nd.ShapeError, match=r"center positions in \[0, "):
+            bucket_sums(h, members, seg_ids + 1, bucket, k)
+
+
 def layer_gradients(params, graph, partition, h, centers, upstream, use_relu=True):
     """The layer's output for ``centers``, whose centers' rows, gate rows and
     table all come from ``h``, and, from one call of its adjoint with the

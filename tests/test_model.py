@@ -388,6 +388,23 @@ class TestGradientCheck:
         report = grad_check(fn, model.parameters(), tolerance=1e-6, analytic=tape_gradients(model, fn))
         assert report.passed, str(report)
 
+    def test_feature_finite_differences_through_a_wide_second_layer(self):
+        # At a hidden width of 32 layer 2 sums its table a whole row at a
+        # time (``layer.bucket_sums``) while its adjoint still adds one
+        # column at a time; the features' gradient crosses both.
+        rng = np.random.default_rng(9)
+        g, idx, labels, model, x = random_instance(rng, n=12, num_layers=2, hidden=32)
+        x = 0.5 * x
+        batch = np.arange(g.num_nodes)
+
+        def fn(tape=None):
+            return loss(model_logits(model, g, idx, x, batch, tape=tape), labels, batch, tape=tape)
+
+        analytic = {"features": tape_gradients(model, fn, wrt_features=True)["features"]}
+        assert np.abs(analytic["features"]).max() > 0
+        report = grad_check(fn, {"features": x}, tolerance=1e-6, analytic=analytic)
+        assert report.passed, str(report)
+
 
 class TestOneOpPerLayer:
     """A training batch or a scored center keeps one adjoint record per
@@ -399,16 +416,19 @@ class TestOneOpPerLayer:
     @pytest.mark.parametrize("num_relations", [1, 2, 3])
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-    def test_bitwise_equal_to_the_composed_layer(self, variant, num_relations, num_layers, dropout_p):
+    @pytest.mark.parametrize("d, hidden", [(3, 4), (3, 32), (32, 4)], ids=["narrow", "wide-hidden", "wide-features"])
+    def test_bitwise_equal_to_the_composed_layer(self, variant, num_relations, num_layers, dropout_p, d, hidden):
         # Where a value is read several times (a layer's input by its
         # centers' rows, its table and its gate's rows; the features by
         # every relation) the walk must add the terms in the engine's order,
         # which is not the records' reverse order. n = 16 nodes and a batch
         # repeating ids make some sums of 3 or more terms round differently
-        # in another order.
+        # in another order. Rows of 32 or more columns take the other
+        # segment-sum kernel (``layer.bucket_sums``): at a hidden width of 32
+        # every layer past the first does, at 32 features layer 1 does.
         rng = np.random.default_rng(40)
         g, idx, labels, model, x = random_instance(
-            rng, num_relations=num_relations, num_layers=num_layers, variant=variant
+            rng, num_relations=num_relations, num_layers=num_layers, variant=variant, d=d, hidden=hidden
         )
         batch = np.array([9, 2, 9, 14, 0, 2, 2, 7])
         kw = dict(seed=5, epoch=1, batch_index=2, dropout_p=dropout_p)

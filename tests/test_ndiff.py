@@ -286,6 +286,97 @@ class TestScatterMatchesAddAt:
         ids, upstream = self.case(seed)
         assert np.array_equal(nd.scatter_rows(upstream, ids, self.K), add_at_rows(upstream, ids, self.K))
 
+
+class TestSlicedMatchesColumns:
+    """gather_segment_sum_sliced, on members grouped by segment, is bitwise
+    both gather_segment_sum and an np.add.at oracle: the two kernels are
+    interchangeable at every width. Values span 16 decades; ``tobytes``
+    also tells a -0.0 from a 0.0."""
+
+    K = 20
+    N = 30
+
+    def case(self, seed, d, lengths):
+        rng = np.random.default_rng(seed)
+        ids = np.repeat(np.arange(lengths.size), lengths)
+        rows = rng.integers(0, self.N, size=ids.size)  # unsorted, repeated
+        x = rng.standard_normal((self.N, d)) * 10.0 ** rng.integers(-8, 9, size=(self.N, d))
+        return x, rows, ids
+
+    def assert_all_equal(self, x, rows, ids, num_segments):
+        sliced = nd.gather_segment_sum_sliced(x, rows, ids, num_segments)
+        expected = add_at_rows(x[rows], ids, num_segments)
+        assert sliced.tobytes() == expected.tobytes()
+        assert sliced.tobytes() == nd.gather_segment_sum(x, rows, ids, num_segments).tobytes()
+        return sliced
+
+    @pytest.mark.parametrize("d", [1, 8, 31, 32, 33, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_widths(self, d, seed):
+        lengths = np.random.default_rng(seed + 50).integers(0, 9, size=self.K)
+        lengths[[3, 11]] = 0
+        out = self.assert_all_equal(*self.case(seed, d, lengths), self.K)
+        assert not out[3].any() and not out[11].any()
+
+    @pytest.mark.parametrize("per_segment", [4, 1], ids=["more-members-than-rows", "fewer-members-than-rows"])
+    def test_column_major_rows(self, per_segment):
+        # NodeTable stores features column-major; the rows read are the same
+        x, rows, ids = self.case(3, 33, np.full(self.K, per_segment))
+        self.assert_all_equal(np.asfortranarray(x), rows, ids, self.K)
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_empty_member_list(self, d):
+        x = np.ones((self.N, d))
+        out = self.assert_all_equal(x, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), self.K)
+        assert out.shape == (self.K, d) and not out.any()
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_one_segment(self, d):
+        self.assert_all_equal(*self.case(4, d, np.array([7])), 1)
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_segments_past_the_slice_cap_finish_in_member_order(self, d):
+        cap = nd._SLICE_CAP
+        lengths = np.array([3, cap + 1, 0, 3 * cap + 5, cap, 2 * cap, 1])
+        self.assert_all_equal(*self.case(5, d, lengths), lengths.size)
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_negative_zeros_sum_to_the_same_zero(self, d):
+        # a segment of -0.0 rows sums, from 0.0, to 0.0; one of a single
+        # -0.0 too, and mixed signs cancel to 0.0 either way
+        x = np.full((4, d), -0.0)
+        x[2] = 1e-300
+        x[3] = -1e-300
+        rows, ids = np.array([0, 1, 0, 1, 2, 3, 3, 2]), np.array([0, 0, 1, 2, 2, 2, 3, 3])
+        out = self.assert_all_equal(x, rows, ids, 4)
+        assert not np.signbit(out).any()
+
+    def test_unsorted_segment_ids_are_refused(self):
+        with pytest.raises(nd.ShapeError, match="nondecreasing"):
+            nd.gather_segment_sum_sliced(np.ones((3, 2)), np.array([0, 1, 2]), np.array([0, 2, 1]), 3)
+
+    @pytest.mark.parametrize("drop", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) + 2])
+    def test_a_decrease_anywhere_is_refused(self, drop):
+        # the ids are compared in blocks; a decrease across a block edge counts
+        ids = np.ones((1 << 17) + 3, dtype=np.int64)
+        ids[drop:] = 0
+        with pytest.raises(nd.ShapeError, match="^op: segment ids must be nondecreasing$"):
+            nd.check_nondecreasing(ids, "op")
+        nd.check_nondecreasing(np.sort(ids), "op")
+
+    def test_out_of_range_ids_are_refused(self):
+        x = np.ones((3, 2))
+        for ids in ([0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(nd.ShapeError, match="segment id out of range"):
+                nd.gather_segment_sum_sliced(x, np.array([0, 1, 2]), np.array(ids), 3)
+        for rows in ([0, 3, 1], [0, -1, 1]):
+            with pytest.raises(nd.ShapeError, match="row index out of range"):
+                nd.gather_segment_sum_sliced(x, np.array(rows), np.array([0, 1, 2]), 3)
+        with pytest.raises(nd.ShapeError):
+            nd.gather_segment_sum_sliced(x, np.array([0, 1]), np.array([0, 1, 2]), 3)
+        with pytest.raises(nd.ShapeError, match="2-d"):
+            nd.gather_segment_sum_sliced(np.ones(3), np.array([0]), np.array([0]), 1)
+
 class TestReversePass:
     def test_fanout_accumulates_additively(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
@@ -419,6 +510,8 @@ class TestErrors:
         ("gather_rows", lambda: nd.gather_rows(np.array([[1.0], [np.inf]]), np.array([1, 0]))),
         ("gather_segment_sum", lambda: nd.gather_segment_sum(np.full((2, 1), 1.7e308), np.array([0, 1]),
                                                              np.array([0, 0]), 1)),
+        ("gather_segment_sum_sliced", lambda: nd.gather_segment_sum_sliced(
+            np.full((2, 40), 1.7e308), np.array([0, 1]), np.array([0, 0]), 1)),
         ("dropout", lambda: nd.dropout(np.full((8, 8), np.finfo(np.float64).max), 0.5, key=1)),
         ("binary_cross_entropy", lambda: nd.binary_cross_entropy(np.array([0.5, np.nan]), np.ones(2), np.ones(2))),
     ])
