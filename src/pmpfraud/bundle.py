@@ -39,6 +39,7 @@ from .graph import SPLIT_NAMES, NodeTable, RelationalGraph, split_index
 __all__ = ["BundleError", "load_bundle", "write_bundle"]
 
 _META_SIZES = ("num_nodes", "num_relations", "feature_dim")
+_SPLIT_CODES = {name: split_index(name) for name in SPLIT_NAMES}
 
 
 class BundleError(ValueError):
@@ -111,6 +112,13 @@ def _at_line(path: str, err: ValueError, skipped: int) -> str:
     return f"{path}: " + message.replace(found[0], f"at line {line}{found[2] or ''}", 1)
 
 
+def _split_code(name: str) -> int:
+    """The code of a splits.csv name: a dict lookup, else ``split_index``
+    of the stripped name, which parses a padded one and refuses the rest."""
+    code = _SPLIT_CODES.get(name)
+    return split_index(name.strip()) if code is None else code
+
+
 def _load_node_column(path: str, n: int, converters=None) -> np.ndarray:
     """Column 1 of a "node,value" CSV, indexed by node; every node must appear exactly once."""
     rows = _load_csv(path, 2, converters=converters)
@@ -167,7 +175,7 @@ def load_bundle(path: str):
     labels = _load_node_column(labels_path, n)
     if not np.isin(labels, (0, 1)).all():
         raise BundleError(f"{labels_path}: label outside {{0, 1}}")
-    splits = _load_node_column(os.path.join(path, "splits.csv"), n, {1: lambda name: split_index(name.strip())})
+    splits = _load_node_column(os.path.join(path, "splits.csv"), n, {1: _split_code})
 
     try:
         table = NodeTable(features, labels, splits)

@@ -70,28 +70,39 @@ class RelationalGraph:
         """Build from per-relation (m, 2) integer edge arrays.
 
         Input edges may be directed, duplicated, or contain self-loops;
-        the result is symmetrized, deduplicated, and loop-free.
+        the result is symmetrized, deduplicated, and loop-free. Each
+        relation is one flat int64 array of keys ``u * n + v`` (so n² must
+        stay below 2⁶³), both directions of every edge that is not a loop,
+        read straight from the two columns; sorting it orders every row
+        and puts duplicates side by side, where they are dropped. An empty
+        list or array is a relation with no edges; any other input that
+        is not (m, 2) raises ValueError naming the relation and its shape.
+        The caller's arrays are left as they were.
         """
+        n = num_nodes
         offsets, indices = [], []
         for r, edges in enumerate(edge_lists):
-            e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            if e.size and (e.min() < 0 or e.max() >= num_nodes):
-                raise ValueError(f"relation {r}: node index out of range [0, {num_nodes})")
-            both = np.concatenate([e, e[:, ::-1]]) if e.size else e
-            if both.size:
-                both = both[both[:, 0] != both[:, 1]]
-            if both.size:
-                keys = np.sort(both[:, 0] * num_nodes + both[:, 1])
+            e = np.asarray(edges, dtype=np.int64)
+            if e.size == 0:
+                e = e.reshape(0, 2)
+            elif e.ndim != 2 or e.shape[1] != 2:
+                raise ValueError(f"relation {r}: edges must be an (m, 2) array, got shape {e.shape}")
+            elif e.min() < 0 or e.max() >= n:
+                raise ValueError(f"relation {r}: node index out of range [0, {n})")
+            src, dst = e[:, 0], e[:, 1]
+            loops = src == dst
+            if loops.any():
+                src, dst = src[~loops], dst[~loops]
+            keys = np.concatenate([src * n + dst, dst * n + src])
+            keys.sort()
+            if keys.size:
                 keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-                rows = keys // num_nodes
-                cols = keys % num_nodes
-            else:
-                rows = cols = np.empty(0, dtype=np.int64)
-            off = np.zeros(num_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=num_nodes), out=off[1:])
+            rows, cols = np.divmod(keys, n)
+            off = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=off[1:])
             offsets.append(off)
             indices.append(cols)
-        return cls(num_nodes, offsets, indices)
+        return cls(n, offsets, indices)
 
     def degrees(self, relation: int) -> np.ndarray:
         return np.diff(self.row_offsets[relation])

@@ -292,10 +292,10 @@ def layer_forward(
         pre += agg
     if not np.all(np.isfinite(pre)):
         raise nd.NonFiniteError("layer: non-finite pre-activation")
-    mask = pre > 0 if use_relu else None
-    out = np.where(mask, pre, 0.0) if use_relu else pre
+    out = nd._relu_inplace(pre) if use_relu else pre
     if grads is None:
         return out, None
+    mask = out > 0 if use_relu else None
 
     def adjoint(g, inputs):
         # Each adjoint is the one its step of the composed layer records;

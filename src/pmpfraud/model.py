@@ -342,13 +342,13 @@ def readout(model: PmpModel, per_relation: list, grads: dict | None = None):
     pre += b
     if not np.all(np.isfinite(pre)):
         raise nd.NonFiniteError("readout: non-finite pre-activation")
-    mask = pre > 0
-    hidden = np.where(mask, pre, 0.0)
+    hidden = nd._relu_inplace(pre)
     z = hidden @ w
     z += c
     z = nd.check_finite(z.reshape(k), "readout")
     if grads is None:
         return z, None
+    mask = hidden > 0
     cuts = np.cumsum([t.shape[1] for t in per_relation])[:-1]
 
     def adjoint(g):

@@ -1,7 +1,8 @@
 """Float64 array kernels of the message passing model, and its reverse pass.
 
 The kernels are exactly what the model's forward calls beyond plain
-numpy: the clamped logistic, row gathers and segment sums, dropout, and a
+numpy: the clamped logistic, an in-place ReLU without a per-element
+branch, row gathers and segment sums, dropout, and a
 clamped cross-entropy on logits that is the batch's weighted mean. Each
 takes and returns arrays, validates shapes up front and refuses to emit
 NaN or Inf instead of letting it propagate silently. ``scatter_rows`` and
@@ -190,6 +191,15 @@ def _clamped_logistic(xd: np.ndarray) -> np.ndarray:
     """The logistic clamped into the open interval (0, 1)."""
     out = _logistic(xd)
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+
+
+def _relu_inplace(x: np.ndarray) -> np.ndarray:
+    """``x`` overwritten by its ReLU, bitwise ``np.where(x > 0, x, 0.0)``
+    for finite ``x``: ``+ 0.0`` turns the -0.0 that ``np.maximum`` may keep
+    into +0.0. No per-element branch, which stalls on random signs."""
+    np.maximum(x, 0.0, out=x)
+    x += 0.0
+    return x
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

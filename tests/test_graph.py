@@ -1,4 +1,5 @@
 """Graph storage, neighbor partitioning, homophily, and ratio histograms."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,45 @@ class TestRelationalGraph:
         g = RelationalGraph.from_edge_lists(3, [[(0, 1)]])
         with pytest.raises(ValueError):
             g.col_indices[0][0] = 2
+
+    @pytest.mark.parametrize("edges, shape", [
+        pytest.param(np.array([[0, 1, 2], [3, 4, 5]]), "(2, 3)", id="three-columns"),
+        pytest.param([0, 1, 2, 3], "(4,)", id="flat-even"),
+        pytest.param([0, 1, 2], "(3,)", id="flat-odd"),
+    ])
+    def test_rejects_edges_that_are_not_m_by_2(self, edges, shape):
+        with pytest.raises(ValueError) as info:
+            RelationalGraph.from_edge_lists(6, [[(0, 1)], edges])
+        assert str(info.value) == f"relation 1: edges must be an (m, 2) array, got shape {shape}"
+
+    @pytest.mark.parametrize("empty", [[], np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64)],
+                             ids=["list", "flat-array", "m-by-2-array"])
+    def test_an_empty_input_is_a_relation_with_no_edges(self, empty):
+        g = RelationalGraph.from_edge_lists(3, [[(0, 1)], empty])
+        assert g.num_edges(1) == 0
+        np.testing.assert_array_equal(g.row_offsets[1], np.zeros(4, dtype=np.int64), strict=True)
+        assert g.col_indices[1].dtype == np.int64
+
+    def test_leaves_the_callers_edges_as_they_were(self):
+        # the keys are read from column views of the caller's int64 array
+        edges = np.array([(0, 1), (2, 2), (1, 0), (3, 1), (0, 1)], dtype=np.int64)
+        before = edges.tobytes()
+        RelationalGraph.from_edge_lists(4, [edges])
+        assert edges.tobytes() == before
+        assert edges.flags.writeable
+
+    def test_peak_memory_per_input_edge(self):
+        # One flat key array reads about 67 bytes per input edge; a symmetrized [2m, 2] copy of the edges with a
+        # 2-D loop mask over it reads 82.
+        n, m = 20_000, 200_000
+        edges = np.random.default_rng(3).integers(0, n, size=(m, 2))
+        tracemalloc.start()
+        try:
+            RelationalGraph.from_edge_lists(n, [edges])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= 72
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,16 @@ class TestOperatorValues:
         x = Tensor(np.array([[1.0, 2.0], [3.0, 6.0]]))
         assert mean(x).data == 3.0
 
+    def test_in_place_relu_is_bitwise_the_branching_one(self):
+        # -0.0 and negative subnormals must come out +0.0, positive subnormals as they are
+        x = np.array([[-0.0, 0.0, -1.0, 5e-324], [-5e-324, 3.0, -1e308, 1e308]])
+        want = np.where(x > 0, x, 0.0)
+        x = np.concatenate([x, np.random.default_rng(0).standard_normal((64, 4))])
+        want = np.concatenate([want, np.where(x[2:] > 0, x[2:], 0.0)])
+        out = nd._relu_inplace(x)
+        assert out is x
+        assert out.tobytes() == want.tobytes()
+
 
 class TestScatterMatchesAddAt:
     """gather_segment_sum, both ways, and the gather_rows adjoint are bitwise

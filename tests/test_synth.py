@@ -273,6 +273,22 @@ class TestBundleValidation:
         with pytest.raises(BundleError, match="splits.csv.*dev"):
             load_bundle(str(tmp_path))
 
+    def test_padded_split_names_load_the_same_codes(self, tmp_path):
+        # a name the lookup misses is stripped and parsed, and refused by the parser's own message
+        _, table = self.write_valid(tmp_path)
+        path = tmp_path / "splits.csv"
+        header, *rows = path.read_text().splitlines()
+        pads = ("{}, {}", "{},{} ", "{},\t{}")
+        padded = [pads[i % 3].format(*row.split(",")) for i, row in enumerate(rows)]
+        assert padded[:3] == [f"0, {rows[0][2:]}", f"1,{rows[1][2:]} ", f"2,\t{rows[2][2:]}"]
+        path.write_text("\n".join([header, *padded]) + "\n")
+        _, loaded = load_bundle(str(tmp_path))
+        np.testing.assert_array_equal(loaded.splits, table.splits, strict=True)
+        path.write_text("\n".join([header, "0,Train", *rows[1:]]) + "\n")
+        with pytest.raises(BundleError) as info:
+            load_bundle(str(tmp_path))
+        assert str(info.value) == f"{path}: line 2, column 2: unknown split 'Train', expected one of train, val, test"
+
     @pytest.mark.parametrize("file, bad_row, says", [
         ("labels.csv", "5,", "could not convert string '' to int64 at line 9, column 2."),
         ("labels.csv", "5,0,1", "the number of columns changed from 2 to 3 at line 9"),
